@@ -322,16 +322,7 @@ def cmd_qcd_identity(args) -> dict:
 
 
 def cmd_ksimplicial(args) -> dict:
-    simplices = []
-    for line in _read(args.complex).splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "s":
-            raise ValueError(f"bad complex line: {line!r}")
-        simplices.append(tuple(int(p) for p in parts[1:]))
-    x = simplicial.SimplicialComplexK(simplices)
+    x = io.parse_complex(_read(args.complex))
     hol = simplicial.classify_holonomy_k(x)
     rep = simplicial.bw_factorization_check(x)
     return {

@@ -6,6 +6,12 @@ triangle equation  sum_P b[T, P] psi_P = 0  extend uniquely along thick
 paths; going around a loop yields a 2x2 holonomy matrix acting on row
 vectors from the right.
 
+This module holds weighted GL(2) transport, curvature and Appendix 1.
+For the canonical connection holonomy is a colour permutation in S3; the
+wrappers here (`color_permutation`, `classify_holonomy`, `rho1_of_loop`)
+call the slot-permutation engine in `simplicial` at k = 2, and
+`generator_loops` uses the dual tree of `mesh`.
+
 Conventions
 -----------
 * All arithmetic is exact (`fractions.Fraction`); curvature checks are
@@ -35,8 +41,9 @@ from .errors import (
     UnremovableZeroCoefficient,
     ZeroDivisor,
 )
-from .mesh import ThickPath, TriangulatedSurface
+from .mesh import ThickPath, TriangulatedSurface, cotree_walks, dual_tree
 from .ratmat import frac
+from .simplicial import generated_group, perm_sign, slot_permutation
 
 Mat2 = list
 
@@ -223,66 +230,12 @@ def holonomy_matrix(conn: DiscreteConnection, loop: ThickPath) -> Mat2:
 
 # --- pi_1 generators and classification ------------------------------------
 
-def dual_spanning_tree(surface: TriangulatedSurface):
-    """BFS tree of the dual graph from triangle 0.
-
-    Returns (parent, tree_edges, cotree_edges) where edges are unordered
-    triangle pairs; each cotree edge induces one pi_1 generator.
-    """
-    parent: dict[int, int | None] = {0: None}
-    order = [0]
-    queue = [0]
-    tree, cotree = set(), set()
-    while queue:
-        t = queue.pop(0)
-        a, b, c = surface.triangles[t]
-        for e in ((a, b), (b, c), (a, c)):
-            e = (min(e), max(e))
-            o = surface.other_triangle(e, t)
-            if o is None:
-                continue
-            key = frozenset((t, o))
-            if o not in parent:
-                parent[o] = t
-                tree.add(key)
-                order.append(o)
-                queue.append(o)
-            elif key not in tree:
-                cotree.add(key)
-    if len(parent) != surface.num_triangles:
-        raise ValueError("surface is not connected")
-    return parent, tree, sorted(tuple(sorted(e)) for e in cotree)
-
-
-def tree_path(parent: dict, t: int) -> list[int]:
-    out = [t]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    return list(reversed(out))
-
-
 def generator_loops(surface: TriangulatedSurface) -> list[ThickPath]:
-    """One thick loop per cotree edge of the dual spanning tree, based at
-    triangle 0."""
-    parent, _, cotree = dual_spanning_tree(surface)
-    loops = []
-    for a, b in cotree:
-        to_a = tree_path(parent, a)
-        back = list(reversed(tree_path(parent, b)))[:-1]  # drop the base triangle
-        tris = to_a + back
-        loops.append(ThickPath(surface, tuple(_dedup(tris)), closed=True))
-    return loops
-
-
-def _dedup(tris: list[int]) -> list[int]:
-    out = [tris[0]]
-    for t in tris[1:]:
-        if t != out[-1]:
-            out.append(t)
-    return out
-
-
-S3_IDENTITY = (0, 1, 2)
+    """One thick loop per cotree edge of the BFS dual tree from triangle 0
+    (neighbours in stored edge order), based at triangle 0."""
+    parent, _, cotree = dual_tree(surface.dual_neighbours, surface.num_triangles)
+    return [ThickPath(surface, tuple(walk[:-1]), closed=True)
+            for walk in cotree_walks(parent, cotree)]
 
 
 def permutation_matrix(sigma: tuple[int, int, int]) -> Mat2:
@@ -300,60 +253,20 @@ def permutation_matrix(sigma: tuple[int, int, int]) -> Mat2:
     return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
 
 
-def perm_sign(sigma) -> int:
-    s = 1
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sigma[i] > sigma[j]:
-                s = -s
-    return s
-
-
 def color_permutation(surface: TriangulatedSurface, loop: ThickPath) -> tuple[int, int, int]:
     """Track the tri-coloring of the base triangle around a loop.
 
     The base triangle's sorted vertices get colors (a, b, c); the
     coloring propagates so every triangle stays tri-chromatic.  Returns
-    sigma with final_color_value(x) = initial psi_{sigma(x)} semantics.
+    sigma with final_color_value(x) = initial psi_{sigma(x)} semantics:
+    the k = 2 case of `simplicial.slot_permutation`.
     """
     if not loop.closed:
         raise NotALoop("color permutation is defined for loops")
-    t0 = loop.triangles[0]
-    base = sorted(surface.triangles[t0])
-    colors = {v: i for i, v in enumerate(base)}
-    cur = colors
-    steps = list(zip(loop.triangles, loop.triangles[1:]))
-    steps.append((loop.triangles[-1], t0))
-    for i, (a, b) in enumerate(steps):
-        e = loop.shared_edges[i]
-        w = surface.opposite_vertex(b, e)
-        nxt = {u: cur[u] for u in e}
-        nxt[w] = ({0, 1, 2} - set(nxt.values())).pop()
-        cur = nxt
-    # cur now colors the base triangle again.  The transported solution has
-    # value psi_{cur(v)} at vertex v whose seed color was colors[v]:
-    # new psi at color colors[v] equals old psi at color cur[v].
-    sigma = [0, 0, 0]
-    for v in base:
-        sigma[colors[v]] = cur[v]
-    return tuple(sigma)
+    return slot_permutation(surface.triangles, loop.triangles + loop.triangles[:1])
 
 
 GROUP_TAGS = {1: "trivial", 2: "Z2", 3: "Z3", 6: "S3"}
-
-
-def _close_group(perms: set) -> set:
-    group = {S3_IDENTITY} | set(perms)
-    changed = True
-    while changed:
-        changed = False
-        for p in list(group):
-            for q in list(group):
-                comp = tuple(p[q[i]] for i in range(3))
-                if comp not in group:
-                    group.add(comp)
-                    changed = True
-    return group
 
 
 @dataclass(frozen=True)
@@ -375,7 +288,7 @@ def classify_holonomy(conn: DiscreteConnection) -> HolonomyClassification:
     if not has_zero_curvature(conn):
         raise NonzeroCurvature("connection has nonzero curvature")
     perms = tuple(color_permutation(surf, loop) for loop in generator_loops(surf))
-    group = _close_group(set(perms))
+    group = generated_group(perms, 3)
     tag = GROUP_TAGS[len(group)]
     dim = {"trivial": 2, "Z2": 1, "Z3": 0, "S3": 0}[tag]
     return HolonomyClassification(tag, perms, tuple(perm_sign(p) for p in perms), dim)

@@ -10,6 +10,7 @@ from .lattice import LatticeFunction, Window
 from .mesh import SubComplexDomain, TriangulatedSurface, build_surface
 from .opalgebra import DifferenceOperator
 from .ratmat import frac
+from .simplicial import SimplicialComplexK
 
 MESH_HEADER = "tri-surface v1"
 
@@ -76,6 +77,8 @@ def parse_connection(text: str, surface: TriangulatedSurface):
         if parts[0] != "b" or len(parts) != 4:
             raise ValueError(f"bad connection line: {line!r}")
         t, local = int(parts[1]), int(parts[2])
+        if not 0 <= t < surface.num_triangles:
+            raise ValueError(f"triangle index must be 0..{surface.num_triangles - 1}: {line!r}")
         if local not in (0, 1, 2):
             raise ValueError(f"local vertex must be 0|1|2: {line!r}")
         v = surface.triangles[t][local]
@@ -89,6 +92,17 @@ def write_connection(conn) -> str:
         local = conn.surface.triangles[t].index(v)
         lines.append(f"b {t} {local} {val}")
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def parse_complex(text: str) -> SimplicialComplexK:
+    """Complex file: `s <v0> ... <vk>` per top simplex."""
+    simplices = []
+    for line in _lines(text):
+        parts = line.split()
+        if parts[0] != "s":
+            raise ValueError(f"bad complex line: {line!r}")
+        simplices.append(tuple(int(p) for p in parts[1:]))
+    return SimplicialComplexK(simplices)
 
 
 def parse_representation(text: str) -> dict:

@@ -11,11 +11,17 @@ which is the indexing contract the holonomy formulas rely on.  Interior
 vertices have a closed star cycle; boundary vertices an open path (with
 n + 1 rim vertices for n triangles).
 
+The dual-graph traversal lives here for surfaces and k-complexes alike:
+the BFS dual tree (`dual_tree`, `tree_walk`, `cotree_walks`) that yields
+pi_1 generators, and the 2-colouring behind `bw_face_coloring` and
+`simplicial.bw_simplex_coloring`.
+
 All structures are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -87,10 +93,11 @@ class TriangulatedSurface:
             self.edge_triangles[e] = tuple(tris)
         self.boundary_edges = frozenset(e for e, ts in self.edge_triangles.items() if len(ts) == 1)
 
-        self.vertex_triangles: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(i for i, t in enumerate(self.triangles) if v in t))
-            for v in range(self.num_vertices)
-        )
+        incident: list[list[int]] = [[] for _ in range(self.num_vertices)]
+        for idx, t in enumerate(self.triangles):
+            for v in t:
+                incident[v].append(idx)
+        self.vertex_triangles: tuple[tuple[int, ...], ...] = tuple(map(tuple, incident))
         self.stars: tuple[Star, ...] = tuple(self._build_star(v) for v in range(self.num_vertices))
 
     # -- construction helpers ------------------------------------------
@@ -181,9 +188,12 @@ class TriangulatedSurface:
             return None
         return ts[0] if ts[1] == tri else ts[1]
 
-    def opposite_vertex(self, tri: int, edge: Edge) -> int:
-        (v,) = set(self.triangles[tri]) - set(edge)
-        return v
+    def dual_neighbours(self, t: int) -> list[int]:
+        """Triangles sharing an edge with `t`, across its stored edges ab, bc,
+        ac in that order."""
+        a, b, c = self.triangles[t]
+        across = (self.other_triangle(e, t) for e in (_edge(a, b), _edge(b, c), _edge(a, c)))
+        return [o for o in across if o is not None]
 
     def orientation_sign(self, t1: int, t2: int) -> int:
         """+1 if the stored orientations of two edge-adjacent triangles are
@@ -382,6 +392,80 @@ def as_domain(arg) -> SubComplexDomain:
     return arg
 
 
+# --- dual-graph traversal ------------------------------------------------------
+#
+# Nodes are triangles (or k-simplices) 0..count-1; `neighbours(node)` lists
+# the nodes sharing an edge (facet) with it, in the order they are visited.
+
+def dual_tree(neighbours, count: int, base: int = 0):
+    """BFS spanning tree of a connected dual graph.
+
+    Returns (parent, bfs_order, cotree): `parent` maps each node to its tree
+    parent (None at `base`), `bfs_order` lists the nodes as they were reached
+    and `cotree` is the sorted list of non-tree edges (a, b) with a < b; each
+    one closes one pi_1 generator.
+    """
+    parent: dict[int, int | None] = {base: None}
+    order = [base]
+    queue = deque(order)
+    cotree = set()
+    while queue:
+        t = queue.popleft()
+        for o in neighbours(t):
+            if o not in parent:
+                parent[o] = t
+                order.append(o)
+                queue.append(o)
+            elif parent[t] != o and parent[o] != t:
+                cotree.add((min(t, o), max(t, o)))
+    if len(parent) != count:
+        raise ValueError("dual graph is not connected")
+    return parent, order, sorted(cotree)
+
+
+def tree_walk(parent: dict, t: int) -> list[int]:
+    """Tree path from the root to `t`."""
+    out = [t]
+    while parent[out[-1]] is not None:
+        out.append(parent[out[-1]])
+    return out[::-1]
+
+
+def dedup(seq) -> list:
+    """Drop consecutive repeats: a walk never steps from a node to itself."""
+    out = [seq[0]]
+    for t in seq[1:]:
+        if t != out[-1]:
+            out.append(t)
+    return out
+
+
+def cotree_walks(parent: dict, cotree) -> list[list[int]]:
+    """One closed walk root -> a -> b -> root through the tree per cotree edge
+    (a, b); each walk ends with the root again."""
+    return [dedup(tree_walk(parent, a) + tree_walk(parent, b)[::-1]) for a, b in cotree]
+
+
+def two_coloring(nodes, neighbours) -> dict | None:
+    """Colour nodes 0/1 so neighbours differ, the first node of each
+    component (in `nodes` order) taking 0; None when an odd cycle exists."""
+    colors: dict[int, int] = {}
+    for seed in nodes:
+        if seed in colors:
+            continue
+        colors[seed] = 0
+        stack = [seed]
+        while stack:
+            t = stack.pop()
+            for o in neighbours(t):
+                if o not in colors:
+                    colors[o] = 1 - colors[t]
+                    stack.append(o)
+                elif colors[o] == colors[t]:
+                    return None
+    return colors
+
+
 def bw_face_coloring(surface_or_domain) -> Coloring | None:
     """2-color triangles so edge-adjacent ones differ; None when impossible.
 
@@ -389,31 +473,12 @@ def bw_face_coloring(surface_or_domain) -> Coloring | None:
     dual graph is bipartite).  The lowest-index triangle is colored black.
     """
     dom = as_domain(surface_or_domain)
-    surf = dom.surface
-    tris = sorted(dom.tris)
-    colors: dict[int, int] = {}
-    for seed in tris:
-        if seed in colors:
-            continue
-        colors[seed] = BLACK
-        queue = [seed]
-        while queue:
-            t = queue.pop()
-            for e in _tri_edges(surf, t):
-                o = surf.other_triangle(e, t)
-                if o is None or o not in dom.tris:
-                    continue
-                if o not in colors:
-                    colors[o] = 1 - colors[t]
-                    queue.append(o)
-                elif colors[o] == colors[t]:
-                    return None
-    return Coloring(face_colors=colors)
+    colors = two_coloring(sorted(dom.tris), lambda t: _domain_neighbours(dom, t))
+    return None if colors is None else Coloring(face_colors=colors)
 
 
-def _tri_edges(surf: TriangulatedSurface, t: int) -> tuple[Edge, Edge, Edge]:
-    a, b, c = surf.triangles[t]
-    return (_edge(a, b), _edge(b, c), _edge(a, c))
+def _domain_neighbours(dom: SubComplexDomain, t: int) -> list[int]:
+    return [o for o in dom.surface.dual_neighbours(t) if o in dom.tris]
 
 
 def three_vertex_coloring(surface_or_domain) -> Coloring | None:
@@ -448,9 +513,8 @@ def three_vertex_coloring(surface_or_domain) -> Coloring | None:
             # can only happen for disconnected domains; seed deterministically
             for color, v in zip(sorted({0, 1, 2} - got), sorted(missing)):
                 colors[v] = color
-        for e in _tri_edges(surf, t):
-            o = surf.other_triangle(e, t)
-            if o is not None and o in dom.tris and o not in visited:
+        for o in _domain_neighbours(dom, t):
+            if o not in visited:
                 visited.add(o)
                 queue.append(o)
     for t in tris:

@@ -52,6 +52,11 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
+def gram(a: Mat) -> Mat:
+    """a^T a, e.g. Q+Q from the equation matrix Q."""
+    return mat_mul([list(col) for col in zip(*a)], a)
+
+
 def vec_mat(v: Vec, a: Mat) -> Vec:
     """Row vector times matrix (the right-action convention used throughout)."""
     n, m = len(a), len(a[0])

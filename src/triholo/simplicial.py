@@ -7,6 +7,11 @@ permutation of the k+1 value slots of the base simplex.  With trivial
 local holonomy the group embeds in S_{k+1}; its orbit count q on the
 slots gives covariant constants of dimension q - 1, which coincide with
 the zero modes of L = Q+ Q.
+
+`slot_permutation`, `generated_group` and `perm_sign` are the one
+canonical-holonomy engine: surfaces use them at k = 2, where the slot
+permutation is the colour permutation of `connection`.  The dual tree and
+the 2-colouring come from `mesh`.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from itertools import combinations
 
 from . import ratmat
 from .errors import LocalHolonomyNontrivial, NotAManifold
+from .mesh import cotree_walks, dedup, dual_tree, two_coloring
 
 
 class SimplicialComplexK:
@@ -72,14 +78,15 @@ class SimplicialComplexK:
         return all(len(v) == 2 for v in self.facet_simplices.values())
 
     def adjacency(self):
-        """Dual adjacency via shared (k-1)-facets."""
+        """Dual adjacency via shared (k-1)-facets: simplex -> sorted list of
+        the simplices sharing a facet with it."""
         nbrs: dict = {i: set() for i in range(self.num_simplices)}
         for members in self.facet_simplices.values():
             for a in members:
                 for b in members:
                     if a != b:
                         nbrs[a].add(b)
-        return nbrs
+        return {i: sorted(ns) for i, ns in nbrs.items()}
 
 
 def canonical_local_holonomy_ok(x: SimplicialComplexK, manifold_mode: bool = True) -> bool:
@@ -98,45 +105,60 @@ def canonical_local_holonomy_ok(x: SimplicialComplexK, manifold_mode: bool = Tru
 
 
 def _dual_tree(x: SimplicialComplexK, base: int):
-    nbrs = x.adjacency()
-    parent = {base: None}
-    queue = [base]
-    cotree = set()
-    while queue:
-        s = queue.pop(0)
-        for o in sorted(nbrs[s]):
-            if o not in parent:
-                parent[o] = s
-                queue.append(o)
-            elif parent.get(s) != o and parent.get(o) != s:
-                cotree.add((min(s, o), max(s, o)))
-    if len(parent) != x.num_simplices:
-        raise ValueError("complex is not facet-connected")
-    return parent, sorted(cotree)
+    return dual_tree(x.adjacency().__getitem__, x.num_simplices, base)
 
 
-def _walk_labels(x: SimplicialComplexK, path) -> dict:
-    """Carry slot labels along a k-thick path; returns final vertex -> slot."""
-    s0 = x.simplices[path[0]]
-    labels = {v: i for i, v in enumerate(s0)}
-    for a, b in zip(path, path[1:]):
-        sa, sb = set(x.simplices[a]), set(x.simplices[b])
-        dropped = sa - sb
-        new = sb - sa
-        if len(dropped) != 1 or len(new) != 1:
-            raise ValueError(f"simplices {a},{b} do not share a (k-1)-facet")
-        (d,), (w,) = dropped, new
-        nxt = {v: labels[v] for v in sa & sb}
-        nxt[w] = labels[d]
-        labels = nxt
-    return labels
+def _carry_labels(labels: dict, sa, sb) -> dict:
+    """Vertex -> slot labels moved from simplex `sa` to the facet-adjacent
+    simplex `sb`: the shared facet keeps its labels, the new vertex takes
+    the dropped vertex's slot."""
+    sa, sb = set(sa), set(sb)
+    dropped, new = sa - sb, sb - sa
+    if len(dropped) != 1 or len(new) != 1:
+        raise ValueError(f"simplices {sorted(sa)},{sorted(sb)} do not share a (k-1)-facet")
+    out = {v: labels[v] for v in sa & sb}
+    out[new.pop()] = labels[dropped.pop()]
+    return out
 
 
-def _tree_walk(parent, t) -> list:
-    out = [t]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    return list(reversed(out))
+def slot_permutation(simplices, closed_walk) -> tuple:
+    """Holonomy of the canonical connection along a closed walk of
+    facet-adjacent simplices (first index == last index).
+
+    The base simplex's sorted vertices own slots 0..k; returns sigma with
+    sigma[i] the slot whose value arrives at slot i after the walk (for a
+    surface, k = 2, this is the colour permutation in S3).
+    """
+    base = sorted(simplices[closed_walk[0]])
+    labels = {v: i for i, v in enumerate(base)}
+    for a, b in zip(closed_walk, closed_walk[1:]):
+        labels = _carry_labels(labels, simplices[a], simplices[b])
+    return tuple(labels[v] for v in base)
+
+
+def perm_sign(sigma) -> int:
+    """+1 for an even permutation, -1 for an odd one."""
+    s = 1
+    for i in range(len(sigma)):
+        for j in range(i + 1, len(sigma)):
+            if sigma[i] > sigma[j]:
+                s = -s
+    return s
+
+
+def generated_group(gens, degree: int) -> set:
+    """Closure of permutations of range(degree) under composition."""
+    group = {tuple(range(degree))} | set(gens)
+    changed = True
+    while changed:
+        changed = False
+        for p in list(group):
+            for q in list(group):
+                comp = tuple(p[i] for i in q)
+                if comp not in group:
+                    group.add(comp)
+                    changed = True
+    return group
 
 
 @dataclass(frozen=True)
@@ -153,45 +175,12 @@ def classify_holonomy_k(x: SimplicialComplexK, base: int = 0) -> KHolonomy:
     count q on the value slots, and the covariant dimension q - 1."""
     if not canonical_local_holonomy_ok(x):
         raise LocalHolonomyNontrivial("a (k-2)-simplex has odd valence")
-    parent, cotree = _dual_tree(x, base)
-    k1 = x.k + 1
-    gens = []
-    for a, b in cotree:
-        walk = _tree_walk(parent, a) + list(reversed(_tree_walk(parent, b)))
-        labels = _walk_labels(x, _dedup(walk))
-        s0 = x.simplices[base]
-        init = {v: i for i, v in enumerate(s0)}
-        sigma = [0] * k1
-        for v in s0:
-            sigma[init[v]] = labels[v]
-        gens.append(tuple(sigma))
-    group = _generated_group(gens, k1)
-    orbits = _orbits(group, k1)
+    parent, _, cotree = _dual_tree(x, base)
+    gens = tuple(slot_permutation(x.simplices, walk) for walk in cotree_walks(parent, cotree))
+    group = generated_group(gens, x.k + 1)
+    orbits = _orbits(group, x.k + 1)
     q = len(orbits)
-    return KHolonomy(tuple(sorted(group)), tuple(gens), q, q - 1, orbits)
-
-
-def _dedup(seq):
-    out = [seq[0]]
-    for t in seq[1:]:
-        if t != out[-1]:
-            out.append(t)
-    return out
-
-
-def _generated_group(gens, k1) -> set:
-    ident = tuple(range(k1))
-    group = {ident} | set(gens)
-    changed = True
-    while changed:
-        changed = False
-        for p in list(group):
-            for q in list(group):
-                comp = tuple(p[q[i]] for i in range(k1))
-                if comp not in group:
-                    group.add(comp)
-                    changed = True
-    return group
+    return KHolonomy(tuple(sorted(group)), gens, q, q - 1, orbits)
 
 
 def _orbits(group, k1):
@@ -216,25 +205,15 @@ def _orbits(group, k1):
 def vertex_orbit_classes(x: SimplicialComplexK, base: int = 0) -> tuple[dict, KHolonomy]:
     """Assign every vertex the orbit index of its slot under tree transport."""
     hol = classify_holonomy_k(x, base)
-    parent, _ = _dual_tree(x, base)
+    parent, order, _ = _dual_tree(x, base)
     orbit_of_slot = {}
     for i, orbit in enumerate(hol.orbits):
         for s in orbit:
             orbit_of_slot[s] = i
-    order = sorted(parent, key=lambda t: len(_tree_walk(parent, t)))
-    s0 = x.simplices[base]
-    slot = {v: i for i, v in enumerate(s0)}
-    labels_of = {base: {v: slot[v] for v in s0}}
-    for t in order:
-        if t == base:
-            continue
+    labels_of = {base: {v: i for i, v in enumerate(x.simplices[base])}}
+    for t in order[1:]:
         p = parent[t]
-        la = labels_of[p]
-        sa, sb = set(x.simplices[p]), set(x.simplices[t])
-        (d,), (w,) = sa - sb, sb - sa
-        lb = {v: la[v] for v in sa & sb}
-        lb[w] = la[d]
-        labels_of[t] = lb
+        labels_of[t] = _carry_labels(labels_of[p], x.simplices[p], x.simplices[t])
     classes = {}
     for t, lab in labels_of.items():
         for v, s in lab.items():
@@ -281,22 +260,7 @@ def zero_modes_k(x: SimplicialComplexK) -> list:
 def bw_simplex_coloring(x: SimplicialComplexK) -> dict | None:
     """2-color k-simplices so facet-adjacent ones differ; None if odd dual
     cycles exist (rho3 nontrivial)."""
-    nbrs = x.adjacency()
-    colors: dict = {}
-    for seed in range(x.num_simplices):
-        if seed in colors:
-            continue
-        colors[seed] = 0
-        queue = [seed]
-        while queue:
-            s = queue.pop()
-            for o in nbrs[s]:
-                if o not in colors:
-                    colors[o] = 1 - colors[s]
-                    queue.append(o)
-                elif colors[o] == colors[s]:
-                    return None
-    return colors
+    return two_coloring(range(x.num_simplices), x.adjacency().__getitem__)
 
 
 @dataclass
@@ -332,9 +296,8 @@ def bw_factorization_check(x: SimplicialComplexK) -> KFactorizationReport:
                                     note="k=1: only L = Qb+Qb + Qw+Qw holds")
     holds = True
     for want in (0, 1):
-        q = _q_matrix_k(x, [i for i in range(x.num_simplices) if colors[i] == want])
-        qt = [list(col) for col in zip(*q)]
-        gram = ratmat.mat_mul(qt, q)
+        gram = ratmat.gram(_q_matrix_k(x, [i for i in range(x.num_simplices)
+                                           if colors[i] == want]))
         doubled = [[2 * gram[i][j] for j in range(x.num_vertices)]
                    for i in range(x.num_vertices)]
         if not ratmat.mat_eq(doubled, lmat):
@@ -355,20 +318,9 @@ def _q_matrix_k(x: SimplicialComplexK, rows) -> list:
 def rho_signs_k(x: SimplicialComplexK, path) -> tuple[int, int]:
     """(rho1, rho3) along a closed k-thick path: permutation parity of the
     label transport and the simplex-count parity."""
-    walk = list(path) + [path[0]]
-    labels = _walk_labels(x, _dedup(walk))
-    s0 = x.simplices[path[0]]
-    init = {v: i for i, v in enumerate(s0)}
-    sigma = [0] * (x.k + 1)
-    for v in s0:
-        sigma[init[v]] = labels[v]
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
+    sigma = slot_permutation(x.simplices, dedup(list(path) + [path[0]]))
     rho3 = -1 if len(path) % 2 else 1
-    return sign, rho3
+    return perm_sign(sigma), rho3
 
 
 def boundary_of_4_simplex() -> SimplicialComplexK:

@@ -29,6 +29,7 @@ from .mesh import (
     TriangulatedSurface,
     as_domain,
     bw_face_coloring,
+    dual_tree,
     three_vertex_coloring,
 )
 from .ratmat import frac
@@ -78,14 +79,13 @@ def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
 
 
 def _propagate_seed(conn: DiscreteConnection, seedpair) -> dict:
-    from .connection import _solve_third, dual_spanning_tree
+    from .connection import _solve_third
 
     surf = conn.surface
-    parent, _, _ = dual_spanning_tree(surf)
+    _, order, _ = dual_tree(surf.dual_neighbours, surf.num_triangles)
     t0 = 0
     v0, v1, _ = sorted(surf.triangles[t0])
     values = dict(_solve_third(conn, t0, {v0: frac(seedpair[0]), v1: frac(seedpair[1])}))
-    order = sorted(parent, key=lambda t: len_tree_path(parent, t))
     for t in order:
         tv = surf.triangles[t]
         known = {u: values[u] for u in tv if u in values}
@@ -95,14 +95,6 @@ def _propagate_seed(conn: DiscreteConnection, seedpair) -> dict:
             raise NonzeroCurvature("propagation lost contact; curvature nonzero?")
         values.update(_solve_third(conn, t, known))
     return values
-
-
-def len_tree_path(parent, t) -> int:
-    k = 0
-    while parent[t] is not None:
-        t = parent[t]
-        k += 1
-    return k
 
 
 def _assert_solves(conn, psi):
@@ -116,9 +108,7 @@ def _assert_solves(conn, psi):
 
 def assemble_L(conn: DiscreteConnection) -> list:
     """Dense matrix of L = Q+Q over the connection's family."""
-    q = q_matrix(conn)
-    qt = [list(col) for col in zip(*q)]
-    return ratmat.mat_mul(qt, q)
+    return ratmat.gram(q_matrix(conn))
 
 
 def graph_laplacian(surface: TriangulatedSurface) -> list:
@@ -181,15 +171,10 @@ def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
     half = [[-delta[i][j] + pot32[i][j] for j in range(nv)] for i in range(nv)]
     qb = q_matrix(conn, coloring.black_triangles())
     qw = q_matrix(conn, coloring.white_triangles())
-    qb_ok = ratmat.mat_eq(_gram(qb), half)
-    qw_ok = ratmat.mat_eq(_gram(qw), half)
+    qb_ok = ratmat.mat_eq(ratmat.gram(qb), half)
+    qw_ok = ratmat.mat_eq(ratmat.gram(qw), half)
     dual_ok = _dual_block_identity(surface, coloring)
     return LIdentityReport(l_ok, True, qb_ok, qw_ok, dual_ok)
-
-
-def _gram(q):
-    qt = [list(col) for col in zip(*q)]
-    return ratmat.mat_mul(qt, q)
 
 
 def _dual_block_identity(surface, coloring) -> bool:
@@ -215,9 +200,8 @@ def _dual_block_identity(surface, coloring) -> bool:
             adj[wi][nw + bi] = qwb[bi][wi]
             adj[nw + bi][wi] = qwb[bi][wi]
     sq = ratmat.mat_mul(adj, adj)
-    qwb_t = [list(col) for col in zip(*qwb)]
-    top = ratmat.mat_mul(qwb_t, qwb)      # acts on white functions
-    bot = ratmat.mat_mul(qwb, qwb_t)      # acts on black functions
+    top = ratmat.gram(qwb)                          # acts on white functions
+    bot = ratmat.gram([list(c) for c in zip(*qwb)])  # acts on black functions
     for i in range(size):
         for j in range(size):
             if i < nw and j < nw:
@@ -378,11 +362,10 @@ def max_principle_check(domain, psi: dict,
 
     lower = dom.lower_boundary()
     boundary_pts = {images[t] for t in blacks if t in lower}
-    hull_all = convex_hull(pts)
-    corners = extreme_points(hull_all)
+    corners = convex_hull(pts)
     if dom.tris == frozenset(range(surf.num_triangles)) and surf.is_closed:
         # closed surface: no boundary; only covariant constants may pass
-        corner_violations = [] if point_hull else [c for c in corners]
+        corner_violations = [] if point_hull else list(corners)
         return MaxPrincipleReport(point_hull, corners, corner_violations, [], [], 0)
 
     corner_violations = [c for c in corners if c not in boundary_pts]
@@ -459,10 +442,6 @@ def convex_hull(points) -> list:
     if len(hull) < 2:  # all points collinear: keep the two extremes
         return [pts[0], pts[-1]]
     return hull
-
-
-def extreme_points(hull) -> list:
-    return list(hull)
 
 
 def point_in_hull(p, hull) -> bool:

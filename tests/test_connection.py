@@ -171,6 +171,26 @@ def test_classification(octa, torus3, torus4, ico):
         C.classify_holonomy(C.canonical_connection(ico))
 
 
+def test_color_permutation_matches_exact_transport(octa):
+    # The slot-permutation engine against exact GL(2) transport, an
+    # independent computation, on every pi_1 generator.
+    surfaces = [octa] + [fixtures.torus_lattice(n, s).surface
+                         for n in range(3, 8) for s in range(n)]
+    for surf in surfaces:
+        conn = C.canonical_connection(surf)
+        for loop in C.generator_loops(surf):
+            sigma = C.color_permutation(surf, loop)
+            assert C.holonomy_matrix(conn, loop) == C.permutation_matrix(sigma)
+
+
+def test_torus4_generator_order(torus4):
+    # pi_1 generators come from the BFS dual tree in stored edge order; their
+    # order is part of the `holonomy` CLI output.
+    cls = C.classify_holonomy(C.canonical_connection(torus4.surface))
+    e, r, r2 = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    assert cls.generators == (e, e, r, r, r2, e, r2, e, r, e, r, e, r2, r2, r, e, e)
+
+
 def test_lemma_rho1_rho2_rho3(octa, torus4):
     for surf in (octa, torus4.surface):
         conn = C.canonical_connection(surf)

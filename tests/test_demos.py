@@ -1,0 +1,29 @@
+"""Smoke tests: the demos that write no files run to completion.
+
+Demos 02 and 03 write SVG figures next to themselves and are not run here.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo, line", [
+    ("01_surfaces_and_holonomy.py", "holonomy group: Z3; covariant constants: dim 0"),
+    ("04_operator_factorization.py", "recomposition Q+Q + U == L exactly: True"),
+    ("05_simplicial_k.py",
+     "cycle C6: holonomy order 1, orbits q = 2, covariant dim = 1, L kernel dim = 1"),
+])
+def test_demo_runs(demo, line, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert line in r.stdout.splitlines()

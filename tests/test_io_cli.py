@@ -46,6 +46,19 @@ def test_connection_roundtrip(octa):
     assert back.b(1, octa.triangles[1][0]) == 1
 
 
+@pytest.mark.parametrize("line", ["b 99 0 2", "b -1 0 2"])
+def test_connection_triangle_index_out_of_range(octa, line):
+    with pytest.raises(ValueError, match="triangle index"):
+        io.parse_connection(line + "\n", octa)
+
+
+def test_complex_file_comments_and_blanks():
+    x = io.parse_complex("# a 4-cycle\ns 0 1\n\ns 1 2  # inline\ns 2 3\ns 3 0\n")
+    assert (x.k, x.num_simplices) == (1, 4)
+    with pytest.raises(ValueError):
+        io.parse_complex("t 0 1\n")
+
+
 def test_representation_file():
     text = "R 0 1 0 1 1 0\nR 1 2 1 2 1 3\n"
     mats = io.parse_representation(text)
@@ -310,6 +323,17 @@ def test_cli_covariants_with_connection(fixture_dir, tmp_path):
                           "--conn", str(conn_file)])
     assert rc == 0
     assert json.loads(out)["dimension"] == 2
+
+
+@pytest.mark.parametrize("line", ["b 99 0 2", "b -1 0 2"])
+def test_cli_holonomy_rejects_bad_triangle_index(fixture_dir, tmp_path, line):
+    conn_file = tmp_path / "bad.conn"
+    conn_file.write_text(line + "\n")
+    rc, out, err = run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
+                            "--conn", str(conn_file)])
+    assert rc == 1
+    assert json.loads(out)["error"] == "ValueError"
+    assert "Traceback" not in err
 
 
 def test_cli_invariant_violation_exits_nonzero():

@@ -207,3 +207,21 @@ def test_broken_star_rejected():
     # two fans meeting only at vertex 0: the star is not a single fan
     with pytest.raises(BrokenStar):
         mesh.build_surface([(0, 1, 2), (0, 3, 4)])
+
+
+def test_dual_tree_bfs_order_and_cotree(torus4):
+    surf = torus4.surface
+    parent, order, cotree = mesh.dual_tree(surf.dual_neighbours, surf.num_triangles)
+    depth = {t: len(mesh.tree_walk(parent, t)) for t in order}
+    assert order == sorted(parent, key=depth.get)
+    assert len(cotree) == surf.num_edges - surf.num_triangles + 1
+    for walk in mesh.cotree_walks(parent, cotree):
+        assert walk[0] == walk[-1] == 0
+    with pytest.raises(ValueError):
+        mesh.dual_tree(lambda t: [], 2)
+
+
+def test_vertex_triangles_sorted_incidence(torus4):
+    surf = torus4.surface
+    for v, ts in enumerate(surf.vertex_triangles):
+        assert ts == tuple(i for i, t in enumerate(surf.triangles) if v in t)

@@ -96,9 +96,7 @@ def test_k1_factorization_note():
     lmat = SK.assemble_Lk(x)
     total = ratmat.zeros(6, 6)
     for want in (0, 1):
-        q = SK._q_matrix_k(x, [i for i in range(6) if colors[i] == want])
-        qt = [list(col) for col in zip(*q)]
-        g = ratmat.mat_mul(qt, q)
+        g = ratmat.gram(SK._q_matrix_k(x, [i for i in range(6) if colors[i] == want]))
         total = [[total[i][j] + g[i][j] for j in range(6)] for i in range(6)]
     assert ratmat.mat_eq(total, lmat)
 
