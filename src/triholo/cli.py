@@ -172,7 +172,7 @@ def cmd_maxprinciple(args) -> dict:
     if fc is None or vc is None:
         raise TriholoError("domain admits no b/w or tri-coloring")
     if args.psi:
-        values = io.parse_boundary_values(_read(args.psi))
+        values = io.parse_boundary_values(_read(args.psi), surf)
         result = solver.solve_bw(dom, fc, values)
         psi = result.values
     else:

@@ -22,6 +22,15 @@ def _lines(text: str):
             yield line
 
 
+def _rational(token: str, line: str) -> Fraction:
+    """A rational field of `line`; a zero denominator is a ValueError
+    naming the line, like every other malformed entry."""
+    try:
+        return frac(token)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {line!r}") from None
+
+
 def parse_mesh(text: str) -> TriangulatedSurface:
     """Mesh file: header line, `v <count>`, then `t i j k` per triangle."""
     lines = list(_lines(text))
@@ -32,6 +41,8 @@ def parse_mesh(text: str) -> TriangulatedSurface:
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "v":
+            if len(parts) != 2:
+                raise ValueError(f"bad vertex-count line: {line!r}")
             vcount = int(parts[1])
         elif parts[0] == "t":
             if len(parts) != 4:
@@ -82,7 +93,7 @@ def parse_connection(text: str, surface: TriangulatedSurface):
         if local not in (0, 1, 2):
             raise ValueError(f"local vertex must be 0|1|2: {line!r}")
         v = surface.triangles[t][local]
-        coeffs[(t, v)] = frac(parts[3])
+        coeffs[(t, v)] = _rational(parts[3], line)
     return DiscreteConnection(surface, coeffs)
 
 
@@ -113,19 +124,25 @@ def parse_representation(text: str) -> dict:
         if parts[0] != "R" or len(parts) != 7:
             raise ValueError(f"bad representation line: {line!r}")
         u, v = int(parts[1]), int(parts[2])
-        vals = [frac(p) for p in parts[3:]]
+        vals = [_rational(p, line) for p in parts[3:]]
         out[(u, v)] = [[vals[0], vals[1]], [vals[2], vals[3]]]
     return out
 
 
-def parse_boundary_values(text: str) -> dict:
-    """Boundary-value file: `psi <vertex> <rational>`."""
+def parse_boundary_values(text: str, surface: TriangulatedSurface) -> dict:
+    """Boundary-value file: `psi <vertex> <rational>`, at most one line per
+    vertex of `surface`."""
     out = {}
     for line in _lines(text):
         parts = line.split()
         if parts[0] != "psi" or len(parts) != 3:
             raise ValueError(f"bad boundary line: {line!r}")
-        out[int(parts[1])] = frac(parts[2])
+        v = int(parts[1])
+        if not 0 <= v < surface.num_vertices:
+            raise ValueError(f"vertex index must be 0..{surface.num_vertices - 1}: {line!r}")
+        if v in out:
+            raise ValueError(f"duplicate boundary value for vertex {v}: {line!r}")
+        out[v] = _rational(parts[2], line)
     return out
 
 
@@ -136,7 +153,7 @@ def parse_lattice_function(text: str, window: Window | None = None) -> LatticeFu
         parts = line.split()
         if parts[0] != "f" or len(parts) != 4:
             raise ValueError(f"bad lattice line: {line!r}")
-        vals[(int(parts[1]), int(parts[2]))] = frac(parts[3])
+        vals[(int(parts[1]), int(parts[2]))] = _rational(parts[3], line)
     if window is None:
         if not vals:
             raise ValueError("empty lattice function needs a window")
@@ -181,7 +198,7 @@ def parse_operator(text: str) -> DifferenceOperator:
         elif parts[0] == "c":
             if current is None:
                 raise ValueError("coefficient line before any `op` header")
-            current[(int(parts[1]), int(parts[2]))] = frac(parts[3])
+            current[(int(parts[1]), int(parts[2]))] = _rational(parts[3], line)
         else:
             raise ValueError(f"unknown operator line: {line!r}")
     if alpha is not None:

@@ -2,9 +2,13 @@
 
 Everything in this package that claims exactness funnels through these
 routines: reduced row echelon form, rank, null spaces, affine solves and
-2x2 matrix algebra.  Matrices are plain row-major lists of lists; no
-external dependency is worth the trouble at the system sizes we meet
-(a few hundred unknowns at most).
+2x2 matrix algebra.  Dense matrices are plain row-major lists of lists.
+The global systems (Q, L = Q+Q, the Laplacian) have a handful of nonzeros
+per row, so they are kept as sparse rows, one `{column: value}` dict per
+row with zero entries left out; `gram` multiplies them and `dense` hands
+them to the elimination.  `rref` takes and returns dense rows but
+eliminates on sparse ones, so its cost follows the nonzeros and the
+fill-in, not rows x columns x rank.
 """
 
 from __future__ import annotations
@@ -52,9 +56,36 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def gram(a: Mat) -> Mat:
-    """a^T a, e.g. Q+Q from the equation matrix Q."""
-    return mat_mul([list(col) for col in zip(*a)], a)
+def gram(rows: list, cols: int) -> list:
+    """a^T a for sparse rows over `cols` columns, as sparse rows: e.g.
+    Q+Q from the equation matrix Q."""
+    out: list = [{} for _ in range(cols)]
+    for row in rows:
+        for i, x in row.items():
+            oi = out[i]
+            for j, y in row.items():
+                oi[j] = oi.get(j, 0) + x * y
+    return [{j: x for j, x in oi.items() if x} for oi in out]
+
+
+def combine(*terms) -> list:
+    """sum of c * m over (c, m) terms, m sparse rows of equal count;
+    zero entries are left out, so equal matrices compare equal with ==."""
+    out: list = [{} for _ in terms[0][1]]
+    for c, m in terms:
+        for oi, row in zip(out, m):
+            for j, x in row.items():
+                oi[j] = oi.get(j, 0) + c * x
+    return [{j: x for j, x in oi.items() if x} for oi in out]
+
+
+def dense(rows: list, cols: int) -> Mat:
+    """Sparse rows as a dense matrix with `cols` columns."""
+    out = zeros(len(rows), cols)
+    for oi, row in zip(out, rows):
+        for j, x in row.items():
+            oi[j] = x
+    return out
 
 
 def vec_mat(v: Vec, a: Mat) -> Vec:
@@ -87,28 +118,74 @@ def inv2(a: Mat) -> Mat:
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form of a copy of `a`, with pivot column list."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    """Reduced row echelon form of a copy of `a`, with pivot column list.
+
+    Sparse Gauss-Jordan on dict rows.  Columns are eliminated left to
+    right, so the pivot columns and the reduced rows are the unique RREF;
+    among the live rows with a nonzero in the column, the pivot is the one
+    with the fewest nonzeros (row index breaks ties), which keeps fill-in
+    low on the 3-nonzero rows of Q.  Back-substitution then clears each
+    pivot column from the earlier pivot rows.  Rows of zeros pad the
+    result to the input's row count.
+    """
+    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    cols = len(a[0]) if a else 0
+    incol: list[set] = [set() for _ in range(cols)]   # column -> rows with a nonzero
+    for i, row in enumerate(rows):
+        for j in row:
+            incol[j].add(i)
+    live = set(range(len(rows)))
     pivots: list[int] = []
-    r = 0
+    prow: list[int] = []
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
+        cand = incol[c] & live
+        if not cand:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        live.discard(p)
+        pr = rows[p]
+        pv = pr[c]
+        if pv != 1:
+            pr = rows[p] = {j: x / pv for j, x in pr.items()}
+        for i in cand:
+            if i != p:
+                _eliminate(rows[i], i, pr, c, incol)
         pivots.append(c)
-        r += 1
-        if r == rows:
+        prow.append(p)
+        if not live:
             break
-    return m, pivots
+    # Back-substitution, last pivot first.  When pivot k is used its row
+    # holds only column c and non-pivot columns, so clearing c from earlier
+    # rows leaves the other pivot columns, and their `incol` sets, as they are.
+    for k in range(len(pivots) - 1, 0, -1):
+        c, p = pivots[k], prow[k]
+        for i in incol[c] - {p}:
+            _eliminate(rows[i], i, rows[p], c, None)
+    zero = Fraction(0)
+    out = []
+    for p in prow:
+        full = [zero] * cols
+        for j, x in rows[p].items():
+            full[j] = x
+        out.append(full)
+    out += [[zero] * cols for _ in range(len(rows) - len(prow))]
+    return out, pivots
+
+
+def _eliminate(row: dict, i: int, pivot_row: dict, c: int, incol) -> None:
+    """row -= row[c] * pivot_row (pivot_row[c] == 1), dropping zeros and,
+    when `incol` is given, keeping its column -> rows index current."""
+    f = row[c]
+    for j, y in pivot_row.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            if incol is not None and j not in row:
+                incol[j].add(i)
+            row[j] = x
+        elif j in row:
+            del row[j]
+            if incol is not None:
+                incol[j].discard(i)
 
 
 def rank(a: Mat) -> int:
@@ -121,11 +198,19 @@ def nullspace(a: Mat) -> list[Vec]:
     """Basis of the right null space {x : a x = 0}."""
     if not a:
         return []
-    cols = len(a[0])
     red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    return _kernel(red, pivots, len(a[0]))
+
+
+def _kernel(red: Mat, pivots: list[int], cols: int) -> list[Vec]:
+    """Null space basis of the first `cols` columns of a reduced matrix:
+    one vector per free column, pivot columns beyond `cols` ignored."""
+    pivots = [p for p in pivots if p < cols]
+    pivset = set(pivots)
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivset:
+            continue
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
@@ -139,18 +224,20 @@ def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, list[Vec]]:
 
     Returns (particular, nullspace_basis); particular is None when the
     system is inconsistent.  Free variables are set to zero in the
-    particular solution.
+    particular solution.  One elimination of [a | b] gives both: its first
+    columns are the reduced form of a.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     aug = [a[i][:] + [b[i]] for i in range(rows)]
     red, pivots = rref(aug)
+    null = _kernel(red, pivots, cols)
     if cols in pivots:
-        return None, nullspace(a)
+        return None, null
     x = [Fraction(0)] * cols
     for i, p in enumerate(pivots):
         x[p] = red[i][cols]
-    return x, nullspace(a)
+    return x, null
 
 
 def span_equal(b1: list[Vec], b2: list[Vec]) -> bool:

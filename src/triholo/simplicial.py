@@ -241,20 +241,26 @@ def covariant_constants_k(x: SimplicialComplexK, base: int = 0) -> list:
     return basis
 
 
+def q_matrix(simplices, rows, coeff=None) -> list:
+    """The equation matrix Q as sparse rows (see `ratmat`): one row
+    {vertex: coeff(i, vertex)} per simplex index i in `rows`, every
+    coefficient 1 when `coeff` is None (the canonical connection).
+    Surfaces pass their triangles and `DiscreteConnection.b`."""
+    one = Fraction(1)
+    return [{v: one if coeff is None else coeff(i, v) for v in simplices[i]}
+            for i in rows]
+
+
 def assemble_Lk(x: SimplicialComplexK) -> list:
-    """(L psi)_P = n_P psi_P + sum m_{P,P'} psi_{P'} with m the number of
-    k-simplices containing the edge <P P'>."""
-    n = x.num_vertices
-    out = ratmat.zeros(n, n)
-    for s in x.simplices:
-        for u in s:
-            for v in s:
-                out[u][v] += 1
-    return out
+    """Sparse rows of L = Q+Q: (L psi)_P = n_P psi_P + sum m_{P,P'} psi_{P'}
+    with m the number of k-simplices containing the edge <P P'>."""
+    return ratmat.gram(q_matrix(x.simplices, range(x.num_simplices)), x.num_vertices)
 
 
 def zero_modes_k(x: SimplicialComplexK) -> list:
-    return [dict(enumerate(vec)) for vec in ratmat.nullspace(assemble_Lk(x))]
+    """Null space of L = Q+Q, taken from Q: over the rationals ker L = ker Q."""
+    q = q_matrix(x.simplices, range(x.num_simplices))
+    return [dict(enumerate(vec)) for vec in ratmat.nullspace(ratmat.dense(q, x.num_vertices))]
 
 
 def bw_simplex_coloring(x: SimplicialComplexK) -> dict | None:
@@ -280,11 +286,13 @@ def bw_factorization_check(x: SimplicialComplexK) -> KFactorizationReport:
     so only L = Qb+ Qb + Qw+ Qw holds; the doubled identity is reported as
     out of range (None) with a note.
     """
-    lmat = assemble_Lk(x)
-    kernel = ratmat.nullspace(lmat)
+    nv = x.num_vertices
+    q = q_matrix(x.simplices, range(x.num_simplices))
+    lmat = ratmat.gram(q, nv)
+    kernel = ratmat.nullspace(ratmat.dense(q, nv))  # over the rationals ker L = ker Q
     try:
         cov = covariant_constants_k(x)
-        cov_vecs = [[psi[v] for v in range(x.num_vertices)] for psi in cov]
+        cov_vecs = [[psi[v] for v in range(nv)] for psi in cov]
         matches = ratmat.span_equal(kernel, cov_vecs)
     except (LocalHolonomyNontrivial, NotAManifold):
         matches = None
@@ -296,23 +304,10 @@ def bw_factorization_check(x: SimplicialComplexK) -> KFactorizationReport:
                                     note="k=1: only L = Qb+Qb + Qw+Qw holds")
     holds = True
     for want in (0, 1):
-        gram = ratmat.gram(_q_matrix_k(x, [i for i in range(x.num_simplices)
-                                           if colors[i] == want]))
-        doubled = [[2 * gram[i][j] for j in range(x.num_vertices)]
-                   for i in range(x.num_vertices)]
-        if not ratmat.mat_eq(doubled, lmat):
+        half = ratmat.gram([q[i] for i in range(x.num_simplices) if colors[i] == want], nv)
+        if ratmat.combine((2, half)) != lmat:
             holds = False
     return KFactorizationReport(True, len(kernel), matches, holds)
-
-
-def _q_matrix_k(x: SimplicialComplexK, rows) -> list:
-    out = []
-    for i in rows:
-        row = [Fraction(0)] * x.num_vertices
-        for v in x.simplices[i]:
-            row[v] = Fraction(1)
-        out.append(row)
-    return out
 
 
 def rho_signs_k(x: SimplicialComplexK, path) -> tuple[int, int]:

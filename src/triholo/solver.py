@@ -1,8 +1,11 @@
 """Global triangle-equation solvers, the operator L = Q+Q and the maximum
 principle checker.
 
-The operator assembly works with dense rational matrices indexed by
-vertex; fixtures are desk-sized so exact Gaussian elimination is cheap.
+Q (one row per triangle, three nonzeros) and the operators built from it,
+L = Q+Q, the Laplacian and the valence potential, are sparse rational rows
+indexed by vertex (see `ratmat`); identities between them compare entry by
+entry.  Null spaces and boundary solves go through the sparse exact
+elimination `ratmat.rref`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .mesh import (
     three_vertex_coloring,
 )
 from .ratmat import frac
+from .simplicial import q_matrix
 
 
 # --- covariant constants ----------------------------------------------------
@@ -41,19 +45,6 @@ from .ratmat import frac
 class CovariantConstantSpace:
     basis: list            # list of dicts vertex -> Fraction
     dimension: int
-
-
-def q_matrix(conn: DiscreteConnection, tris=None) -> list:
-    """Rows = triangle equations, columns = vertices."""
-    surf = conn.surface
-    tris = sorted(conn.family) if tris is None else sorted(tris)
-    out = []
-    for t in tris:
-        row = [Fraction(0)] * surf.num_vertices
-        for v in surf.triangles[t]:
-            row[v] = conn.b(t, v)
-        out.append(row)
-    return out
 
 
 def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
@@ -107,29 +98,27 @@ def _assert_solves(conn, psi):
 # --- L = Q+Q and identities --------------------------------------------------
 
 def assemble_L(conn: DiscreteConnection) -> list:
-    """Dense matrix of L = Q+Q over the connection's family."""
-    return ratmat.gram(q_matrix(conn))
+    """Sparse rows of L = Q+Q over the connection's family."""
+    surf = conn.surface
+    return ratmat.gram(q_matrix(surf.triangles, sorted(conn.family), conn.b),
+                       surf.num_vertices)
 
 
 def graph_laplacian(surface: TriangulatedSurface) -> list:
     """Positive combinatorial Laplacian Delta = delta d = deg - adjacency of
-    the 1-skeleton (the sign convention that makes L = -2 Delta + 3 n_P)."""
-    n = surface.num_vertices
-    out = ratmat.zeros(n, n)
+    the 1-skeleton (the sign convention that makes L = -2 Delta + 3 n_P),
+    as sparse rows."""
+    out: list = [{v: 0} for v in range(surface.num_vertices)]
     for (u, v) in surface.edge_triangles:
-        out[u][v] -= 1
-        out[v][u] -= 1
+        out[u][v] = out[v][u] = -1
         out[u][u] += 1
         out[v][v] += 1
     return out
 
 
 def valence_potential(surface: TriangulatedSurface, scale=3) -> list:
-    n = surface.num_vertices
-    out = ratmat.zeros(n, n)
-    for v in range(n):
-        out[v][v] = frac(scale) * surface.valence(v)
-    return out
+    """The diagonal scale * n_P as sparse rows."""
+    return [{v: frac(scale) * surface.valence(v)} for v in range(surface.num_vertices)]
 
 
 @dataclass
@@ -157,22 +146,19 @@ def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
         if surface.valence(v) % 2:
             raise OddValence(f"vertex {v} has odd valence")
     conn = canonical_connection(surface)
-    lmat = assemble_L(conn)
-    delta = graph_laplacian(surface)
-    pot3 = valence_potential(surface)
     nv = surface.num_vertices
-    rhs = [[-2 * delta[i][j] + pot3[i][j] for j in range(nv)] for i in range(nv)]
-    l_ok = ratmat.mat_eq(lmat, rhs)
+    delta = graph_laplacian(surface)
+    rhs = ratmat.combine((-2, delta), (1, valence_potential(surface)))
+    l_ok = assemble_L(conn) == rhs
 
     coloring = bw_face_coloring(surface)
     if coloring is None:
         return LIdentityReport(l_ok, False, None, None, None)
-    pot32 = valence_potential(surface, Fraction(3, 2))
-    half = [[-delta[i][j] + pot32[i][j] for j in range(nv)] for i in range(nv)]
-    qb = q_matrix(conn, coloring.black_triangles())
-    qw = q_matrix(conn, coloring.white_triangles())
-    qb_ok = ratmat.mat_eq(ratmat.gram(qb), half)
-    qw_ok = ratmat.mat_eq(ratmat.gram(qw), half)
+    half = ratmat.combine((-1, delta), (1, valence_potential(surface, Fraction(3, 2))))
+    qb = q_matrix(surface.triangles, sorted(coloring.black_triangles()), conn.b)
+    qw = q_matrix(surface.triangles, sorted(coloring.white_triangles()), conn.b)
+    qb_ok = ratmat.gram(qb, nv) == half
+    qw_ok = ratmat.gram(qw, nv) == half
     dual_ok = _dual_block_identity(surface, coloring)
     return LIdentityReport(l_ok, True, qb_ok, qw_ok, dual_ok)
 
@@ -184,41 +170,36 @@ def _dual_block_identity(surface, coloring) -> bool:
     blacks = sorted(coloring.black_triangles())
     windex = {t: i for i, t in enumerate(whites)}
     bindex = {t: i for i, t in enumerate(blacks)}
-    qwb = ratmat.zeros(len(blacks), len(whites))  # white functions -> black
+    nw, nb = len(whites), len(blacks)
+    qwb: list = [{} for _ in blacks]  # white functions -> black
+    qbw: list = [{} for _ in whites]  # its transpose
     for e, ts in surface.edge_triangles.items():
         if len(ts) != 2:
             return False
         a, b = ts
         if coloring.face_colors[a] == BLACK:
             a, b = b, a
-        qwb[bindex[b]][windex[a]] += 1
-    nw, nb = len(whites), len(blacks)
-    size = nw + nb
-    adj = ratmat.zeros(size, size)
-    for bi in range(nb):
-        for wi in range(nw):
-            adj[wi][nw + bi] = qwb[bi][wi]
-            adj[nw + bi][wi] = qwb[bi][wi]
-    sq = ratmat.mat_mul(adj, adj)
-    top = ratmat.gram(qwb)                          # acts on white functions
-    bot = ratmat.gram([list(c) for c in zip(*qwb)])  # acts on black functions
-    for i in range(size):
-        for j in range(size):
-            if i < nw and j < nw:
-                want = top[i][j]
-            elif i >= nw and j >= nw:
-                want = bot[i - nw][j - nw]
-            else:
-                want = Fraction(0)
-            if sq[i][j] != want:
-                return False
-    return True
+        wi, bi = windex[a], bindex[b]
+        qwb[bi][wi] = qwb[bi].get(wi, 0) + 1
+        qbw[wi][bi] = qbw[wi].get(bi, 0) + 1
+    adj = [{nw + bi: x for bi, x in row.items()} for row in qbw] + qwb
+    sq = ratmat.gram(adj, nw + nb)  # adj is symmetric, so adj^T adj = adj^2
+    top = ratmat.gram(qwb, nw)      # acts on white functions
+    bot = ratmat.gram(qbw, nb)      # acts on black functions
+    return sq == top + [{nw + j: x for j, x in row.items()} for row in bot]
 
 
 def zero_modes(conn: DiscreteConnection) -> list:
-    """Exact null space of L = Q+Q as vertex functions."""
-    lmat = assemble_L(conn)
-    return [dict(enumerate(vec)) for vec in ratmat.nullspace(lmat)]
+    """Exact null space of L = Q+Q as vertex functions.
+
+    Over the rationals L x = 0 gives |Q x|^2 = 0, so ker L = ker Q: the
+    two have the same row space, hence the same reduced form and basis, and Q
+    (3 nonzeros per row) is far cheaper to eliminate than its Gram product.
+    """
+    surf = conn.surface
+    q = q_matrix(surf.triangles, sorted(conn.family), conn.b)
+    return [dict(enumerate(vec))
+            for vec in ratmat.nullspace(ratmat.dense(q, surf.num_vertices))]
 
 
 # --- black-triangle boundary value solver ------------------------------------
@@ -245,20 +226,15 @@ def solve_bw(domain, coloring: Coloring, boundary_values: dict,
         raise NonTrivialHolonomy("domain has no global tri-coloring")
     blacks = sorted(t for t in dom.tris if coloring.face_colors[t] == BLACK)
     verts = sorted(dom.vertices)
-    fixed = {v: frac(x) for v, x in boundary_values.items() if v in set(verts)}
+    inside = set(verts)
+    fixed = {v: frac(x) for v, x in boundary_values.items() if v in inside}
     unknowns = [v for v in verts if v not in fixed]
     col = {v: i for i, v in enumerate(unknowns)}
     rows, rhs = [], []
-    for t in blacks:
-        row = [Fraction(0)] * len(unknowns)
-        b = Fraction(0)
-        for v in surf.triangles[t]:
-            if v in fixed:
-                b -= fixed[v]
-            else:
-                row[col[v]] += 1
-        rows.append(row)
-        rhs.append(b)
+    for eq in q_matrix(surf.triangles, blacks):
+        rows.append({col[v]: x for v, x in eq.items() if v not in fixed})
+        rhs.append(-sum((x * fixed[v] for v, x in eq.items() if v in fixed), Fraction(0)))
+    rows = ratmat.dense(rows, len(unknowns))
     if not unknowns:
         if any(b != 0 for b in rhs):
             raise InconsistentBoundary("prescribed values violate a black triangle")
@@ -284,18 +260,14 @@ def determining_vertex_set(domain, coloring: Coloring) -> tuple:
     Prescribing values there makes the solution unique.
     """
     dom = as_domain(domain)
-    surf = dom.surface
     blacks = sorted(t for t in dom.tris if coloring.face_colors[t] == BLACK)
     verts = sorted(dom.vertices)
     col = {v: i for i, v in enumerate(verts)}
-    rows = []
-    for t in blacks:
-        row = [Fraction(0)] * len(verts)
-        for v in surf.triangles[t]:
-            row[col[v]] += 1
-        rows.append(row)
-    _, pivots = ratmat.rref(rows)
-    return tuple(v for v in verts if col[v] not in pivots)
+    rows = [{col[v]: x for v, x in eq.items()}
+            for eq in q_matrix(dom.surface.triangles, blacks)]
+    _, pivots = ratmat.rref(ratmat.dense(rows, len(verts)))
+    pivset = set(pivots)
+    return tuple(v for v in verts if col[v] not in pivset)
 
 
 # --- maximum principle --------------------------------------------------------

@@ -66,14 +66,42 @@ def test_representation_file():
     assert mats[(1, 2)] == [[1, 2], [1, 3]]
 
 
-def test_boundary_and_lattice_files():
-    bv = io.parse_boundary_values("psi 3 5/2\npsi 0 -1\n")
+def test_boundary_and_lattice_files(octa):
+    bv = io.parse_boundary_values("psi 3 5/2\npsi 0 -1\n", octa)
     assert bv == {3: Fraction(5, 2), 0: Fraction(-1)}
     f = io.parse_lattice_function("f 0 0 1\nf 1 0 -1/3\n")
     assert f[(1, 0)] == Fraction(-1, 3)
     g = build_green(Window(0, 3, 0, 3))
     h = io.parse_lattice_function(io.write_lattice_function(g), g.window)
     assert all(h[p] == g[p] for p in g.window.points())
+
+
+@pytest.mark.parametrize("text, match", [
+    ("psi 6 1\n", "vertex index"),
+    ("psi -1 1\n", "vertex index"),
+    ("psi 3 1\npsi 3 7\n", "duplicate"),
+    ("psi 3 1/0\n", "zero denominator"),
+])
+def test_boundary_values_rejected(octa, text, match):
+    with pytest.raises(ValueError, match=match):
+        io.parse_boundary_values(text, octa)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 0 1/0\n"),
+    (io.parse_representation, "R 0 1 1 0 0 1/0\n"),
+    (io.parse_lattice_function, "f 0 0 3/0\n"),
+    (io.parse_operator, "op 0 0\nc 0 0 1/0\n"),
+], ids=["connection", "representation", "lattice", "operator"])
+def test_zero_denominator_is_value_error(parse, text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse(text)
+
+
+def test_mesh_vertex_count_arity():
+    for line in ("v", "v 3 4"):
+        with pytest.raises(ValueError, match="vertex-count"):
+            io.parse_mesh(f"tri-surface v1\n{line}\nt 0 1 2\n")
 
 
 def test_lattice_domain_file():
@@ -343,3 +371,31 @@ def test_cli_invariant_violation_exits_nonzero():
                           "--l", "0.25,0.1,0.4,0.25"])
     assert rc == 1
     assert json.loads(out)["holds"] is False
+
+
+def assert_typed_error(rc, out, err):
+    assert rc == 1
+    assert json.loads(out)["error"] == "ValueError"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", ["psi 999 5\n", "psi -1 5\n", "psi 3 5\npsi 3 7\n",
+                                  "psi 3 1/0\n"])
+def test_cli_maxprinciple_rejects_bad_boundary_values(fixture_dir, tmp_path, text):
+    psi_file = tmp_path / "bad.bv"
+    psi_file.write_text(text)
+    assert_typed_error(*run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
+                                 "--psi", str(psi_file)]))
+
+
+def test_cli_mesh_vertex_line_without_count(tmp_path):
+    mesh_file = tmp_path / "no-count.tri"
+    mesh_file.write_text("tri-surface v1\nv\nt 0 1 2\n")
+    assert_typed_error(*run_cli(["mesh-check", "--mesh", str(mesh_file)]))
+
+
+def test_cli_connection_zero_denominator(fixture_dir, tmp_path):
+    conn_file = tmp_path / "zero-den.conn"
+    conn_file.write_text("b 0 0 1/0\n")
+    assert_typed_error(*run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
+                                 "--conn", str(conn_file)]))

@@ -8,6 +8,46 @@ from hypothesis import strategies as st
 from triholo import ratmat
 
 
+def dense_rref(a):
+    """The dense Gauss-Jordan loop `ratmat.rref` used to run, kept verbatim
+    as the reference the sparse elimination must reproduce exactly."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_nullspace(a):
+    """Null space from `dense_rref`, built as `ratmat.nullspace` builds it."""
+    cols = len(a[0])
+    red, pivots = dense_rref(a)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(v)
+    return basis
+
+
 def rand_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[Fraction(rng.randint(lo, hi), rng.randint(1, 3))
              for _ in range(cols)] for _ in range(rows)]
@@ -84,3 +124,86 @@ def test_span_equal():
     assert ratmat.span_equal([], [])
     assert not ratmat.span_equal([[Fraction(1), Fraction(2)]],
                                  [[Fraction(2), Fraction(1)]])
+
+
+ENTRIES = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-6, max_value=6, max_denominator=5))
+
+
+@st.composite
+def matrices(draw):
+    """Small rational matrices, often sparse, with repeated rows and rows
+    of zeros mixed in so that rank deficiency is common."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 7))
+    m = draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        src, dst = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        c = draw(ENTRIES)
+        m[dst] = [c * x for x in m[src]] if draw(st.booleans()) else [Fraction(0)] * cols
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_matches_dense_reference(a):
+    assert ratmat.rref(a) == dense_rref(a)
+
+
+def test_rref_matches_dense_reference_seeded():
+    rng = random.Random(2024)
+    cases = [[], [[]], [[Fraction(0)] * 4 for _ in range(3)],
+             [[Fraction(0)] * 3, [Fraction(1, 2), Fraction(0), Fraction(-3, 7)]]]
+    for _ in range(600):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 6)  # often rows > cols
+        density = rng.random()
+        a = [[Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < density
+              else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+        # a combination of two rows, so dependent rows appear in every size
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        a.append([x + Fraction(rng.randint(-3, 3), 2) * y for x, y in zip(a[i], a[j])])
+        cases.append(a)
+    for a in cases:
+        assert ratmat.rref(a) == dense_rref(a), a
+
+
+def test_rref_leaves_input_untouched():
+    a = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+    copy = [row[:] for row in a]
+    ratmat.rref(a)
+    assert a == copy
+
+
+def test_solve_affine_matches_two_dense_eliminations():
+    """solve_affine reads the null space off the one elimination of [a | b];
+    it must equal the null space of a eliminated on its own."""
+    rng = random.Random(11)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6
+              else Fraction(0) for _ in range(cols)] for _ in range(rows)]
+        b = [Fraction(rng.randint(-4, 4)) for _ in range(rows)]
+        x, null = ratmat.solve_affine(a, b)
+        red, pivots = dense_rref([row + [bi] for row, bi in zip(a, b)])
+        assert null == dense_nullspace(a)
+        if cols in pivots:
+            assert x is None
+        else:
+            assert x == [next((red[i][cols] for i, p in enumerate(pivots) if p == c),
+                              Fraction(0)) for c in range(cols)]
+
+
+def test_sparse_gram_combine_dense():
+    rng = random.Random(5)
+    for _ in range(50):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        a = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(cols)]
+             for _ in range(rows)]
+        sparse = [{j: x for j, x in enumerate(row) if x} for row in a]
+        assert ratmat.dense(sparse, cols) == a
+        at = [list(col) for col in zip(*a)] or [[] for _ in range(cols)]
+        want = [[sum((x * y for x, y in zip(ri, rj)), Fraction(0)) for rj in at] for ri in at]
+        g = ratmat.gram(sparse, cols)
+        assert ratmat.dense(g, cols) == want
+        assert all(x != 0 for row in g for x in row.values())
+        assert ratmat.combine((2, g), (-1, g), (-1, g)) == [{} for _ in range(cols)]

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from test_ratmat import dense_rref
 from triholo import connection as C
-from triholo import mesh, ratmat, simplicial as SK, solver
+from triholo import fixtures, mesh, ratmat, simplicial as SK, solver
 from triholo.errors import LocalHolonomyNontrivial, NotAManifold
 
 
@@ -50,6 +52,21 @@ def test_k1_bipartite_iff_kernel_random_graphs():
         done += 1
 
 
+def test_zero_modes_k_identical_to_dense_L(monkeypatch):
+    xs = [SK.cycle_graph(n) for n in range(4, 10)]
+    xs += [SK.SimplicialComplexK(fixtures.torus_lattice(n, s).surface.triangles)
+           for n in range(3, 7) for s in range(n)]
+    got = [SK.zero_modes_k(x) for x in xs]
+    monkeypatch.setattr(ratmat, "rref", dense_rref)
+    for x, modes in zip(xs, got):
+        lk = [[Fraction(0)] * x.num_vertices for _ in range(x.num_vertices)]
+        for simplex in x.simplices:
+            for u in simplex:
+                for v in simplex:
+                    lk[u][v] += 1
+        assert modes == [dict(enumerate(vec)) for vec in ratmat.nullspace(lk)]
+
+
 def test_k2_octahedron_matches_surface_modules(octa):
     x = SK.SimplicialComplexK(octa.triangles)
     assert SK.canonical_local_holonomy_ok(x)
@@ -93,12 +110,10 @@ def test_k1_factorization_note():
     # the undoubled split L = Qb+Qb + Qw+Qw does hold
     x = SK.cycle_graph(6)
     colors = SK.bw_simplex_coloring(x)
-    lmat = SK.assemble_Lk(x)
-    total = ratmat.zeros(6, 6)
-    for want in (0, 1):
-        g = ratmat.gram(SK._q_matrix_k(x, [i for i in range(6) if colors[i] == want]))
-        total = [[total[i][j] + g[i][j] for j in range(6)] for i in range(6)]
-    assert ratmat.mat_eq(total, lmat)
+    q = SK.q_matrix(x.simplices, range(6))
+    halves = [(1, ratmat.gram([q[i] for i in range(6) if colors[i] == want], 6))
+              for want in (0, 1)]
+    assert ratmat.combine(*halves) == SK.assemble_Lk(x)
 
 
 def test_boundary_4_simplex_rejected():

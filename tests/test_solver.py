@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_frac
+from test_ratmat import dense_rref
 from triholo import connection as C
-from triholo import fixtures, lattice, mesh, ratmat, solver
+from triholo import fixtures, lattice, mesh, ratmat, simplicial, solver
 from triholo.errors import (
     InconsistentBoundary,
     NonTrivialHolonomy,
@@ -18,7 +20,9 @@ def nullspace_oracle(conn):
     """Independent: sympy null space of the full Q matrix."""
     import sympy
 
-    q = solver.q_matrix(conn)
+    surf = conn.surface
+    q = ratmat.dense(simplicial.q_matrix(surf.triangles, sorted(conn.family), conn.b),
+                     surf.num_vertices)
     m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in q])
     return [[Fraction(str(v)) for v in vec] for vec in m.nullspace()]
 
@@ -68,7 +72,7 @@ def test_L_interior_row_on_patch():
     assert patch.surface.valence(center) == 6
     assert lmat[center][center] == 18 - 2 * 6
     nbrs = [v for v in range(patch.surface.num_vertices)
-            if lmat[center][v] != 0 and v != center]
+            if lmat[center].get(v, 0) != 0 and v != center]
     assert all(lmat[center][v] == 2 for v in nbrs)
     assert len(nbrs) == 6
 
@@ -76,7 +80,7 @@ def test_L_interior_row_on_patch():
 def test_L_of_zero_function(octa):
     lmat = solver.assemble_L(C.canonical_connection(octa))
     zero = [Fraction(0)] * 6
-    assert all(sum(row[j] * zero[j] for j in range(6)) == 0 for row in lmat)
+    assert all(sum(x * zero[j] for j, x in row.items()) == 0 for row in lmat)
 
 
 def test_zero_modes_match_covariants(octa, torus3, torus4, torus6):
@@ -98,9 +102,66 @@ def test_zero_modes_are_laplace_eigenfunctions(torus6):
     delta = solver.graph_laplacian(surf)
     for m in modes:
         vec = [m[v] for v in range(surf.num_vertices)]
-        image = [sum(delta[i][j] * vec[j] for j in range(len(vec)))
-                 for i in range(len(vec))]
+        image = [sum(x * vec[j] for j, x in delta[i].items()) for i in range(len(vec))]
         assert image == [9 * x for x in vec]
+
+
+def dense_L(conn):
+    """L = Q+Q as a dense matrix, summed triangle by triangle."""
+    surf = conn.surface
+    nv = surf.num_vertices
+    out = [[Fraction(0)] * nv for _ in range(nv)]
+    for t in conn.family:
+        for u in surf.triangles[t]:
+            for v in surf.triangles[t]:
+                out[u][v] += conn.b(t, u) * conn.b(t, v)
+    return out
+
+
+def test_zero_modes_identical_to_dense_L(octa, monkeypatch):
+    surfaces = [octa] + [fixtures.torus_lattice(n, s).surface
+                         for n in range(3, 9) for s in range(n)]
+    got = [solver.zero_modes(C.canonical_connection(surf)) for surf in surfaces]
+    monkeypatch.setattr(ratmat, "rref", dense_rref)
+    for surf, modes in zip(surfaces, got):
+        oracle = ratmat.nullspace(dense_L(C.canonical_connection(surf)))
+        assert modes == [dict(enumerate(vec)) for vec in oracle]
+
+
+def test_zero_modes_torus_18_within_budget():
+    surf = fixtures.torus_lattice(18).surface
+    conn = C.canonical_connection(surf)
+    start = time.perf_counter()
+    modes = solver.zero_modes(conn)
+    elapsed = time.perf_counter() - start
+    assert elapsed <= 10.0, f"zero_modes at V={surf.num_vertices} took {elapsed:.1f}s"
+    assert len(modes) == 2
+    for m in modes:
+        assert all(m[a] + m[b] + m[c] == 0 for a, b, c in surf.triangles)
+    cov = solver.covariant_constants(conn)
+    nv = surf.num_vertices
+    assert ratmat.span_equal([[m[v] for v in range(nv)] for m in modes],
+                             [[c[v] for v in range(nv)] for c in cov.basis])
+
+
+def bw_runs(radius):
+    """determining_vertex_set and solve_bw on a hex patch: unique, partly
+    prescribed and unprescribed boundary data."""
+    patch = fixtures.hex_patch(radius)
+    dom = patch.domain()
+    fc = mesh.bw_face_coloring(dom)
+    free = solver.determining_vertex_set(dom, fc)
+    rng = random.Random(radius)
+    full = {v: rand_frac(rng) for v in free}
+    part = dict(list(full.items())[::2])
+    return [free] + [solver.solve_bw(dom, fc, bv) for bv in (full, part, {})]
+
+
+def test_bw_solves_identical_to_dense_elimination(monkeypatch):
+    got = [bw_runs(r) for r in (2, 3, 4)]
+    monkeypatch.setattr(ratmat, "rref", dense_rref)
+    assert got == [bw_runs(r) for r in (2, 3, 4)]
+    assert got[0][1].unique and not got[0][2].unique
 
 
 def test_solve_bw_covariant_boundary():
