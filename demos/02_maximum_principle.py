@@ -3,10 +3,9 @@
 Seeds a random solution from trefoil data, maps every black triangle into
 the covariant plane via (psi_a, psi_b), and verifies that the image sits
 inside the convex hull of the boundary triangles' images.  Writes the
-scatter+hull figure next to this script.
+scatter+hull figure to maxprinciple.svg in the current directory.
 """
 
-import os
 import random
 
 from triholo import fixtures, lattice, mesh, solver
@@ -39,7 +38,7 @@ print("maximum principle holds:", report.ok)
 images = solver.hat_map(patch.domain(), psi, fc, vc)
 boundary = sorted({images[t] for t in patch.domain().lower_boundary() & set(images)})
 svg = scatter_hull_svg(list(images.values()), solver.convex_hull(boundary))
-out = os.path.join(os.path.dirname(__file__), "maxprinciple.svg")
+out = "maxprinciple.svg"
 with open(out, "w") as fh:
     fh.write(svg)
 print("wrote", out)

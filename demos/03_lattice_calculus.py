@@ -1,7 +1,7 @@
 """The discrete d/dbar calculus on Z^2: trefoil extension, polynomials,
-Taylor expansion, the Green's function and the Cauchy formula."""
+Taylor expansion, the Green's function and the Cauchy formula.  Writes the
+Green's function heat map to green.svg in the current directory."""
 
-import os
 import random
 from fractions import Fraction
 
@@ -47,7 +47,7 @@ print("\n".join(lattice_csv(g).splitlines()[:6]))
 qg = L.apply_Qplus(g)
 print("Q+ G = delta:", all(qg[p] == (1 if p == (0, 0) else 0)
                            for p in qg.window.points()))
-out = os.path.join(os.path.dirname(__file__), "green.svg")
+out = "green.svg"
 with open(out, "w") as fh:
     fh.write(lattice_heatmap_svg(g))
 print("wrote", out)

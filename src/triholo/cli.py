@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import connection as conn_mod
 from . import io, lattice, mesh, opalgebra, simplicial, solver
 from .errors import TriholoError
-from .ratmat import frac
 
 
 def _resolve(path: str) -> str:
@@ -277,18 +276,15 @@ def cmd_factorize(args) -> dict:
     w = _window(args.window)
     text = _read(args.op)
     op = io.parse_operator(text)
-    coeff = {name: op.coefficient(alpha)
-             for name, alpha in opalgebra.SCHRODINGER_SHIFTS.items()}
-    lop = opalgebra.SchrodingerOperator(**coeff)
+    lop = opalgebra.SchrodingerOperator.from_operator(op)
     mode = args.mode
     inner = w.shrink(left=1, right=1, bottom=1, top=1)
     rows = ["n1,n2,color,c0,c1,c2,potential"]
     payload = {"window": [w.x0, w.x1, w.y0, w.y1], "mode": mode, "colors": {}}
     done = 0
-    for color in ("black", "white"):
+    for color, (names, _, _) in opalgebra.COLORS.items():
         try:
             fac = opalgebra.factorize(lop, color, w, mode=mode)
-            names = ("u", "v", "w") if color == "black" else ("x", "y", "z")
             sample = {}
             for n in inner.points():
                 cs = [fac.coeffs[k](n) for k in names]
@@ -310,8 +306,9 @@ def cmd_factorize(args) -> dict:
 def cmd_qcd_identity(args) -> dict:
     w = _window(args.window)
     if args.mode == "rational":
-        rep = opalgebra.verify_qcd_identity(frac(args.c), frac(args.d), w,
-                                            q=frac(args.q), s=frac(args.s))
+        c, d, q, s = (io._rational(getattr(args, k), f"--{k} {getattr(args, k)}")
+                      for k in "cdqs")
+        rep = opalgebra.verify_qcd_identity(c, d, w, q=q, s=s)
     else:
         if args.l is None:
             raise ValueError("float mode needs --l l11,l12,l21,l22")

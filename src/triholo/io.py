@@ -191,6 +191,8 @@ def parse_operator(text: str) -> DifferenceOperator:
     for line in _lines(text):
         parts = line.split()
         if parts[0] == "op":
+            if len(parts) != 3:
+                raise ValueError(f"bad operator term line: {line!r}")
             if alpha is not None:
                 terms[alpha] = _grid_coeff(current)
             alpha = (int(parts[1]), int(parts[2]))
@@ -198,6 +200,8 @@ def parse_operator(text: str) -> DifferenceOperator:
         elif parts[0] == "c":
             if current is None:
                 raise ValueError("coefficient line before any `op` header")
+            if len(parts) != 4:
+                raise ValueError(f"bad coefficient line: {line!r}")
             current[(int(parts[1]), int(parts[2]))] = _rational(parts[3], line)
         else:
             raise ValueError(f"unknown operator line: {line!r}")

@@ -153,12 +153,6 @@ def _apply_stencil(f, offsets, shrink):
     return LatticeFunction(vals, new_w)
 
 
-def q_power(f: LatticeFunction, k: int) -> LatticeFunction:
-    for _ in range(k):
-        f = apply_Q(f)
-    return f
-
-
 def is_holomorphic(f: LatticeFunction, window: Window | None = None) -> bool:
     """Q+ f = 0 at every point of the (shrunk) window where the stencil fits."""
     g = apply_Qplus(f if window is None else f.restrict(window))
@@ -169,10 +163,19 @@ def is_holomorphic(f: LatticeFunction, window: Window | None = None) -> bool:
 
 def covariant_constant(c: tuple, window: Window) -> LatticeFunction:
     """The function n -> c[(n1 - n2) mod 3]; requires c0 + c1 + c2 = 0."""
-    c = tuple(frac(x) for x in c)
+    return _add_covariant(None, [frac(x) for x in c], window)
+
+
+def _add_covariant(psi: LatticeFunction | None, c, window: Window) -> LatticeFunction:
+    """psi plus the covariant constant n -> c[(n1 - n2) mod 3] on `window`
+    (psi None stands for zero); requires c0 + c1 + c2 = 0."""
     if sum(c) != 0:
         raise ValueError("covariant constant values must sum to zero")
-    return LatticeFunction({p: c[(p[0] - p[1]) % 3] for p in window.points()}, window)
+    if psi is None:
+        vals = {p: c[(p[0] - p[1]) % 3] for p in window.points()}
+    else:
+        vals = {p: psi[p] + c[(p[0] - p[1]) % 3] for p in window.points()}
+    return LatticeFunction(vals, window)
 
 
 def covariant_value(c: tuple, p: Point) -> Fraction:
@@ -330,12 +333,6 @@ class BigBlackTriangle:
         return BigBlackTriangle((self.apex[0] - self.k, self.apex[1] - self.k), 0)
 
 
-def window_of(tri: BigBlackTriangle, pad: int = 0) -> Window:
-    m = 2 * tri.k + 1
-    return Window(tri.apex[0] - m - pad, tri.apex[0] + pad,
-                  tri.apex[1] - m - pad, tri.apex[1] + pad)
-
-
 # affine solver: Q psi = phi, Q+ psi = 0 ------------------------------------
 
 def solve_q_affine(phi: LatticeFunction, window: Window,
@@ -397,39 +394,22 @@ def pin_covariant(psi: LatticeFunction, p: Point, q: Point) -> LatticeFunction:
     c[rp] = -psi[p]
     c[rq] = -psi[q]
     c[3 - rp - rq] = -c[rp] - c[rq]
-    w = psi.window
-    vals = {pt: psi[pt] + c[(pt[0] - pt[1]) % 3] for pt in w.points()}
-    return LatticeFunction(vals, w)
+    return _add_covariant(psi, c, psi.window)
 
 
 def side_polynomial(tri: BigBlackTriangle, which: int, window: Window) -> LatticeFunction:
     """p_{k, which} on `window`: zero on T_n^(k) off side `which`, the
     (-1)^(j+k) pattern on the side, extended as the unique member of P_k.
 
-    Built by the constructive route Q p_{k,i} = p_{k-1,i}: antidifferentiate
-    the level below, then correct by the covariant constant matching the
-    prescribed values near the apex.
+    Built by the constructive route Q p_{k,i} = p_{k-1,i} (see `_lift`),
+    level j matching the prescribed values on its apex black triangle.
     """
     if not all(window.contains(p) for p in tri.points()):
         raise InsufficientWindow("window must contain the big triangle")
-    if tri.k == 0:
-        return _p0(tri, which, window)
-    lower = BigBlackTriangle((tri.apex[0] - 1, tri.apex[1] - 1), tri.k - 1)
-    phi = side_polynomial(lower, which, window)
-    psi = solve_q_affine(phi, window)
-    target = _apex_values(tri, which)
-    c = [None, None, None]
-    for p, v in target.items():
-        c[(p[0] - p[1]) % 3] = v - psi[p]
-    vals = {pt: psi[pt] + c[(pt[0] - pt[1]) % 3] for pt in window.points()}
-    return LatticeFunction(vals, window)
-
-
-def _p0(tri: BigBlackTriangle, which: int, window: Window) -> LatticeFunction:
-    vals3 = [None, None, None]
-    for p, v in _apex_values(tri, which).items():
-        vals3[(p[0] - p[1]) % 3] = v
-    return covariant_constant(tuple(vals3), window)
+    (n1, n2), k = tri.apex, tri.k
+    levels = [_apex_values(BigBlackTriangle((n1 - k + j, n2 - k + j), j), which)
+              for j in range(k + 1)]
+    return _lift(tri.apex, k, window, levels)
 
 
 def _apex_values(tri: BigBlackTriangle, which: int) -> dict:
@@ -442,11 +422,26 @@ def _apex_values(tri: BigBlackTriangle, which: int) -> dict:
     return corner
 
 
-def prescribed_values(tri: BigBlackTriangle, which: int) -> dict:
-    """The full defining pattern of p_{k, which} on T_n^(k)."""
-    out = {p: Fraction(0) for p in tri.points()}
-    out.update(tri.side_values(which))
-    return out
+def _lift(apex: Point, k: int, window: Window, values: list) -> LatticeFunction:
+    """The member of P_k on `window` built one level at a time.
+
+    Level j lives on the big triangle with apex `apex - (k - j, k - j)`.
+    Level 0 is the covariant constant taking the values `values[0]` on
+    that apex black triangle; level j > 0 is a solution of Q psi = (level
+    j - 1), Q+ psi = 0, plus the covariant constant that makes it take the
+    values `values[j]` on its apex black triangle.  Each `values[j]` is
+    indexed by lattice point.
+    """
+    psi = None
+    for j, vals in enumerate(values):
+        n1, n2 = apex[0] - k + j, apex[1] - k + j
+        if psi is not None:
+            psi = solve_q_affine(psi, window)
+        c = [None, None, None]
+        for p in ((n1, n2), (n1 - 1, n2), (n1, n2 - 1)):
+            c[(p[0] - p[1]) % 3] = vals[p] - (0 if psi is None else psi[p])
+        psi = _add_covariant(psi, c, window)
+    return psi
 
 
 # --- admissible sequences and the Taylor expansion ---------------------------
@@ -586,10 +581,9 @@ def taylor_partial_sum(seq: AdmissibleSequence, coeffs: list, window: Window,
 def interpolate_polynomial(psi: LatticeFunction, tri: BigBlackTriangle) -> LatticeFunction:
     """The unique p_k in P_k agreeing with a holomorphic psi on T_n^(k).
 
-    Follows the inductive construction: interpolate Q psi on the big
-    triangle one level down, antidifferentiate, and correct by a covariant
-    constant on the apex black triangle.  The result lives on psi's
-    window shrunk by k at the left/bottom (the iterated-Q shadow).
+    Follows the inductive construction (see `_lift`): level j matches
+    Q^(k-j) psi on its apex black triangle.  The result lives on psi's
+    window shrunk by k at the right/top (the iterated-Q shadow).
     """
     w = psi.window
     if w is None:
@@ -597,24 +591,10 @@ def interpolate_polynomial(psi: LatticeFunction, tri: BigBlackTriangle) -> Latti
     out_w = Window(w.x0, w.x1 - tri.k, w.y0, w.y1 - tri.k)
     if not all(out_w.contains(p) for p in tri.points()):
         raise InsufficientWindow("window cannot hold the triangle and its shadow")
-    return _interp(psi, tri, out_w)
-
-
-def _interp(psi: LatticeFunction, tri: BigBlackTriangle, out_w: Window) -> LatticeFunction:
-    n1, n2 = tri.apex
-    if tri.k == 0:
-        vals3 = [None, None, None]
-        for p in ((n1, n2), (n1 - 1, n2), (n1, n2 - 1)):
-            vals3[(p[0] - p[1]) % 3] = psi[p]
-        return covariant_constant(tuple(vals3), out_w)
-    lower = BigBlackTriangle((n1 - 1, n2 - 1), tri.k - 1)
-    pl = _interp(apply_Q(psi), lower, out_w)
-    phi = solve_q_affine(pl, out_w)
-    c = [None, None, None]
-    for p in ((n1, n2), (n1 - 1, n2), (n1, n2 - 1)):
-        c[(p[0] - p[1]) % 3] = psi[p] - phi[p]
-    vals = {pt: phi[pt] + c[(pt[0] - pt[1]) % 3] for pt in out_w.points()}
-    return LatticeFunction(vals, out_w)
+    derivatives = [psi]                 # Q^j psi, j = 0..k
+    for _ in range(tri.k):
+        derivatives.append(apply_Q(derivatives[-1]))
+    return _lift(tri.apex, tri.k, out_w, derivatives[::-1])
 
 
 # --- Green's function and the Cauchy formula ---------------------------------

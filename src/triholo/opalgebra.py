@@ -9,7 +9,12 @@ a single term is
 
 which makes <A f, g> = <f, A+ g> for the counting inner product and
 t_j+ = t_j^{-1}.  Coefficients are arbitrary callables n -> value; exact
-when they return Fractions, float otherwise.
+when they return Fractions, float otherwise.  Two operators are compared
+on a window coefficient by coefficient (`equal_on_window`).
+
+Both colours of the factorization L = Q+ Q + U are one construction,
+read from the table `COLORS`: Q = q0 + q1 t1^s + q2 t2^s with s = -1
+(black) or s = +1 (white).
 """
 
 from __future__ import annotations
@@ -146,31 +151,35 @@ def adjoint(a: DifferenceOperator) -> DifferenceOperator:
     return DifferenceOperator(terms)
 
 
-def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
-                    window: Window, tol: float | None = None) -> bool:
-    """Test A = B by applying both to every delta function of the window
-    and comparing wherever both results stay inside the window."""
+def _coefficient_rows(a: DifferenceOperator, b: DifferenceOperator, window: Window):
+    """The window shrunk by the reach of both stencils, and for each point n
+    of it (n, [(a_alpha(n), b_alpha(n)) for every shift alpha of A or B])."""
     la, ra, ba, ta = a.margins()
     lb, rb, bb, tb = b.margins()
+    inner = window.shrink(left=max(la, lb), right=max(ra, rb),
+                          bottom=max(ba, bb), top=max(ta, tb))
+    coeffs = [(a.coefficient(alpha), b.coefficient(alpha))
+              for alpha in sorted(set(a.shifts) | set(b.shifts))]
+    return inner, ((n, [(ca(n), cb(n)) for ca, cb in coeffs]) for n in inner.points())
+
+
+def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
+                    window: Window, tol: float | None = None) -> bool:
+    """Test A = B on the window: a_alpha(n) == b_alpha(n) for every shift
+    alpha and every point n where both stencils fit.  With `tol`, values
+    agree within tol relative to max(|a|, |b|, 1).  WindowMismatch when
+    no point fits."""
     try:
-        interior = window.shrink(left=max(la, lb), right=max(ra, rb),
-                                 bottom=max(ba, bb), top=max(ta, tb))
+        _, rows = _coefficient_rows(a, b, window)
     except InsufficientWindow:
         raise WindowMismatch("window too small for both stencils")
-    shifts = set(a.shifts) | set(b.shifts)
-    for n in interior.points():
-        for alpha in shifts:
-            p = (n[0] + alpha[0], n[1] + alpha[1])
-            d = LatticeFunction({p: 1}, finite_support=True)
-            va = a.apply(d)[n]
-            vb = b.apply(d)[n]
+    for _, pairs in rows:
+        for va, vb in pairs:
             if tol is None:
                 if va != vb:
                     return False
-            else:
-                scale = max(abs(va), abs(vb), 1.0)
-                if abs(va - vb) > tol * scale:
-                    return False
+            elif abs(va - vb) > tol * max(abs(va), abs(vb), 1.0):
+                return False
     return True
 
 
@@ -202,6 +211,12 @@ class SchrodingerOperator:
             if not callable(v):
                 setattr(self, name, const(v))
 
+    @classmethod
+    def from_operator(cls, op: DifferenceOperator) -> "SchrodingerOperator":
+        """The coefficients of `op` at the seven Schrodinger shifts."""
+        return cls(**{name: op.coefficient(alpha)
+                      for name, alpha in SCHRODINGER_SHIFTS.items()})
+
     def to_operator(self) -> DifferenceOperator:
         return DifferenceOperator(
             {alpha: getattr(self, name) for name, alpha in SCHRODINGER_SHIFTS.items()})
@@ -223,6 +238,20 @@ class SchrodingerOperator:
                     raise NotSelfAdjoint(f"coefficient {name}({n}) not positive")
 
 
+# colour -> (names of Q's coefficients at (0, 0), (s, 0) and (0, s), the step
+# s, the offset from n at which L's coefficient d is read)
+COLORS = {
+    "black": (("u", "v", "w"), -1, (0, -1)),
+    "white": (("x", "y", "z"), 1, (1, 0)),
+}
+
+
+def _color(color: str) -> tuple:
+    if color not in COLORS:
+        raise ValueError("color must be 'black' or 'white'")
+    return COLORS[color]
+
+
 @dataclass
 class Factorization:
     """L = Q+ Q + potential with positive first-order coefficients.
@@ -236,11 +265,9 @@ class Factorization:
     potential: object
 
     def q_operator(self) -> DifferenceOperator:
-        if self.color == "black":
-            u, v, w = (self.coeffs[k] for k in ("u", "v", "w"))
-            return DifferenceOperator({(0, 0): u, (-1, 0): v, (0, -1): w})
-        x, y, z = (self.coeffs[k] for k in ("x", "y", "z"))
-        return DifferenceOperator({(0, 0): x, (1, 0): y, (0, 1): z})
+        names, s, _ = _color(self.color)
+        q0, q1, q2 = (self.coeffs[k] for k in names)
+        return DifferenceOperator({(0, 0): q0, (s, 0): q1, (0, s): q2})
 
     def recompose(self) -> DifferenceOperator:
         q = self.q_operator()
@@ -275,57 +302,39 @@ def factorize(lop: SchrodingerOperator, color: str, window: Window,
     The six off-diagonal coefficients pin Q up to sign; positivity fixes
     the sign.  In rational mode the square roots must be exact
     (NotFactorizable otherwise); float mode takes math.sqrt.
+
+    With s the colour's step, L's coefficients at t1^s and t2^s are
+    q0 q1 and q0 q2, and d = q1 q2 read at the colour's offset, so
+    q0 = sqrt(l1 l2 / d).
     """
-    if color not in ("black", "white"):
-        raise ValueError("color must be 'black' or 'white'")
+    names, s, (dx, dy) = _color(color)
     lop.check_self_adjoint(window)
     sqrt = _sqrt_exact if mode == "rational" else math.sqrt
     probe = window.shrink(left=1, right=1, bottom=1, top=1)
-
-    if color == "black":
-        @_memo
-        def u(n):
-            ratio = frac(lop.e(n)) * frac(lop.f(n)) / frac(lop.d((n[0], n[1] - 1)))
-            return sqrt(ratio)
-
-        @_memo
-        def v(n):
-            return lop.e(n) / u(n)
-
-        @_memo
-        def w(n):
-            return lop.f(n) / u(n)
-
-        def potential(n):
-            x, y = n
-            return (lop.a(n) - u(n) ** 2
-                    - v((x + 1, y)) ** 2 - w((x, y + 1)) ** 2)
-
-        for n in probe.points():  # eager: positivity/squareness errors surface now
-            u(n)
-        return Factorization("black", {"u": u, "v": v, "w": w}, potential)
+    op = lop.to_operator()
+    l1, l2 = op.coefficient((s, 0)), op.coefficient((0, s))
 
     @_memo
-    def x_(n):
-        ratio = frac(lop.b(n)) * frac(lop.c(n)) / frac(lop.d((n[0] + 1, n[1])))
+    def q0(n):
+        ratio = frac(l1(n)) * frac(l2(n)) / frac(lop.d((n[0] + dx, n[1] + dy)))
         return sqrt(ratio)
 
     @_memo
-    def y_(n):
-        return lop.b(n) / x_(n)
+    def q1(n):
+        return l1(n) / q0(n)
 
     @_memo
-    def z_(n):
-        return lop.c(n) / x_(n)
+    def q2(n):
+        return l2(n) / q0(n)
 
     def potential(n):
         x, y = n
-        return (lop.a(n) - x_(n) ** 2
-                - y_((x - 1, y)) ** 2 - z_((x, y - 1)) ** 2)
+        return (lop.a(n) - q0(n) ** 2
+                - q1((x - s, y)) ** 2 - q2((x, y - s)) ** 2)
 
-    for n in probe.points():
-        x_(n)
-    return Factorization("white", {"x": x_, "y": y_, "z": z_}, potential)
+    for n in probe.points():  # eager: positivity/squareness errors surface now
+        q0(n)
+    return Factorization(color, dict(zip(names, (q0, q1, q2))), potential)
 
 
 def random_factorizable(rng: random.Random, color: str = "black") -> SchrodingerOperator:
@@ -345,31 +354,9 @@ def random_factorizable(rng: random.Random, color: str = "black") -> Schrodinger
         return f
 
     pot = rng.randint(1, 5)
-    if color == "black":
-        u, v, w = rpos(), rpos(), rpos()
-        return SchrodingerOperator(
-            a=lambda n: u(n) ** 2 + v((n[0] + 1, n[1])) ** 2
-            + w((n[0], n[1] + 1)) ** 2 + pot,
-            b=lambda n: u((n[0] + 1, n[1])) * v((n[0] + 1, n[1])),
-            c=lambda n: u((n[0], n[1] + 1)) * w((n[0], n[1] + 1)),
-            d=lambda n: v((n[0], n[1] + 1)) * w((n[0], n[1] + 1)),
-            e=lambda n: u(n) * v(n),
-            f=lambda n: u(n) * w(n),
-            g=lambda n: v((n[0] + 1, n[1])) * w((n[0] + 1, n[1])),
-        )
-    if color == "white":
-        x, y, z = rpos(), rpos(), rpos()
-        return SchrodingerOperator(
-            a=lambda n: x(n) ** 2 + y((n[0] - 1, n[1])) ** 2
-            + z((n[0], n[1] - 1)) ** 2 + pot,
-            b=lambda n: x(n) * y(n),
-            c=lambda n: x(n) * z(n),
-            d=lambda n: y((n[0] - 1, n[1])) * z((n[0] - 1, n[1])),
-            e=lambda n: x((n[0] - 1, n[1])) * y((n[0] - 1, n[1])),
-            f=lambda n: x((n[0], n[1] - 1)) * z((n[0], n[1] - 1)),
-            g=lambda n: y((n[0], n[1] - 1)) * z((n[0], n[1] - 1)),
-        )
-    raise ValueError("color must be 'black' or 'white'")
+    names = _color(color)[0]
+    fac = Factorization(color, {k: rpos() for k in names}, pot)
+    return SchrodingerOperator.from_operator(fac.recompose())
 
 
 def exponential_both_colors(base: int = 2, pot: int = 3) -> SchrodingerOperator:
@@ -379,15 +366,8 @@ def exponential_both_colors(base: int = 2, pot: int = 3) -> SchrodingerOperator:
     def u(n):
         return Fraction(base) ** (n[0] + n[1])
 
-    return SchrodingerOperator(
-        a=lambda n: u(n) ** 2 + 2 + pot,
-        b=lambda n: u((n[0] + 1, n[1])),
-        c=lambda n: u((n[0], n[1] + 1)),
-        d=lambda n: Fraction(1),
-        e=lambda n: u(n),
-        f=lambda n: u(n),
-        g=lambda n: Fraction(1),
-    )
+    fac = Factorization("black", {"u": u, "v": const(1), "w": const(1)}, pot)
+    return SchrodingerOperator.from_operator(fac.recompose())
 
 
 # --- exponential coefficients: Q(c, d) ---------------------------------------
@@ -471,17 +451,11 @@ def zero_curvature_f_criterion(qw: DifferenceOperator, qb: DifferenceOperator,
     one = identity_op()
     a = compose(qw - one, qb - one) - one
     b = compose(qb - one, qw - one) - one
-    la, ra, ba, ta = a.margins()
-    lb, rb, bb, tb = b.margins()
-    inner = window.shrink(left=max(la, lb), right=max(ra, rb),
-                          bottom=max(ba, bb), top=max(ta, tb))
-    shifts = sorted(set(a.shifts) | set(b.shifts))
+    inner, rows = _coefficient_rows(a, b, window)
     fvals = {}
-    for n in inner.points():
+    for n, pairs in rows:
         ratio = None
-        for alpha in shifts:
-            va = a.coefficient(alpha)(n)
-            vb = b.coefficient(alpha)(n)
+        for va, vb in pairs:
             if vb == 0:
                 if va != 0:
                     return None

@@ -218,7 +218,8 @@ def solve_bw(domain, coloring: Coloring, boundary_values: dict,
 
     Unknowns are the unprescribed vertices of the domain; equations are
     the black triangles of M'.  Underdetermined systems are returned as a
-    particular solution plus an exact null-space description.
+    particular solution plus an exact null-space description.  A value
+    prescribed on a vertex outside the domain is a ValueError.
     """
     dom = as_domain(domain)
     surf = dom.surface
@@ -226,8 +227,10 @@ def solve_bw(domain, coloring: Coloring, boundary_values: dict,
         raise NonTrivialHolonomy("domain has no global tri-coloring")
     blacks = sorted(t for t in dom.tris if coloring.face_colors[t] == BLACK)
     verts = sorted(dom.vertices)
-    inside = set(verts)
-    fixed = {v: frac(x) for v, x in boundary_values.items() if v in inside}
+    outside = sorted(set(boundary_values) - set(verts))
+    if outside:
+        raise ValueError(f"boundary values on vertices outside the domain: {outside}")
+    fixed = {v: frac(x) for v, x in boundary_values.items()}
     unknowns = [v for v in verts if v not in fixed]
     col = {v: i for i, v in enumerate(unknowns)}
     rows, rhs = [], []

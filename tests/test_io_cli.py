@@ -116,6 +116,17 @@ def test_operator_file():
     assert op.coefficient((1, 0))((1, 0)) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("op 0\n", "operator term line"),
+    ("op 0 0 1\n", "operator term line"),
+    ("op 0 0\nc 0 0\n", "coefficient line"),
+    ("op 0 0\nc 0 0 1 2\n", "coefficient line"),
+])
+def test_operator_file_arity(text, match):
+    with pytest.raises(ValueError, match=match):
+        io.parse_operator(text)
+
+
 def test_lattice_csv():
     g = build_green(Window(0, 2, 0, 2))
     csv = io.lattice_csv(g)
@@ -399,3 +410,33 @@ def test_cli_connection_zero_denominator(fixture_dir, tmp_path):
     conn_file.write_text("b 0 0 1/0\n")
     assert_typed_error(*run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                                  "--conn", str(conn_file)]))
+
+
+@pytest.mark.parametrize("text", ["op 0\n", "op 0 0\nc 0 0\n"])
+def test_cli_factorize_rejects_bad_operator_arity(tmp_path, text):
+    op_file = tmp_path / "bad.op"
+    op_file.write_text(text)
+    assert_typed_error(*run_cli(["factorize", "--op", str(op_file)]))
+
+
+@pytest.mark.parametrize("flag", ["--c", "--d", "--q", "--s"])
+def test_cli_qcd_zero_denominator(flag):
+    rc, out, err = run_cli(["qcd-identity", flag, "1/0"])
+    assert_typed_error(rc, out, err)
+    assert "zero denominator" in json.loads(out)["message"]
+
+
+def test_cli_maxprinciple_rejects_boundary_value_outside_domain(fixture_dir, tmp_path):
+    patch = fixtures.hex_patch(3)
+    centre = patch.vertex_of[(0, 0)]
+    star = patch.surface.vertex_triangles[centre]
+    assert len(star) == 6
+    inside = {v for t in star for v in patch.surface.triangles[t]}
+    outside = min(set(range(patch.surface.num_vertices)) - inside)
+    (tmp_path / "star.dom").write_text("".join(f"d {t}\n" for t in star))
+    (tmp_path / "outside.bv").write_text(f"psi {outside} 5\n")
+    rc, out, err = run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
+                            "--domain", str(tmp_path / "star.dom"),
+                            "--psi", str(tmp_path / "outside.bv")])
+    assert_typed_error(rc, out, err)
+    assert f"[{outside}]" in json.loads(out)["message"]

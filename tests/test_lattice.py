@@ -437,3 +437,73 @@ def test_empty_lattice_domain_rejected():
 
     with pytest.raises(DomainUnbounded):
         L.LatticeDomain(frozenset())
+
+
+# --- the recursive P_k constructions, kept as the oracle for the one lift ---
+
+def ref_side_polynomial(tri, which, window):
+    """The former recursive side_polynomial."""
+    if tri.k == 0:
+        vals3 = [None, None, None]
+        for p, v in L._apex_values(tri, which).items():
+            vals3[(p[0] - p[1]) % 3] = v
+        return L.covariant_constant(tuple(vals3), window)
+    lower = L.BigBlackTriangle((tri.apex[0] - 1, tri.apex[1] - 1), tri.k - 1)
+    psi = L.solve_q_affine(ref_side_polynomial(lower, which, window), window)
+    c = [None, None, None]
+    for p, v in L._apex_values(tri, which).items():
+        c[(p[0] - p[1]) % 3] = v - psi[p]
+    return L.LatticeFunction({pt: psi[pt] + c[(pt[0] - pt[1]) % 3]
+                              for pt in window.points()}, window)
+
+
+def ref_interp(psi, tri, out_w):
+    """The former recursive `_interp` behind interpolate_polynomial."""
+    n1, n2 = tri.apex
+    apex_tri = ((n1, n2), (n1 - 1, n2), (n1, n2 - 1))
+    if tri.k == 0:
+        vals3 = [None, None, None]
+        for p in apex_tri:
+            vals3[(p[0] - p[1]) % 3] = psi[p]
+        return L.covariant_constant(tuple(vals3), out_w)
+    lower = L.BigBlackTriangle((n1 - 1, n2 - 1), tri.k - 1)
+    phi = L.solve_q_affine(ref_interp(L.apply_Q(psi), lower, out_w), out_w)
+    c = [None, None, None]
+    for p in apex_tri:
+        c[(p[0] - p[1]) % 3] = psi[p] - phi[p]
+    return L.LatticeFunction({pt: phi[pt] + c[(pt[0] - pt[1]) % 3]
+                              for pt in out_w.points()}, out_w)
+
+
+def identical(f, g):
+    return f.window == g.window and f.values == g.values
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_side_polynomial_matches_recursive_reference(k):
+    w = L.Window(-13, 4, -12, 5)
+    for apex in ((0, 0), (2, -1)):
+        tri = L.BigBlackTriangle(apex, k)
+        for which in (1, 2, 3):
+            assert identical(L.side_polynomial(tri, which, w),
+                             ref_side_polynomial(tri, which, w))
+
+
+def test_interpolate_polynomial_matches_recursive_reference():
+    rng = random.Random(53)
+    for k in range(5):
+        for _ in range(2):
+            w = L.Window(-11 - rng.randint(0, 2), 6, -11, 6 + rng.randint(0, 2))
+            psi = L.random_holomorphic(w, rng)
+            tri = L.BigBlackTriangle((rng.randint(-1, 1), rng.randint(-1, 1)), k)
+            out_w = L.Window(w.x0, w.x1 - k, w.y0, w.y1 - k)
+            assert identical(L.interpolate_polynomial(psi, tri), ref_interp(psi, tri, out_w))
+
+
+def test_interpolate_polynomial_rejects_values_off_ker_qplus():
+    # Q+ G = delta: G's values on the black triangle at the origin sum to 1,
+    # at level 0 (k = 0) and at the top level (k = 1) of the lift
+    g = L.build_green(L.Window(-6, 6, -6, 6))
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="sum to zero"):
+            L.interpolate_polynomial(g, L.BigBlackTriangle((0, 0), k))

@@ -7,6 +7,7 @@ import pytest
 from triholo import opalgebra as OA
 from triholo.errors import (
     ConditionViolated,
+    InsufficientWindow,
     NotFactorizable,
     NotSelfAdjoint,
     WindowMismatch,
@@ -70,8 +71,9 @@ def test_adjoint_is_inner_product_adjoint():
 
 def test_equal_on_window_rejects_tiny_window():
     a = OA.shift_op((3, 0))
-    with pytest.raises(WindowMismatch):
-        OA.equal_on_window(a, a, Window(0, 2, 0, 2))
+    for equal in (OA.equal_on_window, probe_equal_on_window):
+        with pytest.raises(WindowMismatch):
+            equal(a, a, Window(0, 2, 0, 2))
 
 
 def test_factorize_constant_roundtrip():
@@ -207,3 +209,173 @@ def test_qcd_identity_symmetric_cross_terms():
     # q = 2 with l12 = l21 (so s = q = 2): c = d = 1, exact on the interior
     win = Window(-5, 5, -5, 5)
     assert OA.verify_qcd_identity(1, 1, win, q=2, s=2).holds
+
+
+# --- oracles for the direct coefficient comparison and the factorization table
+
+def probe_equal_on_window(a, b, window, tol=None):
+    """The former equal_on_window, kept verbatim as the oracle: apply both
+    operators to every delta function of the window and compare wherever
+    both results stay inside the window."""
+    la, ra, ba, ta = a.margins()
+    lb, rb, bb, tb = b.margins()
+    try:
+        interior = window.shrink(left=max(la, lb), right=max(ra, rb),
+                                 bottom=max(ba, bb), top=max(ta, tb))
+    except InsufficientWindow:
+        raise WindowMismatch("window too small for both stencils")
+    shifts = set(a.shifts) | set(b.shifts)
+    for n in interior.points():
+        for alpha in shifts:
+            p = (n[0] + alpha[0], n[1] + alpha[1])
+            d = LatticeFunction({p: 1}, finite_support=True)
+            va = a.apply(d)[n]
+            vb = b.apply(d)[n]
+            if tol is None:
+                if va != vb:
+                    return False
+            else:
+                scale = max(abs(va), abs(vb), 1.0)
+                if abs(va - vb) > tol * scale:
+                    return False
+    return True
+
+
+def random_pair(rng):
+    """Two operators built from the same random parts by compose, adjoint,
+    sums, scaling and zero coefficients; often equal, often not."""
+    a, b = rand_op(rng, rng.randint(1, 3)), rand_op(rng, rng.randint(1, 3))
+    zero = OA.DifferenceOperator({(rng.randint(-1, 1), rng.randint(-1, 1)): 0})
+    kind = rng.randrange(7)
+    if kind == 0:
+        return OA.adjoint(OA.compose(a, b)), OA.compose(OA.adjoint(b), OA.adjoint(a))
+    if kind == 1:
+        return OA.compose(a, b), OA.compose(b, a)
+    if kind == 2:
+        return a + b, b + a + zero
+    if kind == 3:
+        return (a - a) + zero, OA.DifferenceOperator({})
+    if kind == 4:
+        return OA.adjoint(OA.adjoint(a)) + zero, a.scale(rng.choice((1, 1, 2)))
+    if kind == 5:       # a shift that only one side has
+        extra = OA.shift_op((2, rng.randint(-1, 1))).scale(rng.choice((0, 1)))
+        return (a, a + extra) if rng.random() < 0.5 else (a + extra, a)
+    return a + b.scale(Fraction(1, 2)), a + b - b.scale(Fraction(1, 2))
+
+
+def test_direct_comparison_agrees_with_delta_probe():
+    rng = random.Random(41)
+    win = Window(-3, 3, -3, 3)
+    outcomes = set()
+    for _ in range(120):
+        a, b = random_pair(rng)
+        want = probe_equal_on_window(a, b, win)
+        assert OA.equal_on_window(a, b, win) is want
+        outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def test_direct_comparison_agrees_with_delta_probe_in_float_mode():
+    rng = random.Random(43)
+    win = Window(-3, 3, -3, 3)
+    outcomes = set()
+    for _ in range(40):
+        c, d = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        l11 = rng.uniform(-0.3, 0.3)
+        l12 = rng.uniform(-0.3, 0.3)
+        l = [[l11, l12], [2 * l11 - l12, l11]]
+        qv = math.exp(l11)
+        big = OA.build_exponential_Q_float(c, d, l)
+        small = OA.build_exponential_Q_float(c / qv ** 2, d / qv ** 2, l)
+        one = OA.identity_op()
+        lhs = OA.compose(OA.adjoint(big), big) - one
+        rhs = (OA.compose(small, OA.adjoint(small)) - one).scale(
+            qv * qv * rng.choice((1.0, 1.0 + 1e-9, 1.0 + 1e-15)))
+        for tol in (1e-12, 1e-6):
+            want = probe_equal_on_window(lhs, rhs, win, tol=tol)
+            assert OA.equal_on_window(lhs, rhs, win, tol=tol) is want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def hand_factorizable(rng, color):
+    """The former hand-expanded random_factorizable, kept as the
+    coefficient reference for the recomposed one."""
+    def rpos():
+        num = rng.randint(1, 9)
+        den = rng.randint(1, 9)
+
+        def f(n):
+            h = (hash((n, num, den)) % 7) + 1
+            return Fraction(num * h, den)
+
+        return f
+
+    pot = rng.randint(1, 5)
+    if color == "black":
+        u, v, w = rpos(), rpos(), rpos()
+        return OA.SchrodingerOperator(
+            a=lambda n: u(n) ** 2 + v((n[0] + 1, n[1])) ** 2
+            + w((n[0], n[1] + 1)) ** 2 + pot,
+            b=lambda n: u((n[0] + 1, n[1])) * v((n[0] + 1, n[1])),
+            c=lambda n: u((n[0], n[1] + 1)) * w((n[0], n[1] + 1)),
+            d=lambda n: v((n[0], n[1] + 1)) * w((n[0], n[1] + 1)),
+            e=lambda n: u(n) * v(n),
+            f=lambda n: u(n) * w(n),
+            g=lambda n: v((n[0] + 1, n[1])) * w((n[0] + 1, n[1])),
+        )
+    x, y, z = rpos(), rpos(), rpos()
+    return OA.SchrodingerOperator(
+        a=lambda n: x(n) ** 2 + y((n[0] - 1, n[1])) ** 2
+        + z((n[0], n[1] - 1)) ** 2 + pot,
+        b=lambda n: x(n) * y(n),
+        c=lambda n: x(n) * z(n),
+        d=lambda n: y((n[0] - 1, n[1])) * z((n[0] - 1, n[1])),
+        e=lambda n: x((n[0] - 1, n[1])) * y((n[0] - 1, n[1])),
+        f=lambda n: x((n[0], n[1] - 1)) * z((n[0], n[1] - 1)),
+        g=lambda n: y((n[0], n[1] - 1)) * z((n[0], n[1] - 1)),
+    )
+
+
+def hand_both_colors(base=2, pot=3):
+    def u(n):
+        return Fraction(base) ** (n[0] + n[1])
+
+    return OA.SchrodingerOperator(
+        a=lambda n: u(n) ** 2 + 2 + pot,
+        b=lambda n: u((n[0] + 1, n[1])),
+        c=lambda n: u((n[0], n[1] + 1)),
+        d=lambda n: Fraction(1),
+        e=lambda n: u(n),
+        f=lambda n: u(n),
+        g=lambda n: Fraction(1),
+    )
+
+
+def same_coefficients(got, want, window):
+    for name in "abcdefg":
+        for n in window.points():
+            g, w = getattr(got, name)(n), getattr(want, name)(n)
+            assert (type(g), g) == (type(w), w), (name, n)
+
+
+@pytest.mark.parametrize("color", ["black", "white"])
+def test_random_factorizable_matches_hand_expansion(color):
+    for seed in range(8):
+        same_coefficients(OA.random_factorizable(random.Random(seed), color),
+                          hand_factorizable(random.Random(seed), color),
+                          Window(-4, 6, -4, 6))
+    with pytest.raises(ValueError, match="color"):
+        OA.random_factorizable(random.Random(0), "grey")
+
+
+def test_exponential_both_colors_matches_hand_expansion():
+    for base, pot in ((2, 3), (3, 1), (5, 7)):
+        same_coefficients(OA.exponential_both_colors(base, pot),
+                          hand_both_colors(base, pot), Window(-5, 5, -5, 5))
+
+
+def test_from_operator_roundtrip():
+    lop = OA.random_factorizable(random.Random(3), "white")
+    back = OA.SchrodingerOperator.from_operator(lop.to_operator())
+    same_coefficients(back, lop, Window(0, 4, 0, 4))

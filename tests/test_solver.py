@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -224,6 +225,16 @@ def test_solve_bw_inconsistent():
     bad = {v: Fraction(1) for v in patch.surface.triangles[t]}
     with pytest.raises(InconsistentBoundary):
         solver.solve_bw(dom, fc, bad)
+
+
+def test_solve_bw_rejects_values_outside_domain():
+    patch = fixtures.hex_patch(3)
+    star = patch.surface.vertex_triangles[patch.vertex_of[(0, 0)]]
+    dom = mesh.SubComplexDomain(patch.surface, frozenset(star))
+    fc = mesh.bw_face_coloring(dom)
+    outside = sorted(set(range(patch.surface.num_vertices)) - set(dom.vertices))[:2]
+    with pytest.raises(ValueError, match=re.escape(f"outside the domain: {outside}")):
+        solver.solve_bw(dom, fc, {v: Fraction(5) for v in outside})
 
 
 def test_solve_bw_nontrivial_holonomy(torus4):
