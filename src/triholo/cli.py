@@ -81,6 +81,16 @@ def _window(values) -> lattice.Window:
     raise ValueError("--window takes 2 values (square) or 4 (x0 x1 y0 y1)")
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_mesh(args) -> mesh.TriangulatedSurface:
     return io.parse_mesh(_read(args.mesh))
 
@@ -377,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_maxprinciple)
 
     sp = sub.add_parser("taylor")
-    sp.add_argument("--order", type=int, default=5)
+    sp.add_argument("--order", type=_nonnegative_int, default=5)
     common(sp, window_default=[-16, 10, -16, 10])
     sp.set_defaults(func=cmd_taylor)
 

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DomainUnbounded,
@@ -81,58 +83,155 @@ class Window:
 class LatticeFunction:
     """Exact-valued function on a window, or of finite support.
 
+    A windowed function is stored as integer rows over one denominator:
+    f(x, y) = rows[y - y0][x - x0] / den, with den > 0 and the pair reduced
+    by its gcd, so equal functions on equal windows have equal (rows, den).
+    Rows are never modified after construction.  A finite-support function
+    keeps a {point: Fraction} dict of its support instead.
+
+    `f[p]` returns a Fraction either way, and `values` is a read-only
+    {point: Fraction} mapping: every point of the window, or the support.
     Lookups outside a declared window raise OutOfWindow; finite-support
     functions return 0 off their support instead.
     """
+
+    __slots__ = ("window", "finite_support", "rows", "den", "_support")
 
     def __init__(self, values: dict, window: Window | None = None,
                  finite_support: bool = False):
         if window is None and not finite_support:
             raise ValueError("either a window or the finite-support flag is required")
-        self.values = {tuple(p): frac(v) for p, v in values.items()}
+        vals = {tuple(p): frac(v) for p, v in values.items()}
         self.window = window
         self.finite_support = finite_support
         if window is not None:
-            for p in self.values:
+            for p in vals:
                 if not window.contains(p):
                     raise OutOfWindow(f"value stored outside window: {p}")
+        if finite_support:
+            self.rows = self.den = None
+            self._support = vals
+        else:
+            # over the lcm of reduced denominators the pair is already reduced
+            self.rows, self.den = _dense(vals, window)
+
+    @classmethod
+    def from_rows(cls, rows: list, den: int, window: Window) -> "LatticeFunction":
+        """The windowed function rows[y - y0][x - x0] / den, reduced."""
+        width, height = window.size
+        if den <= 0 or len(rows) != height or any(len(r) != width for r in rows):
+            raise ValueError(f"rows over denominator {den} do not fit {window}")
+        g = den
+        for r in rows:
+            if g == 1:
+                break
+            g = math.gcd(g, *r)
+        if g > 1:
+            rows = [[v // g for v in r] for r in rows]
+            den //= g
+        f = cls.__new__(cls)
+        f.window, f.finite_support, f.rows, f.den, f._support = window, False, rows, den, None
+        return f
+
+    @property
+    def values(self):
+        return self._support if self.finite_support else _WindowValues(self)
 
     def __getitem__(self, p: Point) -> Fraction:
-        p = tuple(p)
+        x, y = p
         if self.finite_support:
-            return self.values.get(p, Fraction(0))
-        if not self.window.contains(p):
-            raise OutOfWindow(f"{p} outside {self.window}")
-        return self.values.get(p, Fraction(0))
+            return self._support.get((x, y), Fraction(0))
+        w = self.window
+        if not (w.x0 <= x <= w.x1 and w.y0 <= y <= w.y1):
+            raise OutOfWindow(f"{(x, y)} outside {w}")
+        return Fraction(self.rows[y - w.y0][x - w.x0], self.den)
 
     def restrict(self, window: Window) -> "LatticeFunction":
-        vals = {p: self[p] for p in window.points()}
-        return LatticeFunction(vals, window)
+        return LatticeFunction.from_rows(*_rows_on(self, window), window)
 
     def support(self):
-        return {p for p, v in self.values.items() if v != 0}
+        if self.finite_support:
+            return {p for p, v in self._support.items() if v != 0}
+        w = self.window
+        return {(w.x0 + i, w.y0 + j) for j, r in enumerate(self.rows)
+                for i, v in enumerate(r) if v}
 
     def __eq__(self, other):
         if not isinstance(other, LatticeFunction):
             return NotImplemented
         if self.window != other.window or self.finite_support != other.finite_support:
             return NotImplemented
+        if not self.finite_support:
+            return self.den == other.den and self.rows == other.rows
         pts = self.window.points() if self.window else set(self.values) | set(other.values)
         return all(self[p] == other[p] for p in pts)
+
+
+class _WindowValues(Mapping):
+    """Read-only {point: Fraction} view of a windowed function."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f: LatticeFunction):
+        self._f = f
+
+    def __getitem__(self, p):
+        try:
+            return self._f[p]
+        except (OutOfWindow, TypeError, ValueError):
+            raise KeyError(p) from None
+
+    def __iter__(self):
+        return self._f.window.points()
+
+    def __len__(self):
+        width, height = self._f.window.size
+        return width * height
+
+
+def _dense(vals: dict, window: Window) -> tuple[list, int]:
+    """(rows, den) on `window` of a {point: Fraction} dict, zero elsewhere;
+    den is the lcm of the denominators of the values inside the window."""
+    inside = {p: v for p, v in vals.items() if window.contains(p)}
+    den = math.lcm(*(v.denominator for v in inside.values()))
+    width, height = window.size
+    rows = [[0] * width for _ in range(height)]
+    for (x, y), v in inside.items():
+        rows[y - window.y0][x - window.x0] = v.numerator * (den // v.denominator)
+    return rows, den
+
+
+def _rows_on(f: LatticeFunction, window: Window) -> tuple[list, int]:
+    """(rows, den) of f on `window`, which f's own window must cover."""
+    if f.finite_support:
+        return _dense(f._support, window)
+    fw = f.window
+    if window == fw:
+        return f.rows, f.den
+    if not (fw.x0 <= window.x0 and window.x1 <= fw.x1
+            and fw.y0 <= window.y0 and window.y1 <= fw.y1):
+        raise OutOfWindow(f"{window} outside {fw}")
+    i, j = window.x0 - fw.x0, window.y0 - fw.y0
+    width, height = window.size
+    return [r[i:i + width] for r in f.rows[j:j + height]], f.den
 
 
 def delta(at: Point = (0, 0)) -> LatticeFunction:
     return LatticeFunction({tuple(at): 1}, finite_support=True)
 
 
+Q_OFFSETS = ((0, 0), E1, E2)
+QPLUS_OFFSETS = ((0, 0), (-1, 0), (0, -1))
+
+
 def apply_Q(f: LatticeFunction) -> LatticeFunction:
     """(Q f)(n) = f(n) + f(n + e1) + f(n + e2), the white sum at n."""
-    return _apply_stencil(f, ((0, 0), E1, E2), shrink={"right": 1, "top": 1})
+    return _apply_stencil(f, Q_OFFSETS, shrink={"right": 1, "top": 1})
 
 
 def apply_Qplus(f: LatticeFunction) -> LatticeFunction:
     """(Q+ f)(n) = f(n) + f(n - e1) + f(n - e2), the black sum at n."""
-    return _apply_stencil(f, ((0, 0), (-1, 0), (0, -1)), shrink={"left": 1, "bottom": 1})
+    return _apply_stencil(f, QPLUS_OFFSETS, shrink={"left": 1, "bottom": 1})
 
 
 def _apply_stencil(f, offsets, shrink):
@@ -147,16 +246,29 @@ def _apply_stencil(f, offsets, shrink):
         new_w = f.window.shrink(**shrink)
     except InsufficientWindow:
         raise OutOfWindow(f"window {f.window} too small for the stencil")
-    vals = {}
-    for p in new_w.points():
-        vals[p] = sum((f[_add(p, off)] for off in offsets), Fraction(0))
-    return LatticeFunction(vals, new_w)
+    rows = _stencil_rows(f.rows, f.window, offsets, new_w)
+    return LatticeFunction.from_rows(rows, f.den, new_w)
+
+
+def _stencil_rows(rows: list, window: Window, offsets, out: Window) -> list:
+    """The rows on `out` of n -> sum over `offsets` of f(n + offset), where
+    `rows` are f's integer rows on `window`: each output row is a sum of
+    shifted row slices.  Every shifted point must lie in `window`."""
+    width = out.x1 - out.x0 + 1
+    result = []
+    for j in range(out.y0 - window.y0, out.y1 - window.y0 + 1):
+        acc = None
+        for dx, dy in offsets:
+            i = out.x0 - window.x0 + dx
+            part = rows[j + dy][i:i + width]
+            acc = part if acc is None else list(map(add, acc, part))
+        result.append(acc)
+    return result
 
 
 def is_holomorphic(f: LatticeFunction, window: Window | None = None) -> bool:
     """Q+ f = 0 at every point of the (shrunk) window where the stencil fits."""
-    g = apply_Qplus(f if window is None else f.restrict(window))
-    return all(v == 0 for v in g.values.values())
+    return not apply_Qplus(f if window is None else f.restrict(window)).support()
 
 
 # --- covariant constants on the lattice ------------------------------------
@@ -171,11 +283,20 @@ def _add_covariant(psi: LatticeFunction | None, c, window: Window) -> LatticeFun
     (psi None stands for zero); requires c0 + c1 + c2 = 0."""
     if sum(c) != 0:
         raise ValueError("covariant constant values must sum to zero")
-    if psi is None:
-        vals = {p: c[(p[0] - p[1]) % 3] for p in window.points()}
-    else:
-        vals = {p: psi[p] + c[(p[0] - p[1]) % 3] for p in window.points()}
-    return LatticeFunction(vals, window)
+    c = [frac(x) for x in c]
+    width, height = window.size
+    rows, den = ([[0] * width] * height, 1) if psi is None else _rows_on(psi, window)
+    out_den = math.lcm(den, *(x.denominator for x in c))
+    scale = out_den // den
+    cn = [x.numerator * (out_den // x.denominator) for x in c]
+    out = []
+    for y, row in enumerate(rows, window.y0):
+        r0 = (window.x0 - y) % 3
+        pattern = (cn[r0:] + cn[:r0]) * (width // 3 + 1)   # c[(x - y) mod 3] from x0 on
+        if scale != 1:
+            row = [v * scale for v in row]
+        out.append(list(map(add, row, pattern)))
+    return LatticeFunction.from_rows(out, out_den, window)
 
 
 def covariant_value(c: tuple, p: Point) -> Fraction:
@@ -347,29 +468,47 @@ def solve_q_affine(phi: LatticeFunction, window: Window,
     if w.x1 - w.x0 < 1 or w.y1 - w.y0 < 1:
         raise InsufficientWindow("affine solve needs at least a 2x2 window")
     s1, s2 = (Fraction(0), Fraction(0)) if seeds is None else (frac(seeds[0]), frac(seeds[1]))
-    psi: dict[Point, Fraction] = {(w.x1, w.y1): s1, (w.x1 - 1, w.y1): s2}
-    # top two rows, zigzagging leftward
-    psi[(w.x1, w.y1 - 1)] = -psi[(w.x1, w.y1)] - psi[(w.x1 - 1, w.y1)]
-    for x in range(w.x1 - 1, w.x0 - 1, -1):
-        psi[(x, w.y1 - 1)] = phi[(x, w.y1 - 1)] - psi[(x + 1, w.y1 - 1)] - psi[(x, w.y1)]
-        if x > w.x0:
-            psi[(x - 1, w.y1)] = -psi[(x, w.y1)] - psi[(x, w.y1 - 1)]
-    # remaining rows downward
-    for y in range(w.y1 - 2, w.y0 - 1, -1):
-        for x in range(w.x1, w.x0, -1):
-            psi[(x, y)] = -psi[(x, y + 1)] - psi[(x - 1, y + 1)]
-        psi[(w.x0, y)] = phi[(w.x0, y)] - psi[(w.x0 + 1, y)] - psi[(w.x0, y + 1)]
-    out = LatticeFunction(psi, w)
+    # Q psi = phi is read on the window less its top row and right column
+    phi_rows, phi_den = _rows_on(phi, Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1))
+    den = math.lcm(phi_den, s1.denominator, s2.denominator)
+    scale = den // phi_den
+    width, height = w.size
+    # top two rows (y1, y1 - 1), zigzagging leftward from the seeds
+    top, below = [0] * width, [0] * width
+    top[-1] = s1.numerator * (den // s1.denominator)
+    top[-2] = s2.numerator * (den // s2.denominator)
+    below[-1] = -top[-1] - top[-2]
+    phi_row = phi_rows[-1]
+    for i in range(width - 2, -1, -1):
+        below[i] = phi_row[i] * scale - below[i + 1] - top[i]
+        if i > 0:
+            top[i - 1] = -top[i] - below[i]
+    rows = [top, below]
+    # remaining rows downward: Q+ psi = 0 at (x, y + 1) for x > x0, Q psi = phi at x0
+    for phi_row in reversed(phi_rows[:-1]):
+        above = rows[-1]
+        row = [-(a + b) for a, b in zip(above, above[1:])]
+        row.insert(0, phi_row[0] * scale - row[0] - above[0])
+        rows.append(row)
+    rows.reverse()
+    out = LatticeFunction.from_rows(rows, den, w)
     _check_affine(out, phi, w)
     return out
 
 
 def _check_affine(psi, phi, w):
-    for p in Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1).points():
-        if psi[p] + psi[_add(p, E1)] + psi[_add(p, E2)] != phi[p]:
-            raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
-    for p in Window(w.x0 + 1, w.x1, w.y0 + 1, w.y1).points():
-        if psi[p] + psi[_sub(p, E1)] + psi[_sub(p, E2)] != 0:
+    """Q psi = phi and Q+ psi = 0 wherever the stencils fit in `w`."""
+    inner = Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1)
+    phi_rows, phi_den = _rows_on(phi, inner)
+    rows, den = _rows_on(psi, w)
+    q_rows = _stencil_rows(rows, w, Q_OFFSETS, inner)
+    if den != phi_den:
+        q_rows = [[v * phi_den for v in r] for r in q_rows]
+        phi_rows = [[v * den for v in r] for r in phi_rows]
+    if q_rows != phi_rows:
+        raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
+    for row in _stencil_rows(rows, w, QPLUS_OFFSETS, Window(w.x0 + 1, w.x1, w.y0 + 1, w.y1)):
+        if any(row):
             raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
 
 
@@ -498,6 +637,8 @@ def default_admissible(center: Point, length: int) -> AdmissibleSequence:
 
 def poly_space_basis(seq: AdmissibleSequence, k: int, window: Window) -> list:
     """The 2k+2 basis functions psi^1_j, psi^2_j (j <= k) of P_k on a window."""
+    if k < 0:
+        raise ValueError(f"order must be >= 0, got {k}")
     out = []
     for j in range(k + 1):
         tri = seq.triangle(j)
@@ -514,6 +655,8 @@ def taylor_coefficients(psi: LatticeFunction, seq: AdmissibleSequence, order: in
     triangle T^b(k): it equals alpha^1 p_{0,i} + alpha^2 p_{0,j} there,
     where (i, j) is the extension pair of step k.
     """
+    if order < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     out = []
     fk = psi
     for k in range(order + 1):
@@ -570,12 +713,19 @@ def taylor_partial_sum(seq: AdmissibleSequence, coeffs: list, window: Window,
     """
     if basis is None:
         basis = poly_space_basis(seq, len(coeffs) - 1, window)
-    vals = {p: Fraction(0) for p in window.points()}
+    terms = []
     for k, (a1, a2) in enumerate(coeffs):
-        f1, f2 = basis[2 * k], basis[2 * k + 1]
-        for p in window.points():
-            vals[p] += a1 * f1[p] + a2 * f2[p]
-    return LatticeFunction(vals, window)
+        for a, f in ((a1, basis[2 * k]), (a2, basis[2 * k + 1])):
+            rows, den = _rows_on(f, window)
+            if a != 0:
+                terms.append((frac(a), rows, den))
+    out_den = math.lcm(*(a.denominator * den for a, _, den in terms))
+    width, height = window.size
+    acc = [[0] * width] * height
+    for a, rows, den in terms:
+        s = a.numerator * (out_den // (a.denominator * den))
+        acc = [list(map(add, r_acc, [s * v for v in r])) for r_acc, r in zip(acc, rows)]
+    return LatticeFunction.from_rows(acc, out_den, window)
 
 
 def interpolate_polynomial(psi: LatticeFunction, tri: BigBlackTriangle) -> LatticeFunction:
@@ -609,7 +759,9 @@ def green(n: Point) -> int:
 
 
 def build_green(window: Window) -> LatticeFunction:
-    return LatticeFunction({p: green(p) for p in window.points()}, window)
+    rows = [[green((x, y)) for x in range(window.x0, window.x1 + 1)]
+            for y in range(window.y0, window.y1 + 1)]
+    return LatticeFunction.from_rows(rows, 1, window)
 
 
 @dataclass(frozen=True)

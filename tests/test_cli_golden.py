@@ -1,0 +1,128 @@
+"""Golden CLI bytes: the sha256 of stdout and of every written file for a
+fixed set of `taylor`, `cauchy`, `green`, `factorize` and `qcd-identity`
+runs, recorded in `tests/data/cli_golden.json`.
+
+A rerun of the same build is always byte-identical; this test also catches
+output that drifts across a change of the library's internals.  It needs
+only the standard library, so it also runs without pytest:
+
+    PYTHONPATH=src python tests/test_cli_golden.py           # compare
+    PYTHONPATH=src python tests/test_cli_golden.py --write   # re-record
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from triholo import cli, opalgebra
+from triholo.lattice import Window
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+# cauchy --domain: a 6x6 block of black and white triangles around the origin
+DOMAIN = "".join(f"d {k} {x} {y}\n" for x in range(-3, 3) for y in range(-2, 4)
+                 for k in "bw")
+
+
+def _operator_file() -> str:
+    lop = opalgebra.random_factorizable(random.Random(1), "black")
+    w = Window(0, 11, 0, 11)
+    lines = []
+    for name, alpha in opalgebra.SCHRODINGER_SHIFTS.items():
+        lines.append(f"op {alpha[0]} {alpha[1]}")
+        fn = getattr(lop, name)
+        lines += [f"c {p[0]} {p[1]} {fn(p)}" for p in w.points()]
+    return "\n".join(lines) + "\n"
+
+
+def cases() -> dict:
+    """name -> (argv, name of the file --out writes or None); `{dir}` stands
+    for the working directory holding the inputs and outputs."""
+    out = {}
+    for seed in (0, 11):
+        for order in range(4):
+            base = ["taylor", "--seed", str(seed), "--order", str(order)]
+            out[f"taylor-s{seed}-o{order}-json"] = (base, None)
+            out[f"taylor-s{seed}-o{order}-csv"] = (base + ["--out", "{dir}/t.csv"], "t.csv")
+    for seed in (0, 5):
+        for dom in (False, True):
+            base = ["cauchy", "--seed", str(seed)]
+            if dom:
+                base += ["--domain", "{dir}/dom.ld"]
+            tag = f"cauchy-s{seed}-{'domain' if dom else 'walk'}"
+            out[f"{tag}-json"] = (base, None)
+            for ext in ("csv", "svg"):
+                out[f"{tag}-{ext}"] = (base + ["--out", f"{{dir}}/c.{ext}"], f"c.{ext}")
+    for win in (["-5", "25"], ["-3", "8", "-6", "4"]):
+        tag = "green" + "_".join(win)
+        base = ["green", "--window", *win]
+        out[f"{tag}-json"] = (base, None)
+        for ext in ("csv", "svg"):
+            out[f"{tag}-{ext}"] = (base + ["--out", f"{{dir}}/g.{ext}"], f"g.{ext}")
+    fac = ["factorize", "--op", "{dir}/random.op", "--window", "0", "11", "0", "11"]
+    out["factorize-rational-json"] = (fac, None)
+    out["factorize-rational-csv"] = (fac + ["--out", "{dir}/f.csv"], "f.csv")
+    out["factorize-float-json"] = (fac + ["--mode", "float", "--tol", "1e-12"], None)
+    out["qcd-default"] = (["qcd-identity"], None)
+    out["qcd-rational"] = (["qcd-identity", "--c", "2/3", "--d=-5/7", "--q", "3",
+                            "--s", "1/2", "--window", "-3", "3"], None)
+    out["qcd-float"] = (["qcd-identity", "--mode", "float", "--c", "1.0", "--d", "1.5",
+                         "--tol", "1e-12", "--l", "0.25,0.1,0.4,0.25"], None)
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def compute() -> dict:
+    """name -> {"exit", "stdout", "file"} with sha256 hex digests."""
+    result = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "dom.ld").write_text(DOMAIN)
+        op_text = _operator_file()
+        (d / "random.op").write_text(op_text)
+        result["input-random.op"] = {"exit": 0, "stdout": _sha(op_text.encode()),
+                                     "file": None}
+        for name, (argv, written) in cases().items():
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli.main([a.replace("{dir}", tmp) for a in argv])
+            entry = {"exit": rc, "stdout": _sha(buf.getvalue().encode()), "file": None}
+            if written is not None:
+                path = d / written
+                entry["file"] = _sha(path.read_bytes())
+                path.unlink()
+            result[name] = entry
+    return result
+
+
+def test_cli_golden_bytes():
+    want = json.loads(GOLDEN.read_text())
+    got = compute()
+    assert sorted(got) == sorted(want)
+    assert [k for k in want if got[k] != want[k]] == []
+
+
+def _main(argv) -> int:
+    got = compute()
+    if "--write" in argv:
+        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(got)} entries to {GOLDEN}")
+        return 0
+    want = json.loads(GOLDEN.read_text())
+    bad = sorted(k for k in set(want) | set(got) if want.get(k) != got.get(k))
+    print(f"{len(want) - len(bad)}/{len(want)} golden entries match"
+          + (": differ " + ", ".join(bad) if bad else ""))
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(_main(sys.argv[1:]))

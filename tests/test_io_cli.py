@@ -271,6 +271,13 @@ def test_cli_qcd(fixture_dir):
     assert rc == 2
 
 
+@pytest.mark.parametrize("order", ["-1", "-7"])
+def test_cli_taylor_negative_order_is_usage_error(order):
+    rc, out, err = run_cli(["taylor", "--order", order])
+    assert rc == 2 and out == ""
+    assert "--order: must be >= 0" in err
+
+
 def test_cli_tol_requires_float_mode():
     rc, _, _ = run_cli(["green", "--window", "0", "5", "--tol", "1e-9"])
     assert rc == 2

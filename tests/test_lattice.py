@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +13,12 @@ from triholo.errors import (
     NotHolomorphic,
     OutOfWindow,
     SequenceTooShort,
+    TriholoError,
     WindowExhausted,
     WindowNotSectorClosed,
 )
+from triholo.lattice import E1, E2, Point, Window, _add, _sub
+from triholo.ratmat import frac
 
 
 def zero_trefoil(center, window):
@@ -507,3 +511,394 @@ def test_interpolate_polynomial_rejects_values_off_ker_qplus():
     for k in (0, 1):
         with pytest.raises(ValueError, match="sum to zero"):
             L.interpolate_polynomial(g, L.BigBlackTriangle((0, 0), k))
+
+
+# --- the Fraction-dict LatticeFunction, kept verbatim as the oracle ---------
+# The former dict storage and the operations now written on integer rows:
+# the stencil, the affine solve and its check, the covariant add and the
+# Taylor partial sum.  Only the names differ.
+
+class RefLatticeFunction:
+    """Exact-valued function on a window, or of finite support.
+
+    Lookups outside a declared window raise OutOfWindow; finite-support
+    functions return 0 off their support instead.
+    """
+
+    def __init__(self, values: dict, window: Window | None = None,
+                 finite_support: bool = False):
+        if window is None and not finite_support:
+            raise ValueError("either a window or the finite-support flag is required")
+        self.values = {tuple(p): frac(v) for p, v in values.items()}
+        self.window = window
+        self.finite_support = finite_support
+        if window is not None:
+            for p in self.values:
+                if not window.contains(p):
+                    raise OutOfWindow(f"value stored outside window: {p}")
+
+    def __getitem__(self, p: Point) -> Fraction:
+        p = tuple(p)
+        if self.finite_support:
+            return self.values.get(p, Fraction(0))
+        if not self.window.contains(p):
+            raise OutOfWindow(f"{p} outside {self.window}")
+        return self.values.get(p, Fraction(0))
+
+    def restrict(self, window: Window) -> "RefLatticeFunction":
+        vals = {p: self[p] for p in window.points()}
+        return RefLatticeFunction(vals, window)
+
+    def support(self):
+        return {p for p, v in self.values.items() if v != 0}
+
+    def __eq__(self, other):
+        if not isinstance(other, RefLatticeFunction):
+            return NotImplemented
+        if self.window != other.window or self.finite_support != other.finite_support:
+            return NotImplemented
+        pts = self.window.points() if self.window else set(self.values) | set(other.values)
+        return all(self[p] == other[p] for p in pts)
+
+
+def ref_apply_stencil(f, offsets, shrink):
+    if f.finite_support:
+        out: dict[Point, Fraction] = {}
+        for p, v in f.values.items():
+            for off in offsets:
+                q = _sub(p, off)
+                out[q] = out.get(q, Fraction(0)) + v
+        return RefLatticeFunction(out, finite_support=True)
+    try:
+        new_w = f.window.shrink(**shrink)
+    except InsufficientWindow:
+        raise OutOfWindow(f"window {f.window} too small for the stencil")
+    vals = {}
+    for p in new_w.points():
+        vals[p] = sum((f[_add(p, off)] for off in offsets), Fraction(0))
+    return RefLatticeFunction(vals, new_w)
+
+
+def ref_add_covariant(psi: RefLatticeFunction | None, c, window: Window) -> RefLatticeFunction:
+    """psi plus the covariant constant n -> c[(n1 - n2) mod 3] on `window`
+    (psi None stands for zero); requires c0 + c1 + c2 = 0."""
+    if sum(c) != 0:
+        raise ValueError("covariant constant values must sum to zero")
+    if psi is None:
+        vals = {p: c[(p[0] - p[1]) % 3] for p in window.points()}
+    else:
+        vals = {p: psi[p] + c[(p[0] - p[1]) % 3] for p in window.points()}
+    return RefLatticeFunction(vals, window)
+
+
+def ref_solve_q_affine(phi: RefLatticeFunction, window: Window,
+                       seeds: tuple = None) -> RefLatticeFunction:
+    """One exact solution of Q psi = phi, Q+ psi = 0 on the window.
+
+    phi must be holomorphic (Q+ phi = 0) wherever the stencil fits, else
+    NotHolomorphic.  The solution is unique up to adding a covariant
+    constant; `seeds` optionally pins the two top-right values.
+    """
+    w = window
+    if w.x1 - w.x0 < 1 or w.y1 - w.y0 < 1:
+        raise InsufficientWindow("affine solve needs at least a 2x2 window")
+    s1, s2 = (Fraction(0), Fraction(0)) if seeds is None else (frac(seeds[0]), frac(seeds[1]))
+    psi: dict[Point, Fraction] = {(w.x1, w.y1): s1, (w.x1 - 1, w.y1): s2}
+    # top two rows, zigzagging leftward
+    psi[(w.x1, w.y1 - 1)] = -psi[(w.x1, w.y1)] - psi[(w.x1 - 1, w.y1)]
+    for x in range(w.x1 - 1, w.x0 - 1, -1):
+        psi[(x, w.y1 - 1)] = phi[(x, w.y1 - 1)] - psi[(x + 1, w.y1 - 1)] - psi[(x, w.y1)]
+        if x > w.x0:
+            psi[(x - 1, w.y1)] = -psi[(x, w.y1)] - psi[(x, w.y1 - 1)]
+    # remaining rows downward
+    for y in range(w.y1 - 2, w.y0 - 1, -1):
+        for x in range(w.x1, w.x0, -1):
+            psi[(x, y)] = -psi[(x, y + 1)] - psi[(x - 1, y + 1)]
+        psi[(w.x0, y)] = phi[(w.x0, y)] - psi[(w.x0 + 1, y)] - psi[(w.x0, y + 1)]
+    out = RefLatticeFunction(psi, w)
+    ref_check_affine(out, phi, w)
+    return out
+
+
+def ref_check_affine(psi, phi, w):
+    for p in Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1).points():
+        if psi[p] + psi[_add(p, E1)] + psi[_add(p, E2)] != phi[p]:
+            raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
+    for p in Window(w.x0 + 1, w.x1, w.y0 + 1, w.y1).points():
+        if psi[p] + psi[_sub(p, E1)] + psi[_sub(p, E2)] != 0:
+            raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
+
+
+def ref_taylor_partial_sum(seq: L.AdmissibleSequence, coeffs: list, window: Window,
+                           basis: list | None = None) -> RefLatticeFunction:
+    """Sum alpha^1_k psi^1_k + alpha^2_k psi^2_k through the given coeffs.
+
+    Pass a precomputed `poly_space_basis` result to reuse it across calls.
+    """
+    if basis is None:
+        basis = L.poly_space_basis(seq, len(coeffs) - 1, window)
+    vals = {p: Fraction(0) for p in window.points()}
+    for k, (a1, a2) in enumerate(coeffs):
+        f1, f2 = basis[2 * k], basis[2 * k + 1]
+        for p in window.points():
+            vals[p] += a1 * f1[p] + a2 * f2[p]
+    return RefLatticeFunction(vals, window)
+
+
+def run(call):
+    """call()'s result, or the type of the domain or value error it raised."""
+    try:
+        return call()
+    except (TriholoError, ValueError) as exc:
+        return type(exc)
+
+
+def assert_same(new, ref):
+    """Same outcome: the same error type, or the same window, flag and
+    value at every point, with the row storage in lowest terms."""
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert not isinstance(new, type), f"raised {new.__name__}, the oracle did not"
+    assert (new.window, new.finite_support) == (ref.window, ref.finite_support)
+    if ref.finite_support:
+        assert new.support() == ref.support()
+        assert all(new[p] == ref[p] for p in ref.values)
+        return
+    assert new.den > 0 and math.gcd(new.den, *(v for r in new.rows for v in r)) == 1
+    assert dict(new.values) == {p: ref[p] for p in ref.window.points()}
+    assert all(type(v) is Fraction for v in new.values.values())
+
+
+DENS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 7919, 1_000_003, 2 ** 61 - 1]
+
+
+def rand_value(rng, zero_share=0.2):
+    if rng.random() < zero_share:
+        return Fraction(0)
+    return Fraction(rng.randint(-40, 40), rng.choice(DENS))
+
+
+def rand_window(rng, lo=2, hi=7):
+    x0, y0 = rng.randint(-9, 5), rng.randint(-9, 5)
+    return L.Window(x0, x0 + rng.randint(lo, hi) - 1, y0, y0 + rng.randint(lo, hi) - 1)
+
+
+def rand_values(rng, w, kind=None):
+    """Values on w: dense, a sparse dict, or all zero."""
+    kind = kind or rng.choice(("dense", "dense", "sparse", "zero"))
+    if kind == "zero":
+        return {}
+    share = 0.8 if kind == "sparse" else 0.2
+    return {p: rand_value(rng, share) for p in w.points()
+            if kind == "dense" or rng.random() < 0.4}
+
+
+def both(vals, window=None, finite_support=False):
+    return (L.LatticeFunction(vals, window, finite_support),
+            RefLatticeFunction(vals, window, finite_support))
+
+
+def rand_holomorphic_values(rng, w):
+    """Values of a holomorphic function on w, from trefoil data with mixed
+    denominators."""
+    c = (rng.randint(w.x0, w.x1), rng.randint(w.y0, w.y1))
+    y = {p: rand_value(rng) for p in L.required_trefoil(c, w)}
+    f = L.extend_holomorphic(c, y, w)
+    return {p: f[p] for p in w.points()}
+
+
+def grow(rng, w, most=3):
+    return L.Window(w.x0 - rng.randint(0, most), w.x1 + rng.randint(0, most),
+                    w.y0 - rng.randint(0, most), w.y1 + rng.randint(0, most))
+
+
+STENCILS = [(L.apply_Q, ((0, 0), L.E1, L.E2), {"right": 1, "top": 1}),
+            (L.apply_Qplus, ((0, 0), (-1, 0), (0, -1)), {"left": 1, "bottom": 1})]
+
+
+def check_stencils(rng):
+    w = rand_window(rng, lo=1)
+    vals = rand_values(rng, w)
+    for finite in (False, True):
+        new, ref = both(vals, None if finite else w, finite)
+        for op, offsets, shrink in STENCILS:
+            assert_same(run(lambda: op(new)), run(lambda: ref_apply_stencil(ref, offsets, shrink)))
+        ref_qplus = run(lambda: ref_apply_stencil(ref, *STENCILS[1][1:]))
+        assert run(lambda: L.is_holomorphic(new)) == (
+            ref_qplus if isinstance(ref_qplus, type) else not ref_qplus.support())
+
+
+def check_window_reads(rng):
+    w = rand_window(rng)
+    new, ref = both(rand_values(rng, w), w)
+    for _ in range(6):
+        p = (rng.randint(w.x0 - 2, w.x1 + 2), rng.randint(w.y0 - 2, w.y1 + 2))
+        assert run(lambda: new[p]) == run(lambda: ref[p])
+    out = int(rng.random() < 0.3)       # reach one point past the window
+    x0, y0 = rng.randint(w.x0 - out, w.x1), rng.randint(w.y0, w.y1)
+    sub = L.Window(x0, rng.randint(x0, w.x1), y0, rng.randint(y0, w.y1 + out))
+    assert_same(run(lambda: new.restrict(sub)), run(lambda: ref.restrict(sub)))
+    other_vals = dict(ref.values)
+    if other_vals and rng.random() < 0.5:
+        q = rng.choice(sorted(other_vals))
+        other_vals[q] += Fraction(1, rng.choice(DENS))
+    a, b = both(other_vals, w)
+    assert (new == a) == (ref == b)
+    g = rng.choice((2, 3, 1_000_003))
+    scaled = L.LatticeFunction.from_rows([[v * g for v in r] for r in new.rows],
+                                         new.den * g, w)
+    assert scaled == new and scaled.rows == new.rows and scaled.den == new.den
+
+
+def check_affine_solve(rng, holomorphic=True):
+    w = rand_window(rng)
+    seeds = None if rng.random() < 0.3 else (rand_value(rng), rand_value(rng))
+    kind = rng.random()
+    if kind < 0.15:                     # finite-support phi
+        new, ref = both(rand_values(rng, w, "sparse") if rng.random() < 0.5 else {},
+                        finite_support=True)
+    else:
+        pw = grow(rng, w) if kind < 0.6 else w
+        if kind > 0.9:                  # phi's window misses part of the solve window
+            pw = L.Window(pw.x0 + 1, pw.x1, pw.y0, pw.y1)
+        vals = rand_holomorphic_values(rng, pw)
+        if not holomorphic:
+            inner = L.Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1)
+            p = (rng.randint(inner.x0, inner.x1), rng.randint(inner.y0, inner.y1))
+            if pw.contains(p):
+                vals[p] += Fraction(1, rng.choice(DENS))
+        new, ref = both(vals, pw)
+    got = run(lambda: L.solve_q_affine(new, w, seeds))
+    assert_same(got, run(lambda: ref_solve_q_affine(ref, w, seeds)))
+    return got
+
+
+def check_affine_check(rng):
+    """_check_affine alone, on psi that satisfies Q psi = phi but not always
+    Q+ psi = 0, and on psi that satisfies neither."""
+    w = rand_window(rng)
+    inner = L.Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1)
+    psi_vals = rand_values(rng, w, "dense")
+    if rng.random() < 0.5:
+        psi_vals = rand_holomorphic_values(rng, w)
+    psi_new, psi_ref = both(psi_vals, w)
+    phi_vals = {p: psi_ref[p] + psi_ref[L._add(p, L.E1)] + psi_ref[L._add(p, L.E2)]
+                for p in inner.points()}
+    if rng.random() < 0.3:
+        p = rng.choice(sorted(phi_vals))
+        phi_vals[p] += 1
+    pw = grow(rng, inner)
+    phi_new, phi_ref = both(phi_vals, pw)
+    assert (run(lambda: L._check_affine(psi_new, phi_new, w))
+            == run(lambda: ref_check_affine(psi_ref, phi_ref, w)))
+
+
+def check_add_covariant(rng):
+    w = rand_window(rng)
+    c = [rand_value(rng), rand_value(rng)]
+    c.append(-c[0] - c[1] + (Fraction(1, 7) if rng.random() < 0.1 else 0))
+    kind = rng.choice(("none", "same", "larger", "finite", "smaller"))
+    if kind == "none":
+        new = ref = None
+    elif kind == "finite":
+        new, ref = both(rand_values(rng, grow(rng, w), "sparse"), finite_support=True)
+    else:
+        pw = {"same": w, "larger": grow(rng, w), "smaller": w.shrink(left=1)}[kind]
+        new, ref = both(rand_values(rng, pw), pw)
+    assert_same(run(lambda: L._add_covariant(new, c, w)),
+                run(lambda: ref_add_covariant(ref, c, w)))
+
+
+def check_partial_sum(rng):
+    w = rand_window(rng, lo=2, hi=6)
+    order = rng.randint(0, 2)
+    seq = L.default_admissible(w.center(), order)
+    coeffs = [tuple(rand_value(rng, 0.3) for _ in range(2)) for _ in range(order + 1)]
+    news, refs = [], []
+    for _ in range(2 * order + 2):
+        bw = grow(rng, w) if rng.random() < 0.9 else w.shrink(top=1)
+        new, ref = both(rand_values(rng, bw), bw)
+        news.append(new)
+        refs.append(ref)
+    assert_same(run(lambda: L.taylor_partial_sum(seq, coeffs, w, news)),
+                run(lambda: ref_taylor_partial_sum(seq, coeffs, w, refs)))
+
+
+ORACLE_CHECKS = [check_stencils, check_window_reads, check_affine_solve,
+                 lambda rng: check_affine_solve(rng, holomorphic=False),
+                 check_affine_check, check_add_covariant, check_partial_sum]
+
+
+@pytest.mark.parametrize("check", range(len(ORACLE_CHECKS)))
+def test_rows_match_dict_oracle_seeded(check):
+    for seed in range(60):
+        ORACLE_CHECKS[check](random.Random(1000 * check + seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(range(len(ORACLE_CHECKS))))
+def test_rows_match_dict_oracle_hypothesis(seed, check):
+    ORACLE_CHECKS[check](random.Random(seed))
+
+
+def test_affine_solve_oracle_raises_on_both_sides():
+    # a perturbed interior point makes phi non-holomorphic; one on the edge
+    # of the read region, phi of finite support or a short phi window may not
+    rng = random.Random(17)
+    raised = [check_affine_solve(rng, holomorphic=False) is NotHolomorphic
+              for _ in range(20)]
+    assert sum(raised) >= 5
+    w = L.Window(-3, 2, -1, 3)
+    vals = rand_holomorphic_values(rng, w)
+    new, ref = both(vals, w)
+    assert L.solve_q_affine(new, w, (Fraction(1, 3), Fraction(-2, 7))) is not None
+    vals[(0, 0)] += Fraction(1, 11)
+    new, ref = both(vals, w)
+    with pytest.raises(NotHolomorphic):
+        L.solve_q_affine(new, w)
+    with pytest.raises(NotHolomorphic):
+        ref_solve_q_affine(ref, w)
+
+
+def test_affine_check_halves_each_catch():
+    # Q psi = phi holds but Q+ psi = 0 fails; then the reverse
+    w = L.Window(-2, 2, 0, 3)
+    inner = L.Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1)
+    psi = L.LatticeFunction({(0, 2): Fraction(1, 5)}, w)
+    phi = L.LatticeFunction({p: psi[p] + psi[L._add(p, L.E1)] + psi[L._add(p, L.E2)]
+                             for p in inner.points()}, inner)
+    with pytest.raises(NotHolomorphic):
+        L._check_affine(psi, phi, w)
+    good = L.solve_q_affine(L.covariant_constant((1, 2, -3), w), w)
+    L._check_affine(good, L.covariant_constant((1, 2, -3), w), w)
+    with pytest.raises(NotHolomorphic):
+        L._check_affine(good, L.covariant_constant((1, -2, 1), w), w)
+
+
+def test_window_values_view():
+    w = L.Window(-1, 1, 2, 3)
+    f = L.LatticeFunction({(0, 2): Fraction(3, 4), (1, 3): 2}, w)
+    assert (f.rows, f.den) == ([[0, 3, 0], [0, 0, 8]], 4)
+    assert len(f.values) == 6 and list(f.values) == list(w.points())
+    assert f.values[(1, 3)] == 2 and (5, 5) not in f.values and f.values.get((5, 5)) is None
+    assert f.values == {p: f[p] for p in w.points()}
+    with pytest.raises(TypeError):
+        f.values[(0, 2)] = 1
+    z = L.LatticeFunction({(0, 2): 0}, w)
+    assert (z.den, z.support()) == (1, set())
+    with pytest.raises(ValueError):
+        L.LatticeFunction.from_rows([[1, 2, 3]], 1, w)
+    with pytest.raises(ValueError):
+        L.LatticeFunction.from_rows([[1, 2, 3], [4, 5, 6]], 0, w)
+    assert L.LatticeFunction.from_rows([[2, 4, 6], [8, 0, -2]], 6, w).den == 3
+
+
+@pytest.mark.parametrize("order", [-1, -3])
+def test_negative_order_rejected(order):
+    seq = L.default_admissible((0, 0), 2)
+    psi = L.covariant_constant((1, 2, -3), L.Window(-6, 6, -6, 6))
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        L.taylor_coefficients(psi, seq, order)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        L.poly_space_basis(seq, order, psi.window)
