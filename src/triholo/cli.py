@@ -4,7 +4,8 @@ Subcommands: mesh-check, holonomy, covariants, maxprinciple, taylor,
 cauchy, green, factorize, qcd-identity, ksimplicial.
 
 The main artifact is JSON on stdout (or --out); when --out ends in .csv
-or .svg the fitting representation is written instead.  Domain errors
+or .svg the fitting representation is written instead, rendered only then
+(subcommands return zero-argument csv/svg renderers).  Domain errors
 exit 1 with a JSON error body; usage errors exit 2.  Rational-mode runs
 are byte-identical for identical inputs and seeds.
 """
@@ -21,6 +22,7 @@ from fractions import Fraction
 from . import connection as conn_mod
 from . import io, lattice, mesh, opalgebra, simplicial, solver
 from .errors import TriholoError
+from .svgplot import lattice_heatmap_svg, scatter_hull_svg
 
 
 def _resolve(path: str) -> str:
@@ -51,7 +53,7 @@ def _jsonable(x):
     return x
 
 
-def _emit(args, payload: dict, csv: str | None = None, svg: str | None = None) -> None:
+def _emit(args, payload: dict, csv=None, svg=None) -> None:
     out = getattr(args, "out", None)
     fmt = getattr(args, "format", None)
     if out is not None and fmt is None:
@@ -60,9 +62,9 @@ def _emit(args, payload: dict, csv: str | None = None, svg: str | None = None) -
         elif out.endswith(".svg"):
             fmt = "svg"
     if fmt == "csv" and csv is not None:
-        body = csv
+        body = csv()
     elif fmt == "svg" and svg is not None:
-        body = svg
+        body = svg()
     else:
         body = json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n"
     if out is None:
@@ -190,7 +192,6 @@ def cmd_maxprinciple(args) -> dict:
         boundary = {v: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for v in free}
         psi = solver.solve_bw(dom, fc, boundary).values
     report = solver.max_principle_check(dom, psi, fc, vc)
-    images = solver.hat_map(dom, psi, fc, vc)
     payload = {
         "ok": report.ok,
         "point_hull": report.point_hull,
@@ -200,10 +201,12 @@ def cmd_maxprinciple(args) -> dict:
         "betweenness_failures": report.betweenness_failures,
         "checked_internal": report.checked_internal,
     }
-    from .svgplot import scatter_hull_svg
 
-    boundary_imgs = sorted({images[t] for t in dom.lower_boundary() & set(images)})
-    svg = scatter_hull_svg(list(images.values()), solver.convex_hull(boundary_imgs))
+    def svg():
+        images = solver.hat_map(dom, psi, fc, vc)
+        boundary_imgs = sorted({images[t] for t in dom.lower_boundary() & set(images)})
+        return scatter_hull_svg(list(images.values()), solver.convex_hull(boundary_imgs))
+
     return payload, None, svg
 
 
@@ -227,7 +230,7 @@ def cmd_taylor(args) -> dict:
     }
     csv = "k,alpha1,alpha2\n" + "\n".join(
         f"{k},{c[0]},{c[1]}" for k, c in enumerate(coeffs)) + "\n"
-    return payload, csv, None
+    return payload, lambda: csv, None
 
 
 def cmd_cauchy(args) -> dict:
@@ -264,9 +267,7 @@ def cmd_cauchy(args) -> dict:
         {p: rec[p] for p in dom.vertices()},
         lattice.Window(min(p[0] for p in rec), max(p[0] for p in rec),
                        min(p[1] for p in rec), max(p[1] for p in rec)))
-    from .svgplot import lattice_heatmap_svg
-
-    return payload, io.lattice_csv(grid), lattice_heatmap_svg(grid)
+    return payload, lambda: io.lattice_csv(grid), lambda: lattice_heatmap_svg(grid)
 
 
 def cmd_green(args) -> dict:
@@ -277,9 +278,7 @@ def cmd_green(args) -> dict:
         "values": {f"{p[0]},{p[1]}": g[p] for p in w.points() if g[p] != 0},
         "ok": True,
     }
-    from .svgplot import lattice_heatmap_svg
-
-    return payload, io.lattice_csv(g), lattice_heatmap_svg(g)
+    return payload, lambda: io.lattice_csv(g), lambda: lattice_heatmap_svg(g)
 
 
 def cmd_factorize(args) -> dict:
@@ -310,7 +309,7 @@ def cmd_factorize(args) -> dict:
     if done == 0:
         raise TriholoError("neither color factorizes in this mode")
     payload["ok"] = True
-    return payload, "\n".join(rows) + "\n", None
+    return payload, lambda: "\n".join(rows) + "\n", None
 
 
 def cmd_qcd_identity(args) -> dict:

@@ -7,10 +7,10 @@ paths; going around a loop yields a 2x2 holonomy matrix acting on row
 vectors from the right.
 
 This module holds weighted GL(2) transport, curvature and Appendix 1.
-For the canonical connection holonomy is a colour permutation in S3; the
-wrappers here (`color_permutation`, `classify_holonomy`, `rho1_of_loop`)
-call the slot-permutation engine in `simplicial` at k = 2, and
-`generator_loops` uses the dual tree of `mesh`.
+Generators come from one sweep of the dual tree: GL(2) frames for
+`holonomy_frames`, and for the canonical connection, whose holonomy is a
+colour permutation in S3, slot labels at k = 2 (`mesh.label_sweep`).
+`transport` and `holonomy_matrix` follow explicit loops.
 
 Conventions
 -----------
@@ -41,7 +41,8 @@ from .errors import (
     UnremovableZeroCoefficient,
     ZeroDivisor,
 )
-from .mesh import ThickPath, TriangulatedSurface, cotree_walks, dual_tree
+from .mesh import (ThickPath, TriangulatedSurface, cotree_walks, dual_tree, label_sweep,
+                   tree_sweep)
 from .ratmat import frac
 from .simplicial import generated_group, perm_sign, slot_permutation
 
@@ -287,7 +288,7 @@ def classify_holonomy(conn: DiscreteConnection) -> HolonomyClassification:
         raise ValueError("classification tracks colors: canonical connection only")
     if not has_zero_curvature(conn):
         raise NonzeroCurvature("connection has nonzero curvature")
-    perms = tuple(color_permutation(surf, loop) for loop in generator_loops(surf))
+    _, perms = label_sweep(surf.triangles, surf.dual_neighbours, surf.num_triangles)
     group = generated_group(perms, 3)
     tag = GROUP_TAGS[len(group)]
     dim = {"trivial": 2, "Z2": 1, "Z3": 0, "S3": 0}[tag]
@@ -296,9 +297,33 @@ def classify_holonomy(conn: DiscreteConnection) -> HolonomyClassification:
 
 def holonomy_generators(conn: DiscreteConnection) -> list[Mat2]:
     """R_gamma for the pi_1 generators of any zero-curvature connection."""
+    return holonomy_frames(conn)[1]
+
+
+def holonomy_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
+    """Per triangle, the pair of solutions seeded (1, 0) and (0, 1) on the
+    two lowest vertices of triangle 0 and carried down the dual tree; and
+    per cotree edge (a, b), R = X F_b^(-1) from the crossed frames X and
+    the tree frames F_b on two vertices of b (`generator_loops` order)."""
     if not has_zero_curvature(conn):
         raise NonzeroCurvature("connection has nonzero curvature")
-    return [holonomy_matrix(conn, loop) for loop in generator_loops(conn.surface)]
+    surf = conn.surface
+    v0, v1, _ = sorted(surf.triangles[0])
+    seeds = tuple(_solve_third(conn, 0, {v0: x, v1: y})
+                  for x, y in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+
+    def cross(frame, a, b):
+        return tuple(_solve_third(conn, b, {u: f[u] for u in surf.triangles[b] if u in f})
+                     for f in frame)
+
+    frames, crossings = tree_sweep(surf.dual_neighbours, surf.num_triangles, seeds, cross)
+    gens = []
+    for b, crossed in crossings:
+        u0, u1, _ = sorted(surf.triangles[b])
+        x = [[f[u0], f[u1]] for f in crossed]
+        fb = [[f[u0], f[u1]] for f in frames[b]]
+        gens.append(ratmat.mat_mul(x, ratmat.inv2(fb)))
+    return frames, gens
 
 
 def rho1_of_loop(conn: DiscreteConnection, loop: ThickPath) -> int:
@@ -406,13 +431,3 @@ def _coefficients_from_matrices(surface, rmat) -> dict:
         coeffs[(t, p3)] = c12 * d21
     # zero coefficients are reported by the caller (retry with another gauge)
     return coeffs
-
-
-def edge_path_holonomy(rmat: dict, loop_vertices: list[int]) -> Mat2:
-    """Product R[v0,v1] ... R[vm,v0] along a closed vertex path."""
-    out = ratmat.identity(2)
-    m = len(loop_vertices)
-    for i in range(m):
-        u, v = loop_vertices[i], loop_vertices[(i + 1) % m]
-        out = ratmat.mat_mul(out, rmat[(u, v)])
-    return out

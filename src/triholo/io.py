@@ -78,8 +78,9 @@ def write_domain(domain: SubComplexDomain) -> str:
 
 
 def parse_connection(text: str, surface: TriangulatedSurface):
-    """Connection file: `b <triangle> <local-vertex 0|1|2> <p/q>`; entries
-    absent from the file default to 1 (the canonical connection)."""
+    """Connection file: `b <triangle> <local-vertex 0|1|2> <p/q>`, at most
+    one line per incidence; entries absent from the file default to 1 (the
+    canonical connection)."""
     from .connection import DiscreteConnection
 
     coeffs = {}
@@ -93,6 +94,8 @@ def parse_connection(text: str, surface: TriangulatedSurface):
         if local not in (0, 1, 2):
             raise ValueError(f"local vertex must be 0|1|2: {line!r}")
         v = surface.triangles[t][local]
+        if (t, v) in coeffs:
+            raise ValueError(f"duplicate coefficient for triangle {t}, vertex {local}: {line!r}")
         coeffs[(t, v)] = _rational(parts[3], line)
     return DiscreteConnection(surface, coeffs)
 
@@ -117,13 +120,16 @@ def parse_complex(text: str) -> SimplicialComplexK:
 
 
 def parse_representation(text: str) -> dict:
-    """Representation file: `R <v1> <v2> <4 rationals row-major>`."""
+    """Representation file: `R <v1> <v2> <4 rationals row-major>`, at most
+    one line per oriented edge."""
     out = {}
     for line in _lines(text):
         parts = line.split()
         if parts[0] != "R" or len(parts) != 7:
             raise ValueError(f"bad representation line: {line!r}")
         u, v = int(parts[1]), int(parts[2])
+        if (u, v) in out:
+            raise ValueError(f"duplicate matrix for edge ({u}, {v}): {line!r}")
         vals = [_rational(p, line) for p in parts[3:]]
         out[(u, v)] = [[vals[0], vals[1]], [vals[2], vals[3]]]
     return out

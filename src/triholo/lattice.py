@@ -801,9 +801,6 @@ class LatticeDomain:
                 out.append(apex)
         return out
 
-    def interior_and_boundary_points(self) -> list:
-        return sorted(self.vertices())
-
 
 def triangle_vertices(t) -> tuple:
     kind, (x, y) = t

@@ -12,9 +12,10 @@ vertices have a closed star cycle; boundary vertices an open path (with
 n + 1 rim vertices for n triangles).
 
 The dual-graph traversal lives here for surfaces and k-complexes alike:
-the BFS dual tree (`dual_tree`, `tree_walk`, `cotree_walks`) that yields
-pi_1 generators, and the 2-colouring behind `bw_face_coloring` and
-`simplicial.bw_simplex_coloring`.
+`tree_sweep` carries a state once down the BFS dual tree and across each
+cotree edge, behind every holonomy read-out (`label_sweep` carries slot
+labels); `cotree_walks` spells the pi_1 generators out as loops, and
+`two_coloring` is the 2-colouring behind the b/w colourings.
 
 All structures are immutable after construction and safe to share.
 """
@@ -55,9 +56,6 @@ class Star:
     @property
     def valence(self) -> int:
         return len(self.triangles)
-
-    def rim_after(self, i: int) -> int:
-        return self.rim[(i + 1) % len(self.rim)] if self.closed else self.rim[i + 1]
 
 
 class TriangulatedSurface:
@@ -171,9 +169,6 @@ class TriangulatedSurface:
 
     def valence(self, v: int) -> int:
         return len(self.vertex_triangles[v])
-
-    def is_interior_vertex(self, v: int) -> bool:
-        return self.stars[v].closed
 
     def shared_edge(self, t1: int, t2: int) -> Edge | None:
         common = set(self.triangles[t1]) & set(self.triangles[t2])
@@ -423,6 +418,50 @@ def dual_tree(neighbours, count: int, base: int = 0):
     return parent, order, sorted(cotree)
 
 
+def tree_sweep(neighbours, count: int, base_state, cross, base: int = 0):
+    """Carry `base_state` down the BFS dual tree with `cross(state, a, b)`.
+
+    Returns the state of every node (in BFS order) and, for each sorted
+    cotree edge (a, b), the pair (b, cross(state[a], a, b)): compared with
+    state[b] it gives the generator the edge closes."""
+    parent, order, cotree = dual_tree(neighbours, count, base)
+    state = {base: base_state}
+    for t in order[1:]:
+        state[t] = cross(state[parent[t]], parent[t], t)
+    return state, [(b, cross(state[a], a, b)) for a, b in cotree]
+
+
+def _carry_labels(labels: dict, sa, sb) -> dict:
+    """Vertex -> slot labels moved from simplex `sa` to the facet-adjacent
+    simplex `sb`: the shared facet keeps its labels, the new vertex takes
+    the dropped vertex's slot."""
+    sa, sb = set(sa), set(sb)
+    dropped, new = sa - sb, sb - sa
+    if len(dropped) != 1 or len(new) != 1:
+        raise ValueError(f"simplices {sorted(sa)},{sorted(sb)} do not share a (k-1)-facet")
+    out = {v: labels[v] for v in sa & sb}
+    out[new.pop()] = labels[dropped.pop()]
+    return out
+
+
+def label_sweep(simplices, neighbours, count: int, base: int = 0):
+    """(vertex -> slot labels per simplex, one slot permutation per cotree
+    edge): `tree_sweep` from `base`, whose sorted vertices own slots 0..k;
+    sigma[labels[b][v]] = crossed[v] is the `simplicial.slot_permutation`
+    of the loop through the edge."""
+    start = {v: i for i, v in enumerate(sorted(simplices[base]))}
+    labels, crossings = tree_sweep(
+        neighbours, count, start,
+        lambda lab, a, b: _carry_labels(lab, simplices[a], simplices[b]), base)
+    gens = []
+    for b, crossed in crossings:
+        sigma = [0] * len(start)
+        for v, slot in labels[b].items():
+            sigma[slot] = crossed[v]
+        gens.append(tuple(sigma))
+    return labels, tuple(gens)
+
+
 def tree_walk(parent: dict, t: int) -> list[int]:
     """Tree path from the root to `t`."""
     out = [t]
@@ -486,37 +525,19 @@ def three_vertex_coloring(surface_or_domain) -> Coloring | None:
     propagation meets a contradiction.
 
     The lowest-index triangle receives colors (a, b, c) in vertex-index
-    order; colors then propagate across shared edges, the third vertex of
-    each new triangle taking the remaining color.
+    order; colors then propagate as slot labels (`label_sweep`), so an
+    edge-disconnected domain is a ValueError.
     """
     dom = as_domain(surface_or_domain)
     surf = dom.surface
     tris = sorted(dom.tris)
     if not tris:
         return Coloring(vertex_colors={})
+    labels, _ = label_sweep(surf.triangles, lambda t: _domain_neighbours(dom, t),
+                            len(tris), tris[0])
     colors: dict[int, int] = {}
-    seed = tris[0]
-    for color, v in enumerate(sorted(surf.triangles[seed])):
-        colors[v] = color
-    queue = [seed]
-    visited = {seed}
-    while queue:
-        t = queue.pop()
-        tv = set(surf.triangles[t])
-        got = {colors[v] for v in tv if v in colors}
-        missing = [v for v in tv if v not in colors]
-        if len(got) != 3 - len(missing):
-            return None  # two vertices of one triangle forced to equal colors
-        if len(missing) == 1:
-            colors[missing[0]] = ({0, 1, 2} - got).pop()
-        elif missing:
-            # can only happen for disconnected domains; seed deterministically
-            for color, v in zip(sorted({0, 1, 2} - got), sorted(missing)):
-                colors[v] = color
-        for o in _domain_neighbours(dom, t):
-            if o not in visited:
-                visited.add(o)
-                queue.append(o)
+    for lab in labels.values():
+        colors.update(lab)
     for t in tris:
         if len({colors[v] for v in surf.triangles[t]}) != 3:
             return None

@@ -8,10 +8,10 @@ local holonomy the group embeds in S_{k+1}; its orbit count q on the
 slots gives covariant constants of dimension q - 1, which coincide with
 the zero modes of L = Q+ Q.
 
-`slot_permutation`, `generated_group` and `perm_sign` are the one
-canonical-holonomy engine: surfaces use them at k = 2, where the slot
-permutation is the colour permutation of `connection`.  The dual tree and
-the 2-colouring come from `mesh`.
+One sweep of slot labels over the dual tree (`mesh.label_sweep`) gives
+the holonomy generators and each vertex's orbit class; surfaces use it at
+k = 2, where it gives colour permutations.  `slot_permutation` follows one
+explicit closed walk.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from itertools import combinations
 
 from . import ratmat
 from .errors import LocalHolonomyNontrivial, NotAManifold
-from .mesh import cotree_walks, dedup, dual_tree, two_coloring
+from .mesh import _carry_labels, dedup, label_sweep, two_coloring
 
 
 class SimplicialComplexK:
@@ -56,12 +56,6 @@ class SimplicialComplexK:
     @property
     def num_simplices(self) -> int:
         return len(self.simplices)
-
-    def vertex_valence(self, v: int) -> int:
-        return sum(1 for s in self.simplices if v in s)
-
-    def edge_multiplicity(self, u: int, v: int) -> int:
-        return sum(1 for s in self.simplices if u in s and v in s)
 
     def corner_valences(self):
         """Valences of all (k-2)-simplices (number of k-simplices containing
@@ -102,23 +96,6 @@ def canonical_local_holonomy_ok(x: SimplicialComplexK, manifold_mode: bool = Tru
         if not x.is_closed_manifold():
             raise NotAManifold("complex has boundary facets")
     return all(v % 2 == 0 for v in x.corner_valences().values())
-
-
-def _dual_tree(x: SimplicialComplexK, base: int):
-    return dual_tree(x.adjacency().__getitem__, x.num_simplices, base)
-
-
-def _carry_labels(labels: dict, sa, sb) -> dict:
-    """Vertex -> slot labels moved from simplex `sa` to the facet-adjacent
-    simplex `sb`: the shared facet keeps its labels, the new vertex takes
-    the dropped vertex's slot."""
-    sa, sb = set(sa), set(sb)
-    dropped, new = sa - sb, sb - sa
-    if len(dropped) != 1 or len(new) != 1:
-        raise ValueError(f"simplices {sorted(sa)},{sorted(sb)} do not share a (k-1)-facet")
-    out = {v: labels[v] for v in sa & sb}
-    out[new.pop()] = labels[dropped.pop()]
-    return out
 
 
 def slot_permutation(simplices, closed_walk) -> tuple:
@@ -173,14 +150,18 @@ class KHolonomy:
 def classify_holonomy_k(x: SimplicialComplexK, base: int = 0) -> KHolonomy:
     """Holonomy subgroup of S_{k+1} of the canonical connection, its orbit
     count q on the value slots, and the covariant dimension q - 1."""
+    return _holonomy_k(x, base)[1]
+
+
+def _holonomy_k(x: SimplicialComplexK, base: int):
+    """(tree slot labels per simplex, KHolonomy) from one label sweep."""
     if not canonical_local_holonomy_ok(x):
         raise LocalHolonomyNontrivial("a (k-2)-simplex has odd valence")
-    parent, _, cotree = _dual_tree(x, base)
-    gens = tuple(slot_permutation(x.simplices, walk) for walk in cotree_walks(parent, cotree))
+    labels, gens = label_sweep(x.simplices, x.adjacency().__getitem__, x.num_simplices, base)
     group = generated_group(gens, x.k + 1)
     orbits = _orbits(group, x.k + 1)
     q = len(orbits)
-    return KHolonomy(tuple(sorted(group)), gens, q, q - 1, orbits)
+    return labels, KHolonomy(tuple(sorted(group)), gens, q, q - 1, orbits)
 
 
 def _orbits(group, k1):
@@ -204,16 +185,11 @@ def _orbits(group, k1):
 
 def vertex_orbit_classes(x: SimplicialComplexK, base: int = 0) -> tuple[dict, KHolonomy]:
     """Assign every vertex the orbit index of its slot under tree transport."""
-    hol = classify_holonomy_k(x, base)
-    parent, order, _ = _dual_tree(x, base)
+    labels_of, hol = _holonomy_k(x, base)
     orbit_of_slot = {}
     for i, orbit in enumerate(hol.orbits):
         for s in orbit:
             orbit_of_slot[s] = i
-    labels_of = {base: {v: i for i, v in enumerate(x.simplices[base])}}
-    for t in order[1:]:
-        p = parent[t]
-        labels_of[t] = _carry_labels(labels_of[p], x.simplices[p], x.simplices[t])
     classes = {}
     for t, lab in labels_of.items():
         for v, s in lab.items():

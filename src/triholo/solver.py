@@ -17,7 +17,7 @@ from . import ratmat
 from .connection import (
     DiscreteConnection,
     canonical_connection,
-    holonomy_generators,
+    holonomy_frames,
 )
 from .errors import (
     InconsistentBoundary,
@@ -32,7 +32,6 @@ from .mesh import (
     TriangulatedSurface,
     as_domain,
     bw_face_coloring,
-    dual_tree,
     three_vertex_coloring,
 )
 from .ratmat import frac
@@ -50,42 +49,28 @@ class CovariantConstantSpace:
 def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
     """Solutions of Q psi = 0 on a closed connected zero-curvature surface.
 
-    Seeds are the row vectors invariant under every holonomy generator,
-    propagated from the base triangle through the dual spanning tree.
+    Seeds (c0, c1) are the row vectors invariant under every holonomy
+    generator; psi is c0 times the first plus c1 times the second of the
+    `holonomy_frames` solutions, read where the sweep first meets a vertex.
     """
     surf = conn.surface
     if not surf.is_closed:
         raise ValueError("covariant constants are defined on closed surfaces here")
-    gens = holonomy_generators(conn)  # raises NonzeroCurvature when curved
+    frames, gens = holonomy_frames(conn)  # raises NonzeroCurvature when curved
     rows = []
     for g in gens:
         rows.append([g[0][0] - 1, g[1][0]])
         rows.append([g[0][1], g[1][1] - 1])
     invariant = ratmat.nullspace(rows) if rows else [[Fraction(1), Fraction(0)],
                                                      [Fraction(0), Fraction(1)]]
-    basis = [_propagate_seed(conn, vec) for vec in invariant]
+    at: dict = {}  # vertex -> (first, second) on the first triangle reached
+    for first, second in frames.values():
+        for v in first:
+            at.setdefault(v, (first[v], second[v]))
+    basis = [{v: c0 * a + c1 * b for v, (a, b) in at.items()} for c0, c1 in invariant]
     for psi in basis:
         _assert_solves(conn, psi)
     return CovariantConstantSpace(basis, len(basis))
-
-
-def _propagate_seed(conn: DiscreteConnection, seedpair) -> dict:
-    from .connection import _solve_third
-
-    surf = conn.surface
-    _, order, _ = dual_tree(surf.dual_neighbours, surf.num_triangles)
-    t0 = 0
-    v0, v1, _ = sorted(surf.triangles[t0])
-    values = dict(_solve_third(conn, t0, {v0: frac(seedpair[0]), v1: frac(seedpair[1])}))
-    for t in order:
-        tv = surf.triangles[t]
-        known = {u: values[u] for u in tv if u in values}
-        if len(known) == 3:
-            continue
-        if len(known) != 2:
-            raise NonzeroCurvature("propagation lost contact; curvature nonzero?")
-        values.update(_solve_third(conn, t, known))
-    return values
 
 
 def _assert_solves(conn, psi):

@@ -1,6 +1,9 @@
 """Golden CLI bytes: the sha256 of stdout and of every written file for a
 fixed set of `taylor`, `cauchy`, `green`, `factorize` and `qcd-identity`
-runs, recorded in `tests/data/cli_golden.json`.
+runs, and of the surface commands `mesh-check`, `holonomy`, `covariants`,
+`maxprinciple` and `ksimplicial` on the octahedron, every torus quotient
+`torus_lattice(n, shear)` with 3 <= n <= 6, `hex_patch(3)` and the 6-cycle,
+recorded in `tests/data/cli_golden.json`.
 
 A rerun of the same build is always byte-identical; this test also catches
 output that drifts across a change of the library's internals.  It needs
@@ -19,8 +22,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from triholo import cli, opalgebra
+from fractions import Fraction
+
+from triholo import cli, fixtures, io as tio, opalgebra
 from triholo.lattice import Window
+from triholo.simplicial import cycle_graph
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 
@@ -38,6 +44,69 @@ def _operator_file() -> str:
         fn = getattr(lop, name)
         lines += [f"c {p[0]} {p[1]} {fn(p)}" for p in w.points()]
     return "\n".join(lines) + "\n"
+
+
+def _surfaces() -> dict:
+    """tag -> surface for the surface-command cases."""
+    out = {"octa": fixtures.octahedron()}
+    for n in range(3, 7):
+        for shear in range(n):
+            out[f"torus{n}s{shear}"] = fixtures.torus_lattice(n, shear).surface
+    out["hex3"] = fixtures.hex_patch(3).surface
+    return out
+
+
+def _gauged_connection(surf, seed: int) -> str:
+    """A `.conn` file for b[T, P] = lam_T g_P: the canonical connection
+    under a seeded vertex gauge and triangle scaling, flat but not
+    canonical."""
+    rng = random.Random(seed)
+    g = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+         for _ in range(surf.num_vertices)]
+    lines = []
+    for t, tri in enumerate(surf.triangles):
+        lam = Fraction(rng.randint(1, 7), rng.randint(1, 3))
+        lines += [f"b {t} {i} {lam * g[v]}" for i, v in enumerate(tri)]
+    return "\n".join(lines) + "\n"
+
+
+def _surface_inputs(d: Path) -> None:
+    """Mesh, connection, complex and boundary-value files for the surface
+    cases, written into `d`."""
+    for k, (tag, surf) in enumerate(_surfaces().items()):
+        (d / f"{tag}.tri").write_text(tio.write_mesh(surf))
+        (d / f"{tag}.conn").write_text(_gauged_connection(surf, k))
+        (d / f"{tag}.cplx").write_text("".join(f"s {a} {b} {c}\n"
+                                               for a, b, c in surf.triangles))
+    (d / "c6.cplx").write_text("".join(f"s {a} {b}\n" for a, b in cycle_graph(6).simplices))
+    rng = random.Random(3)
+    for tag in ("octa", "hex3"):
+        verts = sorted(rng.sample(range(6 if tag == "octa" else 37), 4))
+        (d / f"{tag}.psi").write_text("".join(
+            f"psi {v} {Fraction(rng.randint(-9, 9), rng.randint(1, 4))}\n" for v in verts))
+
+
+def surface_cases() -> dict:
+    out = {}
+    for tag in _surfaces():
+        m = ["--mesh", f"{{dir}}/{tag}.tri"]
+        conn = ["--conn", f"{{dir}}/{tag}.conn"]
+        out[f"mesh-check-{tag}"] = (["mesh-check", *m], None)
+        out[f"holonomy-{tag}"] = (["holonomy", *m], None)
+        out[f"holonomy-{tag}-conn"] = (["holonomy", *m, *conn], None)
+        out[f"covariants-{tag}"] = (["covariants", *m], None)
+        out[f"covariants-{tag}-conn"] = (["covariants", *m, *conn], None)
+        for seed in (0, 7):
+            out[f"maxprinciple-{tag}-s{seed}"] = (["maxprinciple", *m, "--seed", str(seed)],
+                                                  None)
+        out[f"ksimplicial-{tag}"] = (["ksimplicial", "--complex", f"{{dir}}/{tag}.cplx"], None)
+    for tag in ("octa", "hex3"):
+        out[f"maxprinciple-{tag}-psi"] = (["maxprinciple", "--mesh", f"{{dir}}/{tag}.tri",
+                                           "--psi", f"{{dir}}/{tag}.psi"], None)
+    out["maxprinciple-hex3-s7-svg"] = (["maxprinciple", "--mesh", "{dir}/hex3.tri", "--seed",
+                                        "7", "--out", "{dir}/mp.svg"], "mp.svg")
+    out["ksimplicial-c6"] = (["ksimplicial", "--complex", "{dir}/c6.cplx"], None)
+    return out
 
 
 def cases() -> dict:
@@ -73,6 +142,7 @@ def cases() -> dict:
                             "--s", "1/2", "--window", "-3", "3"], None)
     out["qcd-float"] = (["qcd-identity", "--mode", "float", "--c", "1.0", "--d", "1.5",
                          "--tol", "1e-12", "--l", "0.25,0.1,0.4,0.25"], None)
+    out.update(surface_cases())
     return out
 
 
@@ -88,11 +158,12 @@ def compute() -> dict:
         (d / "dom.ld").write_text(DOMAIN)
         op_text = _operator_file()
         (d / "random.op").write_text(op_text)
+        _surface_inputs(d)
         result["input-random.op"] = {"exit": 0, "stdout": _sha(op_text.encode()),
                                      "file": None}
         for name, (argv, written) in cases().items():
             buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
+            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
                 rc = cli.main([a.replace("{dir}", tmp) for a in argv])
             entry = {"exit": rc, "stdout": _sha(buf.getvalue().encode()), "file": None}
             if written is not None:

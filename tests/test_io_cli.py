@@ -52,6 +52,17 @@ def test_connection_triangle_index_out_of_range(octa, line):
         io.parse_connection(line + "\n", octa)
 
 
+@pytest.mark.parametrize("parse, text, match", [
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 0 2\nb 0 0 5\n",
+     "duplicate coefficient for triangle 0, vertex 0: 'b 0 0 5'"),
+    (io.parse_representation, "R 0 1 0 1 1 0\nR 0 1 1 0 0 1\n",
+     r"duplicate matrix for edge \(0, 1\): 'R 0 1 1 0 0 1'"),
+])
+def test_duplicate_lines_rejected(parse, text, match):
+    with pytest.raises(ValueError, match=match):
+        parse(text)
+
+
 def test_complex_file_comments_and_blanks():
     x = io.parse_complex("# a 4-cycle\ns 0 1\n\ns 1 2  # inline\ns 2 3\ns 3 0\n")
     assert (x.k, x.num_simplices) == (1, 4)
@@ -447,3 +458,26 @@ def test_cli_maxprinciple_rejects_boundary_value_outside_domain(fixture_dir, tmp
                             "--psi", str(tmp_path / "outside.bv")])
     assert_typed_error(rc, out, err)
     assert f"[{outside}]" in json.loads(out)["message"]
+
+
+def test_cli_holonomy_rejects_duplicate_connection_line(fixture_dir, tmp_path):
+    conn_file = tmp_path / "dup.conn"
+    conn_file.write_text("b 0 0 2\nb 0 0 5\n")
+    rc, out, err = run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
+                            "--conn", str(conn_file)])
+    assert_typed_error(rc, out, err)
+    assert "'b 0 0 5'" in json.loads(out)["message"]
+
+
+def test_cli_edge_disconnected_domains(fixture_dir, tmp_path):
+    # triangles 0 and 1 of hex_patch(3) share only a vertex
+    surf = fixtures.hex_patch(3).surface
+    assert len(set(surf.triangles[0]) & set(surf.triangles[1])) == 1
+    (tmp_path / "pinch.dom").write_text("d 0\nd 1\n")
+    (tmp_path / "two.tri").write_text("tri-surface v1\nt 0 1 2\nt 3 4 5\n")
+    for argv in (["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
+                  "--domain", str(tmp_path / "pinch.dom")],
+                 ["mesh-check", "--mesh", str(tmp_path / "two.tri")]):
+        rc, out, err = run_cli(argv)
+        assert_typed_error(rc, out, err)
+        assert json.loads(out)["message"] == "dual graph is not connected"

@@ -131,6 +131,16 @@ def test_three_coloring_even_patches_succeed():
         assert mesh.three_vertex_coloring(patch.surface) is not None
 
 
+def test_three_coloring_edge_disconnected_domain_raises():
+    # a domain pinched at a vertex, and two triangles with nothing shared
+    surf = fixtures.hex_patch(3).surface
+    pinched = mesh.SubComplexDomain(surf, frozenset({0, 1}))
+    apart = mesh.build_surface([(0, 1, 2), (3, 4, 5)])
+    for arg in (pinched, apart):
+        with pytest.raises(ValueError, match="dual graph is not connected"):
+            mesh.three_vertex_coloring(arg)
+
+
 def test_homomorphism_signs(octa, ico, torus4):
     from triholo.connection import generator_loops
 
