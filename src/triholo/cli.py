@@ -5,9 +5,11 @@ cauchy, green, factorize, qcd-identity, ksimplicial.
 
 The main artifact is JSON on stdout (or --out); when --out ends in .csv
 or .svg the fitting representation is written instead, rendered only then
-(subcommands return zero-argument csv/svg renderers).  Domain errors
-exit 1 with a JSON error body; usage errors exit 2.  Rational-mode runs
-are byte-identical for identical inputs and seeds.
+(subcommands return zero-argument csv/svg renderers).  Each subcommand
+accepts only the options it reads (`COMMANDS`), and --out/--format.
+Domain errors exit 1 with a JSON error body; usage errors, an unread
+option among them, exit 2.  Rational-mode runs are byte-identical for
+identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ def _jsonable(x):
 
 
 def _emit(args, payload: dict, csv=None, svg=None) -> None:
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", None)
+    out, fmt = args.out, args.format
     if out is not None and fmt is None:
         if out.endswith(".csv"):
             fmt = "csv"
@@ -98,7 +99,7 @@ def _load_mesh(args) -> mesh.TriangulatedSurface:
 
 
 def _load_connection(args, surface):
-    if getattr(args, "conn", None):
+    if args.conn:
         return io.parse_connection(_read(args.conn), surface)
     return conn_mod.canonical_connection(surface)
 
@@ -347,90 +348,72 @@ def cmd_ksimplicial(args) -> dict:
 
 # --- argument parsing ----------------------------------------------------------
 
+# argparse keywords of every option; `--window` takes its default from COMMANDS.
+OPTIONS = {
+    "mesh": dict(required=True),
+    "conn": dict(default=None),
+    "domain": dict(default=None, help="triangle-subset (.dom) or lattice (.ld) domain file"),
+    "psi": dict(default=None),
+    "order": dict(type=_nonnegative_int, default=5),
+    "op": dict(required=True),
+    "c": dict(default="1"),
+    "d": dict(default="1"),
+    "q": dict(default="2"),
+    "s": dict(default="3"),
+    "l": dict(default=None, help="l11,l12,l21,l22 for float mode"),
+    "complex": dict(required=True),
+    "seed": dict(type=int, default=0),
+    "mode": dict(choices=("rational", "float"), default="rational"),
+    "tol": dict(type=float, default=None),
+    "out": dict(default=None),
+    "format": dict(choices=("json", "csv", "svg"), default=None),
+    "window": dict(type=int, nargs="+"),
+}
+
+# subcommand -> (function, the options it reads, --window default or None)
+COMMANDS = {
+    "mesh-check": (cmd_mesh_check, ("mesh",), None),
+    "holonomy": (cmd_holonomy, ("mesh", "conn"), None),
+    "covariants": (cmd_covariants, ("mesh", "conn"), None),
+    "maxprinciple": (cmd_maxprinciple, ("mesh", "domain", "psi", "seed"), None),
+    "taylor": (cmd_taylor, ("order", "seed"), [-16, 10, -16, 10]),
+    "cauchy": (cmd_cauchy, ("domain", "seed"), [-12, 12, -12, 12]),
+    "green": (cmd_green, (), [-5, 25]),
+    "factorize": (cmd_factorize, ("op", "mode", "tol"), [0, 11, 0, 11]),
+    "qcd-identity": (cmd_qcd_identity, ("c", "d", "q", "s", "l", "mode", "tol"),
+                     [-5, 5, -5, 5]),
+    "ksimplicial": (cmd_ksimplicial, ("complex",), None),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry, taking exactly its options plus
+    --out and --format; any other option is a usage error."""
     p = argparse.ArgumentParser(prog="triholo",
                                 description="triangle operators and discrete holomorphy")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, window_default=None):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--mode", choices=("rational", "float"), default="rational")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("json", "csv", "svg"), default=None)
-        if window_default is not None:
-            sp.add_argument("--window", type=int, nargs="+", default=window_default)
-
-    sp = sub.add_parser("mesh-check")
-    sp.add_argument("--mesh", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_mesh_check)
-
-    sp = sub.add_parser("holonomy")
-    sp.add_argument("--mesh", required=True)
-    sp.add_argument("--conn", default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_holonomy)
-
-    sp = sub.add_parser("covariants")
-    sp.add_argument("--mesh", required=True)
-    sp.add_argument("--conn", default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_covariants)
-
-    sp = sub.add_parser("maxprinciple")
-    sp.add_argument("--mesh", required=True)
-    sp.add_argument("--domain", default=None)
-    sp.add_argument("--psi", default=None)
-    common(sp)
-    sp.set_defaults(func=cmd_maxprinciple)
-
-    sp = sub.add_parser("taylor")
-    sp.add_argument("--order", type=_nonnegative_int, default=5)
-    common(sp, window_default=[-16, 10, -16, 10])
-    sp.set_defaults(func=cmd_taylor)
-
-    sp = sub.add_parser("cauchy")
-    sp.add_argument("--domain", default=None,
-                    help="lattice domain file (`d b|w n1 n2` lines)")
-    common(sp, window_default=[-12, 12, -12, 12])
-    sp.set_defaults(func=cmd_cauchy)
-
-    sp = sub.add_parser("green")
-    common(sp, window_default=[-5, 25])
-    sp.set_defaults(func=cmd_green)
-
-    sp = sub.add_parser("factorize")
-    sp.add_argument("--op", required=True)
-    common(sp, window_default=[0, 11, 0, 11])
-    sp.set_defaults(func=cmd_factorize)
-
-    sp = sub.add_parser("qcd-identity")
-    sp.add_argument("--c", default="1")
-    sp.add_argument("--d", default="1")
-    sp.add_argument("--q", default="2")
-    sp.add_argument("--s", default="3")
-    sp.add_argument("--l", default=None, help="l11,l12,l21,l22 for float mode")
-    common(sp, window_default=[-5, 5, -5, 5])
-    sp.set_defaults(func=cmd_qcd_identity)
-
-    sp = sub.add_parser("ksimplicial")
-    sp.add_argument("--complex", required=True)
-    common(sp)
-    sp.set_defaults(func=cmd_ksimplicial)
-
+    for name, (_, options, window) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        for opt in (*options, "out", "format"):
+            sp.add_argument(f"--{opt}", **OPTIONS[opt])
+        if window is not None:
+            sp.add_argument("--window", default=window, **OPTIONS["window"])
     return p
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.mode == "float" and args.tol is None:
+    mode = getattr(args, "mode", None)
+    if mode == "float" and args.tol is None:
         parser.error("--mode float requires --tol")
-    if args.mode == "rational" and args.tol is not None:
+    if mode == "rational" and args.tol is not None:
         parser.error("--tol is only meaningful with --mode float")
+    # Looked up by name at call time, so a rebinding of the module
+    # attribute (a tracer's wrapper) is the function that runs.
+    cmd = globals()[COMMANDS[args.command][0].__name__]
     try:
-        result = args.func(args)
+        result = cmd(args)
     except (TriholoError, ValueError, OSError, KeyError) as exc:
         body = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(body, sort_keys=True), file=sys.stderr)

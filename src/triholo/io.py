@@ -31,19 +31,28 @@ def _rational(token: str, line: str) -> Fraction:
         raise ValueError(f"zero denominator: {line!r}") from None
 
 
+def _once(seen: dict, key, value, message: str) -> None:
+    """seen[key] = value for the first record of `key`; a second record is
+    a ValueError with `message`, so no file line is silently overridden."""
+    if key in seen:
+        raise ValueError(message)
+    seen[key] = value
+
+
 def parse_mesh(text: str) -> TriangulatedSurface:
-    """Mesh file: header line, `v <count>`, then `t i j k` per triangle."""
+    """Mesh file: header line, an optional `v <count>` line, then `t i j k`
+    per triangle."""
     lines = list(_lines(text))
     if not lines or lines[0] != MESH_HEADER:
         raise ValueError(f"mesh file must start with {MESH_HEADER!r}")
-    vcount = None
+    header = {}
     triples = []
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "v":
             if len(parts) != 2:
                 raise ValueError(f"bad vertex-count line: {line!r}")
-            vcount = int(parts[1])
+            _once(header, "v", int(parts[1]), f"second vertex-count line: {line!r}")
         elif parts[0] == "t":
             if len(parts) != 4:
                 raise ValueError(f"bad triangle line: {line!r}")
@@ -51,6 +60,7 @@ def parse_mesh(text: str) -> TriangulatedSurface:
         else:
             raise ValueError(f"unknown mesh line: {line!r}")
     surf = build_surface(triples)
+    vcount = header.get("v")
     if vcount is not None and vcount != surf.num_vertices:
         raise ValueError(f"header says {vcount} vertices, file uses {surf.num_vertices}")
     return surf
@@ -63,13 +73,14 @@ def write_mesh(surf: TriangulatedSurface) -> str:
 
 
 def parse_domain(text: str, surface: TriangulatedSurface) -> SubComplexDomain:
-    """Domain file: `d <triangle-index>` lines referencing a mesh file."""
-    tris = set()
+    """Domain file: `d <triangle-index>` lines referencing a mesh file, at
+    most one per triangle."""
+    tris = {}
     for line in _lines(text):
         parts = line.split()
         if parts[0] != "d" or len(parts) != 2:
             raise ValueError(f"bad domain line: {line!r}")
-        tris.add(int(parts[1]))
+        _once(tris, int(parts[1]), None, f"duplicate domain triangle: {line!r}")
     return SubComplexDomain(surface, frozenset(tris))
 
 
@@ -93,10 +104,8 @@ def parse_connection(text: str, surface: TriangulatedSurface):
             raise ValueError(f"triangle index must be 0..{surface.num_triangles - 1}: {line!r}")
         if local not in (0, 1, 2):
             raise ValueError(f"local vertex must be 0|1|2: {line!r}")
-        v = surface.triangles[t][local]
-        if (t, v) in coeffs:
-            raise ValueError(f"duplicate coefficient for triangle {t}, vertex {local}: {line!r}")
-        coeffs[(t, v)] = _rational(parts[3], line)
+        _once(coeffs, (t, surface.triangles[t][local]), _rational(parts[3], line),
+              f"duplicate coefficient for triangle {t}, vertex {local}: {line!r}")
     return DiscreteConnection(surface, coeffs)
 
 
@@ -128,10 +137,8 @@ def parse_representation(text: str) -> dict:
         if parts[0] != "R" or len(parts) != 7:
             raise ValueError(f"bad representation line: {line!r}")
         u, v = int(parts[1]), int(parts[2])
-        if (u, v) in out:
-            raise ValueError(f"duplicate matrix for edge ({u}, {v}): {line!r}")
-        vals = [_rational(p, line) for p in parts[3:]]
-        out[(u, v)] = [[vals[0], vals[1]], [vals[2], vals[3]]]
+        a, b, c, d = (_rational(p, line) for p in parts[3:])
+        _once(out, (u, v), [[a, b], [c, d]], f"duplicate matrix for edge ({u}, {v}): {line!r}")
     return out
 
 
@@ -146,20 +153,21 @@ def parse_boundary_values(text: str, surface: TriangulatedSurface) -> dict:
         v = int(parts[1])
         if not 0 <= v < surface.num_vertices:
             raise ValueError(f"vertex index must be 0..{surface.num_vertices - 1}: {line!r}")
-        if v in out:
-            raise ValueError(f"duplicate boundary value for vertex {v}: {line!r}")
-        out[v] = _rational(parts[2], line)
+        _once(out, v, _rational(parts[2], line),
+              f"duplicate boundary value for vertex {v}: {line!r}")
     return out
 
 
 def parse_lattice_function(text: str, window: Window | None = None) -> LatticeFunction:
-    """Lattice function file: `f <n1> <n2> <rational>`."""
+    """Lattice function file: `f <n1> <n2> <rational>`, at most one line per
+    point."""
     vals = {}
     for line in _lines(text):
         parts = line.split()
         if parts[0] != "f" or len(parts) != 4:
             raise ValueError(f"bad lattice line: {line!r}")
-        vals[(int(parts[1]), int(parts[2]))] = _rational(parts[3], line)
+        _once(vals, (int(parts[1]), int(parts[2])), _rational(parts[3], line),
+              f"duplicate lattice point: {line!r}")
     if window is None:
         if not vals:
             raise ValueError("empty lattice function needs a window")
@@ -175,45 +183,44 @@ def write_lattice_function(f: LatticeFunction) -> str:
 
 
 def parse_lattice_domain_points(text: str):
-    """Lattice domain file: `d b|w <n1> <n2>` per triangle."""
+    """Lattice domain file: `d b|w <n1> <n2>`, one line per triangle."""
     from .lattice import LatticeDomain
 
-    tris = set()
+    tris = {}
     for line in _lines(text):
         parts = line.split()
         if parts[0] != "d" or len(parts) != 4 or parts[1] not in ("b", "w"):
             raise ValueError(f"bad lattice domain line: {line!r}")
-        tris.add((parts[1], (int(parts[2]), int(parts[3]))))
+        _once(tris, (parts[1], (int(parts[2]), int(parts[3]))), None,
+              f"duplicate lattice domain triangle: {line!r}")
     return LatticeDomain(frozenset(tris))
 
 
 def parse_operator(text: str) -> DifferenceOperator:
     """Operator file: `op <a1> <a2>` term headers, each followed by
-    coefficient grid lines `c <n1> <n2> <value>`; a term with no grid lines
-    is the constant 1."""
-    terms: dict = {}
+    coefficient grid lines `c <n1> <n2> <value>`, one header per shift and
+    one line per point of a term; a term with no grid lines is the
+    constant 1."""
+    grids: dict = {}
     current: dict | None = None
-    alpha = None
     for line in _lines(text):
         parts = line.split()
         if parts[0] == "op":
             if len(parts) != 3:
                 raise ValueError(f"bad operator term line: {line!r}")
-            if alpha is not None:
-                terms[alpha] = _grid_coeff(current)
-            alpha = (int(parts[1]), int(parts[2]))
             current = {}
+            _once(grids, (int(parts[1]), int(parts[2])), current,
+                  f"repeated operator term: {line!r}")
         elif parts[0] == "c":
             if current is None:
                 raise ValueError("coefficient line before any `op` header")
             if len(parts) != 4:
                 raise ValueError(f"bad coefficient line: {line!r}")
-            current[(int(parts[1]), int(parts[2]))] = _rational(parts[3], line)
+            _once(current, (int(parts[1]), int(parts[2])), _rational(parts[3], line),
+                  f"duplicate operator coefficient: {line!r}")
         else:
             raise ValueError(f"unknown operator line: {line!r}")
-    if alpha is not None:
-        terms[alpha] = _grid_coeff(current)
-    return DifferenceOperator(terms)
+    return DifferenceOperator({alpha: _grid_coeff(grid) for alpha, grid in grids.items()})
 
 
 def _grid_coeff(grid: dict):

@@ -32,7 +32,7 @@ from .errors import (
     WindowExhausted,
     WindowNotSectorClosed,
 )
-from .ratmat import frac
+from .ratmat import frac, solve_affine
 
 Point = tuple[int, int]
 
@@ -391,13 +391,12 @@ def required_trefoil(center: Point, window: Window) -> list:
     return trefoil_points(center, count_a, count_b, count_c)
 
 
-def random_holomorphic(window: Window, rng: random.Random,
-                       center: Point | None = None, lo: int = -9, hi: int = 9,
-                       pad: int = 0) -> LatticeFunction:
-    """Random element of H on a (padded) window via random trefoil data."""
+def random_holomorphic(window: Window, rng: random.Random, pad: int = 0) -> LatticeFunction:
+    """Random element of H on the window grown by `pad` on every side: the
+    extension of trefoil data p/q (-9 <= p <= 9, 1 <= q <= 4) at its center."""
     w = Window(window.x0 - pad, window.x1 + pad, window.y0 - pad, window.y1 + pad)
-    c = center if center is not None else w.center()
-    y = {p: Fraction(rng.randint(lo, hi), rng.randint(1, 4)) for p in required_trefoil(c, w)}
+    c = w.center()
+    y = {p: Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for p in required_trefoil(c, w)}
     return extend_holomorphic(c, y, w)
 
 
@@ -512,16 +511,11 @@ def _check_affine(psi, phi, w):
             raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
 
 
-def holomorphic_antiderivative(phi: LatticeFunction, window: Window,
-                               normalize_at: tuple = ((0, 0), (-1, 0))) -> LatticeFunction:
-    """psi with Q psi = phi and Q+ psi = 0, pinned to vanish at two points.
-
-    The two normalization points must have different (n1 - n2) mod 3
-    residues and lie in the window; default ((0,0), (-1,0)).
-    """
+def holomorphic_antiderivative(phi: LatticeFunction, window: Window) -> LatticeFunction:
+    """psi with Q psi = phi and Q+ psi = 0, pinned to vanish at (0, 0) and
+    (-1, 0), which must lie in the window."""
     psi = solve_q_affine(phi, window)
-    p, q = normalize_at
-    return pin_covariant(psi, p, q)
+    return pin_covariant(psi, (0, 0), (-1, 0))
 
 
 def pin_covariant(psi: LatticeFunction, p: Point, q: Point) -> LatticeFunction:
@@ -674,35 +668,14 @@ def taylor_coefficients(psi: LatticeFunction, seq: AdmissibleSequence, order: in
             raise WindowExhausted(f"window exhausted reading T^b({k})")
         b1 = _apex_values(tb, i1)
         b2 = _apex_values(tb, i2)
-        out.append(_solve_pair(triple, b1, b2))
-    return out
-
-
-def _solve_pair(triple, b1, b2) -> tuple[Fraction, Fraction]:
-    """Solve value = a1*b1 + a2*b2 on the three points of a black triangle."""
-    pts = [p for p, _ in triple]
-    rows = [(b1[p], b2[p]) for p in pts]
-    vals = [v for _, v in triple]
-    found = None
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            d = rows[i][0] * rows[j][1] - rows[j][0] * rows[i][1]
-            if d != 0:
-                a1 = (vals[i] * rows[j][1] - vals[j] * rows[i][1]) / d
-                a2 = (rows[i][0] * vals[j] - rows[j][0] * vals[i]) / d
-                found = (a1, a2)
-                break
-        if found:
-            break
-    if found is None:
-        raise ArithmeticError("side polynomials degenerate on T^b(k)")
-    a1, a2 = found
-    for (p, v), (r1, r2) in zip(triple, rows):
-        if a1 * r1 + a2 * r2 != v:
+        # value = a1 * b1 + a2 * b2 on the three points of T^b(k)
+        alpha, null = solve_affine([[b1[p], b2[p]] for p, _ in triple], [v for _, v in triple])
+        if null:
+            raise ArithmeticError("side polynomials degenerate on T^b(k)")
+        if alpha is None:
             raise NotHolomorphic("derivative values not in the covariant plane")
-    return (a1, a2)
+        out.append(tuple(alpha))
+    return out
 
 
 def taylor_partial_sum(seq: AdmissibleSequence, coeffs: list, window: Window,

@@ -525,21 +525,24 @@ def three_vertex_coloring(surface_or_domain) -> Coloring | None:
     propagation meets a contradiction.
 
     The lowest-index triangle receives colors (a, b, c) in vertex-index
-    order; colors then propagate as slot labels (`label_sweep`), so an
-    edge-disconnected domain is a ValueError.
+    order; down the BFS dual tree (`dual_tree`) each new triangle's third
+    vertex takes the color of the parent vertex it replaces, the one color
+    its shared edge lacks.  An edge-disconnected domain is a ValueError.
     """
     dom = as_domain(surface_or_domain)
-    surf = dom.surface
+    triangles = dom.surface.triangles
     tris = sorted(dom.tris)
     if not tris:
         return Coloring(vertex_colors={})
-    labels, _ = label_sweep(surf.triangles, lambda t: _domain_neighbours(dom, t),
-                            len(tris), tris[0])
-    colors: dict[int, int] = {}
-    for lab in labels.values():
-        colors.update(lab)
+    parent, order, _ = dual_tree(lambda t: _domain_neighbours(dom, t), len(tris), tris[0])
+    colors = {v: c for c, v in enumerate(sorted(triangles[tris[0]]))}
+    for t in order[1:]:
+        pt, tt = triangles[parent[t]], triangles[t]
+        new, = (v for v in tt if v not in pt)
+        old, = (v for v in pt if v not in tt)
+        colors[new] = colors[old]
     for t in tris:
-        if len({colors[v] for v in surf.triangles[t]}) != 3:
+        if len({colors[v] for v in triangles[t]}) != 3:
             return None
     return Coloring(vertex_colors=colors)
 

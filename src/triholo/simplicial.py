@@ -83,18 +83,17 @@ class SimplicialComplexK:
         return {i: sorted(ns) for i, ns in nbrs.items()}
 
 
-def canonical_local_holonomy_ok(x: SimplicialComplexK, manifold_mode: bool = True) -> bool:
+def canonical_local_holonomy_ok(x: SimplicialComplexK) -> bool:
     """Trivial local holonomy of the canonical connection: always for k = 1;
-    for k >= 2, a triangulated k-manifold with every (k-2)-simplex of even
-    valence."""
+    for k >= 2, a closed triangulated k-manifold (else NotAManifold) with
+    every (k-2)-simplex of even valence."""
     if x.k == 1:
         return True
-    if manifold_mode:
-        for facet, members in x.facet_simplices.items():
-            if len(members) > 2:
-                raise NotAManifold(f"facet {facet} lies in {len(members)} simplices")
-        if not x.is_closed_manifold():
-            raise NotAManifold("complex has boundary facets")
+    for facet, members in x.facet_simplices.items():
+        if len(members) > 2:
+            raise NotAManifold(f"facet {facet} lies in {len(members)} simplices")
+    if not x.is_closed_manifold():
+        raise NotAManifold("complex has boundary facets")
     return all(v % 2 == 0 for v in x.corner_valences().values())
 
 

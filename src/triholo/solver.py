@@ -197,18 +197,19 @@ class BWSolveResult:
     free_vertices: tuple = ()
 
 
-def solve_bw(domain, coloring: Coloring, boundary_values: dict,
-             check_holonomy: bool = True) -> BWSolveResult:
+def solve_bw(domain, coloring: Coloring, boundary_values: dict) -> BWSolveResult:
     """Solve the black triangle equations on M' with prescribed values.
 
     Unknowns are the unprescribed vertices of the domain; equations are
     the black triangles of M'.  Underdetermined systems are returned as a
-    particular solution plus an exact null-space description.  A value
-    prescribed on a vertex outside the domain is a ValueError.
+    particular solution plus an exact null-space description.  A domain
+    with no vertex 3-colouring (nontrivial holonomy) raises
+    NonTrivialHolonomy; a value prescribed on a vertex outside the domain
+    is a ValueError.
     """
     dom = as_domain(domain)
     surf = dom.surface
-    if check_holonomy and three_vertex_coloring(dom) is None:
+    if three_vertex_coloring(dom) is None:
         raise NonTrivialHolonomy("domain has no global tri-coloring")
     blacks = sorted(t for t in dom.tris if coloring.face_colors[t] == BLACK)
     verts = sorted(dom.vertices)

@@ -481,3 +481,47 @@ def test_cli_edge_disconnected_domains(fixture_dir, tmp_path):
         rc, out, err = run_cli(argv)
         assert_typed_error(rc, out, err)
         assert json.loads(out)["message"] == "dual graph is not connected"
+
+
+@pytest.mark.parametrize("parse, text, match", [
+    (io.parse_lattice_function, "f 0 0 1\nf 1 0 2\nf 0 0 1\n",
+     r"duplicate lattice point: 'f 0 0 1'"),
+    (lambda t: io.parse_domain(t, fixtures.octahedron()), "d 0\nd 3\nd 0\n",
+     r"duplicate domain triangle: 'd 0'"),
+    (io.parse_lattice_domain_points, "d b 2 3\nd w 2 3\nd b 2 3\n",
+     r"duplicate lattice domain triangle: 'd b 2 3'"),
+    (io.parse_operator, "op 0 0\nc 1 1 2\nop 1 0\nop 0 0\nc 1 1 3\n",
+     r"repeated operator term: 'op 0 0'"),
+    (io.parse_operator, "op 0 0\nc 1 1 2\nc 1 2 5\nc 1 1 3\n",
+     r"duplicate operator coefficient: 'c 1 1 3'"),
+    (io.parse_mesh, "tri-surface v1\nv 3\nt 0 1 2\nv 3\n",
+     r"second vertex-count line: 'v 3'"),
+    (lambda t: io.parse_boundary_values(t, fixtures.octahedron()), "psi 3 1\npsi 3 7\n",
+     r"duplicate boundary value for vertex 3: 'psi 3 7'"),
+], ids=["lattice-function", "domain", "lattice-domain", "operator-term",
+        "operator-coefficient", "mesh-vertex-count", "boundary-values"])
+def test_duplicate_records_name_the_line(parse, text, match):
+    with pytest.raises(ValueError, match=match):
+        parse(text)
+
+
+def test_cli_cauchy_rejects_duplicate_domain_line(tmp_path):
+    dom_file = tmp_path / "dup.ld"
+    dom_file.write_text("d b 0 0\nd w -1 -1\nd b 0 0\n")
+    rc, out, err = run_cli(["cauchy", "--domain", str(dom_file)])
+    assert_typed_error(rc, out, err)
+    assert "'d b 0 0'" in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("record", ["header", "coefficient"])
+def test_cli_factorize_rejects_duplicate_operator_records(fixture_dir, tmp_path, record):
+    text = fixture_dir.joinpath("random.op").read_text()
+    lines = text.splitlines()
+    # the file's first term header again, or its last coefficient line again
+    line = lines[0] if record == "header" else lines[-1]
+    assert line.split()[0] == ("op" if record == "header" else "c")
+    op_file = tmp_path / "dup.op"
+    op_file.write_text(text + "\n" + line + "\n")
+    rc, out, err = run_cli(["factorize", "--op", str(op_file)])
+    assert_typed_error(rc, out, err)
+    assert repr(line) in json.loads(out)["message"]

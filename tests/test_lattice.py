@@ -253,6 +253,19 @@ def test_vanishing_on_Tk_kills_kth_derivative():
         assert all(qk[p] == 0 for p in tb.points())
 
 
+def test_taylor_coefficients_reject_non_holomorphic_psi():
+    # a value off the covariant plane on T^b(0) is caught at k = 0
+    w = L.Window(-16, 10, -16, 10)
+    seq = L.default_admissible((0, 0), 3)
+    for seed in range(3):
+        psi = L.random_holomorphic(w, random.Random(seed))
+        for p in seq.triangle(0).black_subtriangle().points():
+            values = dict(psi.values)
+            values[p] += Fraction(1, 3)
+            with pytest.raises(NotHolomorphic, match="covariant plane"):
+                L.taylor_coefficients(L.LatticeFunction(values, w), seq, 3)
+
+
 def test_taylor_window_exhausted():
     rng = random.Random(1)
     w = L.Window(-4, 4, -4, 4)
