@@ -12,10 +12,15 @@ Generators come from one sweep of the dual tree: GL(2) frames for
 colour permutation in S3, slot labels at k = 2 (`mesh.label_sweep`).
 `transport` and `holonomy_matrix` follow explicit loops.
 
+The canonical connection over the whole surface (`is_plain`) is the plain
+triangle equation psi_a + psi_b + psi_c = 0: its curvature is read off the
+valences and its frames off the slot labels, in integers.  The weighted
+path stays for every other connection.
+
 Conventions
 -----------
-* All arithmetic is exact (`fractions.Fraction`); curvature checks are
-  exact equalities.
+* All arithmetic is exact: `fractions.Fraction`, or `int` where the plain
+  equation needs no division; curvature checks are exact equalities.
 * The solution space at a triangle T = {v0 < v1 < v2} is coordinatized by
   (psi_{v0}, psi_{v1}), the two lowest vertices.  Holonomy matrices of
   loops based at T are written in this basis, which makes loop
@@ -78,6 +83,12 @@ class DiscreteConnection:
     @property
     def is_canonical(self) -> bool:
         return all(v == 1 for v in self.coefficients.values())
+
+    @property
+    def is_plain(self) -> bool:
+        """Canonical over the whole surface: every equation is the plain
+        psi_a + psi_b + psi_c = 0, with no coefficient to look up."""
+        return len(self.family) == self.surface.num_triangles and self.is_canonical
 
 
 def canonical_connection(surface: TriangulatedSurface) -> DiscreteConnection:
@@ -152,9 +163,16 @@ def local_holonomy_by_steps(conn: DiscreteConnection, v: int) -> Mat2:
 
 
 def has_zero_curvature(conn: DiscreteConnection) -> bool:
-    """Exact check k' = 0, k'' = 1 at every interior vertex."""
+    """Exact check k' = 0, k'' = 1 at every interior vertex.
+
+    For a plain connection (b = 1 everywhere) the closed form reads
+    k'' = (-1)^n and k' = -(n mod 2), so the check is that every closed
+    star has even valence n."""
+    stars = conn.surface.stars
+    if conn.is_plain:
+        return all(s.valence % 2 == 0 for s in stars if s.closed)
     for v in range(conn.surface.num_vertices):
-        if not conn.surface.stars[v].closed:
+        if not stars[v].closed:
             continue
         kp, kpp = local_holonomy(conn, v)
         if kp != 0 or kpp != 1:
@@ -304,9 +322,39 @@ def holonomy_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
     """Per triangle, the pair of solutions seeded (1, 0) and (0, 1) on the
     two lowest vertices of triangle 0 and carried down the dual tree; and
     per cotree edge (a, b), R = X F_b^(-1) from the crossed frames X and
-    the tree frames F_b on two vertices of b (`generator_loops` order)."""
+    the tree frames F_b on two vertices of b (`generator_loops` order).
+
+    A plain connection reads both off `mesh.label_sweep`: a vertex in slot
+    s takes (1, 0, -1)[s] and (0, 1, -1)[s] (ints), and the generator of a
+    slot permutation sigma is `permutation_matrix(sigma)`.  Every other
+    connection runs the weighted sweep `_gl2_frames`; both list each
+    frame's vertices in the same order."""
     if not has_zero_curvature(conn):
         raise NonzeroCurvature("connection has nonzero curvature")
+    if conn.is_plain:
+        return _slot_frames(conn.surface)
+    return _gl2_frames(conn)
+
+
+_SLOT_VALUES = ((1, 0, -1), (0, 1, -1))
+
+
+def _slot_frames(surf: TriangulatedSurface) -> tuple[dict, list[Mat2]]:
+    """`holonomy_frames` of the plain connection from the slot labels.  The
+    last label of each triangle is the vertex the sweep solved for (the
+    highest of triangle 0, else the one its tree parent lacks), and
+    `_solve_third` lists that vertex last."""
+    labels, perms = label_sweep(surf.triangles, surf.dual_neighbours, surf.num_triangles)
+    frames = {}
+    for t, lab in labels.items():
+        last = next(reversed(lab))
+        order = [u for u in surf.triangles[t] if u != last] + [last]
+        frames[t] = tuple({u: vals[lab[u]] for u in order} for vals in _SLOT_VALUES)
+    return frames, [permutation_matrix(sigma) for sigma in perms]
+
+
+def _gl2_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
+    """`holonomy_frames` by weighted GL(2) transport with `_solve_third`."""
     surf = conn.surface
     v0, v1, _ = sorted(surf.triangles[0])
     seeds = tuple(_solve_third(conn, 0, {v0: x, v1: y})

@@ -41,12 +41,12 @@ def _once(seen: dict, key, value, message: str) -> None:
 
 def parse_mesh(text: str) -> TriangulatedSurface:
     """Mesh file: header line, an optional `v <count>` line, then `t i j k`
-    per triangle."""
+    per triangle, at most one line per vertex set."""
     lines = list(_lines(text))
     if not lines or lines[0] != MESH_HEADER:
         raise ValueError(f"mesh file must start with {MESH_HEADER!r}")
     header = {}
-    triples = []
+    triples: dict = {}
     for line in lines[1:]:
         parts = line.split()
         if parts[0] == "v":
@@ -56,10 +56,11 @@ def parse_mesh(text: str) -> TriangulatedSurface:
         elif parts[0] == "t":
             if len(parts) != 4:
                 raise ValueError(f"bad triangle line: {line!r}")
-            triples.append(tuple(int(p) for p in parts[1:]))
+            t = tuple(int(p) for p in parts[1:])
+            _once(triples, tuple(sorted(t)), t, f"duplicate triangle: {line!r}")
         else:
             raise ValueError(f"unknown mesh line: {line!r}")
-    surf = build_surface(triples)
+    surf = build_surface(triples.values())
     vcount = header.get("v")
     if vcount is not None and vcount != surf.num_vertices:
         raise ValueError(f"header says {vcount} vertices, file uses {surf.num_vertices}")
@@ -118,14 +119,16 @@ def write_connection(conn) -> str:
 
 
 def parse_complex(text: str) -> SimplicialComplexK:
-    """Complex file: `s <v0> ... <vk>` per top simplex."""
-    simplices = []
+    """Complex file: `s <v0> ... <vk>` per top simplex, at most one line
+    per vertex set."""
+    simplices: dict = {}
     for line in _lines(text):
         parts = line.split()
         if parts[0] != "s":
             raise ValueError(f"bad complex line: {line!r}")
-        simplices.append(tuple(int(p) for p in parts[1:]))
-    return SimplicialComplexK(simplices)
+        s = tuple(int(p) for p in parts[1:])
+        _once(simplices, tuple(sorted(s)), s, f"duplicate simplex: {line!r}")
+    return SimplicialComplexK(list(simplices.values()))
 
 
 def parse_representation(text: str) -> dict:

@@ -9,6 +9,11 @@ row with zero entries left out; `gram` multiplies them and `dense` hands
 them to the elimination.  `rref` takes and returns dense rows but
 eliminates on sparse ones, so its cost follows the nonzeros and the
 fill-in, not rows x columns x rank.
+
+Entries may be ints (the canonical equation matrix is all 1s): `gram`
+and `combine` keep them as they are, while `dense` and `rref` (behind
+`rank`, `nullspace` and `solve_affine`) turn every entry into a Fraction,
+so no elimination divides an int by an int.
 """
 
 from __future__ import annotations
@@ -80,11 +85,11 @@ def combine(*terms) -> list:
 
 
 def dense(rows: list, cols: int) -> Mat:
-    """Sparse rows as a dense matrix with `cols` columns."""
+    """Sparse rows as a dense Fraction matrix with `cols` columns."""
     out = zeros(len(rows), cols)
     for oi, row in zip(out, rows):
         for j, x in row.items():
-            oi[j] = x
+            oi[j] = frac(x)
     return out
 
 
@@ -126,9 +131,10 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     with the fewest nonzeros (row index breaks ties), which keeps fill-in
     low on the 3-nonzero rows of Q.  Back-substitution then clears each
     pivot column from the earlier pivot rows.  Rows of zeros pad the
-    result to the input's row count.
+    result to the input's row count.  Int entries are converted to
+    Fractions on entry, so every entry of the result is a Fraction.
     """
-    rows = [{j: x for j, x in enumerate(row) if x} for row in a]
+    rows = [{j: frac(x) for j, x in enumerate(row) if x} for row in a]
     cols = len(a[0]) if a else 0
     incol: list[set] = [set() for _ in range(cols)]   # column -> rows with a nonzero
     for i, row in enumerate(rows):

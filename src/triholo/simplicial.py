@@ -219,11 +219,13 @@ def covariant_constants_k(x: SimplicialComplexK, base: int = 0) -> list:
 def q_matrix(simplices, rows, coeff=None) -> list:
     """The equation matrix Q as sparse rows (see `ratmat`): one row
     {vertex: coeff(i, vertex)} per simplex index i in `rows`, every
-    coefficient 1 when `coeff` is None (the canonical connection).
-    Surfaces pass their triangles and `DiscreteConnection.b`."""
-    one = Fraction(1)
-    return [{v: one if coeff is None else coeff(i, v) for v in simplices[i]}
-            for i in rows]
+    coefficient the int 1 when `coeff` is None (the canonical connection),
+    so `ratmat.gram` and `combine` multiply ints and `ratmat.rref` turns
+    them into Fractions.  Surfaces with weights pass their triangles and
+    `DiscreteConnection.b`."""
+    if coeff is None:
+        return [dict.fromkeys(simplices[i], 1) for i in rows]
+    return [{v: coeff(i, v) for v in simplices[i]} for i in rows]
 
 
 def assemble_Lk(x: SimplicialComplexK) -> list:

@@ -74,10 +74,15 @@ def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
 
 
 def _assert_solves(conn, psi):
-    surf = conn.surface
-    for t in conn.family:
-        if sum(conn.b(t, v) * psi[v] for v in surf.triangles[t]) != 0:
+    for eq in q_matrix(conn.surface.triangles, conn.family, _coefficients(conn)):
+        if sum(x * psi[v] for v, x in eq.items()) != 0:
             raise NonzeroCurvature("propagated seed fails a triangle equation")
+
+
+def _coefficients(conn):
+    """The coefficient function for `q_matrix`: None (every entry the int 1)
+    for a plain connection, else `conn.b`."""
+    return None if conn.is_plain else conn.b
 
 
 # --- L = Q+Q and identities --------------------------------------------------
@@ -85,7 +90,7 @@ def _assert_solves(conn, psi):
 def assemble_L(conn: DiscreteConnection) -> list:
     """Sparse rows of L = Q+Q over the connection's family."""
     surf = conn.surface
-    return ratmat.gram(q_matrix(surf.triangles, sorted(conn.family), conn.b),
+    return ratmat.gram(q_matrix(surf.triangles, sorted(conn.family), _coefficients(conn)),
                        surf.num_vertices)
 
 
@@ -140,8 +145,8 @@ def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
     if coloring is None:
         return LIdentityReport(l_ok, False, None, None, None)
     half = ratmat.combine((-1, delta), (1, valence_potential(surface, Fraction(3, 2))))
-    qb = q_matrix(surface.triangles, sorted(coloring.black_triangles()), conn.b)
-    qw = q_matrix(surface.triangles, sorted(coloring.white_triangles()), conn.b)
+    qb = q_matrix(surface.triangles, sorted(coloring.black_triangles()))
+    qw = q_matrix(surface.triangles, sorted(coloring.white_triangles()))
     qb_ok = ratmat.gram(qb, nv) == half
     qw_ok = ratmat.gram(qw, nv) == half
     dual_ok = _dual_block_identity(surface, coloring)
@@ -182,7 +187,7 @@ def zero_modes(conn: DiscreteConnection) -> list:
     (3 nonzeros per row) is far cheaper to eliminate than its Gram product.
     """
     surf = conn.surface
-    q = q_matrix(surf.triangles, sorted(conn.family), conn.b)
+    q = q_matrix(surf.triangles, sorted(conn.family), _coefficients(conn))
     return [dict(enumerate(vec))
             for vec in ratmat.nullspace(ratmat.dense(q, surf.num_vertices))]
 

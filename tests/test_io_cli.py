@@ -498,8 +498,12 @@ def test_cli_edge_disconnected_domains(fixture_dir, tmp_path):
      r"second vertex-count line: 'v 3'"),
     (lambda t: io.parse_boundary_values(t, fixtures.octahedron()), "psi 3 1\npsi 3 7\n",
      r"duplicate boundary value for vertex 3: 'psi 3 7'"),
+    (io.parse_mesh, "tri-surface v1\nt 0 1 2\nt 1 2 3\nt 2 1 0\n",
+     r"duplicate triangle: 't 2 1 0'"),
+    (io.parse_complex, "s 0 1\ns 1 2\ns 1 0\n", r"duplicate simplex: 's 1 0'"),
 ], ids=["lattice-function", "domain", "lattice-domain", "operator-term",
-        "operator-coefficient", "mesh-vertex-count", "boundary-values"])
+        "operator-coefficient", "mesh-vertex-count", "boundary-values", "mesh-triangle",
+        "complex-simplex"])
 def test_duplicate_records_name_the_line(parse, text, match):
     with pytest.raises(ValueError, match=match):
         parse(text)
@@ -523,5 +527,17 @@ def test_cli_factorize_rejects_duplicate_operator_records(fixture_dir, tmp_path,
     op_file = tmp_path / "dup.op"
     op_file.write_text(text + "\n" + line + "\n")
     rc, out, err = run_cli(["factorize", "--op", str(op_file)])
+    assert_typed_error(rc, out, err)
+    assert repr(line) in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("cmd, flag, name, text, line", [
+    ("mesh-check", "--mesh", "dup.tri", "tri-surface v1\nt 0 1 2\nt 0 2 3\nt 0 1 2\n",
+     "t 0 1 2"),
+    ("ksimplicial", "--complex", "dup.cplx", "s 0 1\ns 1 2\ns 2 0\ns 0 2\n", "s 0 2"),
+], ids=["mesh-check", "ksimplicial"])
+def test_cli_rejects_duplicate_mesh_and_complex_records(tmp_path, cmd, flag, name, text, line):
+    (tmp_path / name).write_text(text)
+    rc, out, err = run_cli([cmd, flag, str(tmp_path / name)])
     assert_typed_error(rc, out, err)
     assert repr(line) in json.loads(out)["message"]
