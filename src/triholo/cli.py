@@ -414,7 +414,7 @@ def main(argv=None) -> int:
     cmd = globals()[COMMANDS[args.command][0].__name__]
     try:
         result = cmd(args)
-    except (TriholoError, ValueError, OSError, KeyError) as exc:
+    except (TriholoError, ValueError, OSError) as exc:
         body = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(body, sort_keys=True), file=sys.stderr)
         print(json.dumps(body, sort_keys=True))

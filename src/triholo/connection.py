@@ -1,7 +1,7 @@
 """Discrete connections: curvature, parallel transport, holonomy groups.
 
 A connection assigns a nonzero rational coefficient b[T, P] to every
-triangle-vertex incidence of a family of triangles.  Solutions of the
+triangle-vertex incidence of the surface.  Solutions of the
 triangle equation  sum_P b[T, P] psi_P = 0  extend uniquely along thick
 paths; going around a loop yields a 2x2 holonomy matrix acting on row
 vectors from the right.
@@ -12,10 +12,12 @@ Generators come from one sweep of the dual tree: GL(2) frames for
 colour permutation in S3, slot labels at k = 2 (`mesh.label_sweep`).
 `transport` and `holonomy_matrix` follow explicit loops.
 
-The canonical connection over the whole surface (`is_plain`) is the plain
+The canonical connection (`is_canonical`, every b = 1) is the plain
 triangle equation psi_a + psi_b + psi_c = 0: its curvature is read off the
 valences and its frames off the slot labels, in integers.  The weighted
-path stays for every other connection.
+path stays for every other connection.  Restricting Q to a set of triangles
+(the black or the white ones) is `simplicial.q_matrix(triangles, rows)`,
+not a connection.
 
 Conventions
 -----------
@@ -55,11 +57,11 @@ Mat2 = list
 
 
 class DiscreteConnection:
-    """Coefficients b[T, P] over a triangle family (default: all)."""
+    """Coefficients b[T, P] on every triangle; an incidence absent from
+    `coefficients` has b = 1."""
 
-    def __init__(self, surface: TriangulatedSurface, coefficients=None, family=None):
+    def __init__(self, surface: TriangulatedSurface, coefficients=None):
         self.surface = surface
-        self.family = frozenset(range(surface.num_triangles)) if family is None else frozenset(family)
         self.coefficients: dict[tuple[int, int], Fraction] = {}
         if coefficients:
             for (t, v), val in coefficients.items():
@@ -69,26 +71,17 @@ class DiscreteConnection:
                 if v not in surface.triangles[t]:
                     raise ValueError(f"vertex {v} is not in triangle {t}")
                 self.coefficients[(t, v)] = val
-        covered = {v for t in self.family for v in surface.triangles[t]}
-        if covered != set(range(surface.num_vertices)):
-            raise ValueError("every vertex must meet at least one family triangle")
 
     def b(self, t: int, v: int) -> Fraction:
-        if t not in self.family:
-            raise ZeroDivisor(f"triangle {t} is not in the connection family")
         if v not in self.surface.triangles[t]:
             raise ValueError(f"vertex {v} is not in triangle {t}")
         return self.coefficients.get((t, v), Fraction(1))
 
     @property
     def is_canonical(self) -> bool:
+        """Every equation is the plain psi_a + psi_b + psi_c = 0, with no
+        coefficient to look up."""
         return all(v == 1 for v in self.coefficients.values())
-
-    @property
-    def is_plain(self) -> bool:
-        """Canonical over the whole surface: every equation is the plain
-        psi_a + psi_b + psi_c = 0, with no coefficient to look up."""
-        return len(self.family) == self.surface.num_triangles and self.is_canonical
 
 
 def canonical_connection(surface: TriangulatedSurface) -> DiscreteConnection:
@@ -165,11 +158,11 @@ def local_holonomy_by_steps(conn: DiscreteConnection, v: int) -> Mat2:
 def has_zero_curvature(conn: DiscreteConnection) -> bool:
     """Exact check k' = 0, k'' = 1 at every interior vertex.
 
-    For a plain connection (b = 1 everywhere) the closed form reads
+    For the canonical connection (b = 1 everywhere) the closed form reads
     k'' = (-1)^n and k' = -(n mod 2), so the check is that every closed
     star has even valence n."""
     stars = conn.surface.stars
-    if conn.is_plain:
+    if conn.is_canonical:
         return all(s.valence % 2 == 0 for s in stars if s.closed)
     for v in range(conn.surface.num_vertices):
         if not stars[v].closed:
@@ -324,14 +317,14 @@ def holonomy_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
     per cotree edge (a, b), R = X F_b^(-1) from the crossed frames X and
     the tree frames F_b on two vertices of b (`generator_loops` order).
 
-    A plain connection reads both off `mesh.label_sweep`: a vertex in slot
+    The canonical connection reads both off `mesh.label_sweep`: a vertex in slot
     s takes (1, 0, -1)[s] and (0, 1, -1)[s] (ints), and the generator of a
     slot permutation sigma is `permutation_matrix(sigma)`.  Every other
     connection runs the weighted sweep `_gl2_frames`; both list each
     frame's vertices in the same order."""
     if not has_zero_curvature(conn):
         raise NonzeroCurvature("connection has nonzero curvature")
-    if conn.is_plain:
+    if conn.is_canonical:
         return _slot_frames(conn.surface)
     return _gl2_frames(conn)
 
@@ -340,7 +333,7 @@ _SLOT_VALUES = ((1, 0, -1), (0, 1, -1))
 
 
 def _slot_frames(surf: TriangulatedSurface) -> tuple[dict, list[Mat2]]:
-    """`holonomy_frames` of the plain connection from the slot labels.  The
+    """`holonomy_frames` of the canonical connection from the slot labels.  The
     last label of each triangle is the vertex the sweep solved for (the
     highest of triangle 0, else the one its tree parent lacks), and
     `_solve_third` lists that vertex last."""

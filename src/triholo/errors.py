@@ -34,7 +34,8 @@ class SeedViolation(TriholoError):
 
 
 class ZeroDivisor(TriholoError):
-    """A needed connection coefficient is absent from the triangle family."""
+    """A connection coefficient b[T, P] is zero; transport divides by every
+    coefficient, so each must be nonzero."""
 
 
 class NonzeroCurvature(TriholoError):

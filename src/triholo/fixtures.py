@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .lattice import triangle_vertices
 from .mesh import SubComplexDomain, TriangulatedSurface, build_surface
 
 Point = tuple[int, int]
@@ -100,47 +101,34 @@ def hex_distance(p: Point) -> int:
     return abs(a) + abs(b) if a * b >= 0 else max(abs(a), abs(b))
 
 
-def hex_patch(radius: int, center: Point = (0, 0)) -> LatticeSurface:
-    """All lattice triangles whose vertices lie within `radius` of `center`.
+def hex_patch(radius: int) -> LatticeSurface:
+    """All lattice triangles whose vertices lie within `radius` of the
+    origin.
 
     The result is a disc; interior vertices have valence 6.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    cx, cy = center
-
-    def inside(p: Point) -> bool:
-        return hex_distance((p[0] - cx, p[1] - cy)) <= radius
 
     tris: list[tuple[str, Point]] = []
-    for y in range(cy - radius, cy + radius + 1):
-        for x in range(cx - radius, cx + radius + 1):
-            w = [(x, y), (x + 1, y), (x, y + 1)]
-            if all(inside(p) for p in w):
-                tris.append(("w", (x, y)))
-            b = [(x, y), (x - 1, y), (x, y - 1)]
-            if all(inside(p) for p in b):
-                tris.append(("b", (x, y)))
-    points = sorted({p for kind, apex in tris for p in _lattice_tri_points(kind, apex)})
+    for y in range(-radius, radius + 1):
+        for x in range(-radius, radius + 1):
+            for tri in (("w", (x, y)), ("b", (x, y))):
+                if all(hex_distance(p) <= radius for p in triangle_vertices(tri)):
+                    tris.append(tri)
+    points = sorted({p for tri in tris for p in triangle_vertices(tri)})
     vertex_of = {p: k for k, p in enumerate(points)}
     triples = []
     apex_of = {}
     black, white = set(), set()
-    for kind, apex in tris:
+    for tri in tris:
         t = len(triples)
-        triples.append(tuple(vertex_of[p] for p in _lattice_tri_points(kind, apex)))
-        apex_of[t] = (kind, apex)
-        (black if kind == "b" else white).add(t)
+        triples.append(tuple(vertex_of[p] for p in triangle_vertices(tri)))
+        apex_of[t] = tri
+        (black if tri[0] == "b" else white).add(t)
     surface = build_surface(triples)
     return LatticeSurface(surface, tuple(points), vertex_of,
                           frozenset(black), frozenset(white), apex_of)
-
-
-def _lattice_tri_points(kind: str, apex: Point) -> tuple[Point, Point, Point]:
-    x, y = apex
-    if kind == "w":
-        return ((x, y), (x + 1, y), (x, y + 1))
-    return ((x, y), (x - 1, y), (x, y - 1))
 
 
 def lattice_vertex_coloring(ls: LatticeSurface) -> dict:

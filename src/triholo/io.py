@@ -161,9 +161,9 @@ def parse_boundary_values(text: str, surface: TriangulatedSurface) -> dict:
     return out
 
 
-def parse_lattice_function(text: str, window: Window | None = None) -> LatticeFunction:
+def parse_lattice_function(text: str) -> LatticeFunction:
     """Lattice function file: `f <n1> <n2> <rational>`, at most one line per
-    point."""
+    point; the window is the bounding box of the points."""
     vals = {}
     for line in _lines(text):
         parts = line.split()
@@ -171,13 +171,11 @@ def parse_lattice_function(text: str, window: Window | None = None) -> LatticeFu
             raise ValueError(f"bad lattice line: {line!r}")
         _once(vals, (int(parts[1]), int(parts[2])), _rational(parts[3], line),
               f"duplicate lattice point: {line!r}")
-    if window is None:
-        if not vals:
-            raise ValueError("empty lattice function needs a window")
-        xs = [p[0] for p in vals]
-        ys = [p[1] for p in vals]
-        window = Window(min(xs), max(xs), min(ys), max(ys))
-    return LatticeFunction(vals, window)
+    if not vals:
+        raise ValueError("lattice function file has no points")
+    xs = [p[0] for p in vals]
+    ys = [p[1] for p in vals]
+    return LatticeFunction(vals, Window(min(xs), max(xs), min(ys), max(ys)))
 
 
 def write_lattice_function(f: LatticeFunction) -> str:
@@ -233,7 +231,7 @@ def _grid_coeff(grid: dict):
 
     def f(n):
         if n not in table:
-            raise KeyError(f"operator coefficient missing at {n}")
+            raise ValueError(f"operator coefficient missing at {n}")
         return table[n]
 
     return f

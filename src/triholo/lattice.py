@@ -81,7 +81,8 @@ class Window:
 
 
 class LatticeFunction:
-    """Exact-valued function on a window, or of finite support.
+    """Exact-valued function on a window, or of finite support when built
+    without one (`finite_support` is `window is None`).
 
     A windowed function is stored as integer rows over one denominator:
     f(x, y) = rows[y - y0][x - x0] / den, with den > 0 and the pair reduced
@@ -95,25 +96,20 @@ class LatticeFunction:
     functions return 0 off their support instead.
     """
 
-    __slots__ = ("window", "finite_support", "rows", "den", "_support")
+    __slots__ = ("window", "rows", "den", "_support")
 
-    def __init__(self, values: dict, window: Window | None = None,
-                 finite_support: bool = False):
-        if window is None and not finite_support:
-            raise ValueError("either a window or the finite-support flag is required")
+    def __init__(self, values: dict, window: Window | None = None):
         vals = {tuple(p): frac(v) for p, v in values.items()}
         self.window = window
-        self.finite_support = finite_support
-        if window is not None:
-            for p in vals:
-                if not window.contains(p):
-                    raise OutOfWindow(f"value stored outside window: {p}")
-        if finite_support:
+        if window is None:
             self.rows = self.den = None
             self._support = vals
-        else:
-            # over the lcm of reduced denominators the pair is already reduced
-            self.rows, self.den = _dense(vals, window)
+            return
+        for p in vals:
+            if not window.contains(p):
+                raise OutOfWindow(f"value stored outside window: {p}")
+        # over the lcm of reduced denominators the pair is already reduced
+        self.rows, self.den = _dense(vals, window)
 
     @classmethod
     def from_rows(cls, rows: list, den: int, window: Window) -> "LatticeFunction":
@@ -130,8 +126,12 @@ class LatticeFunction:
             rows = [[v // g for v in r] for r in rows]
             den //= g
         f = cls.__new__(cls)
-        f.window, f.finite_support, f.rows, f.den, f._support = window, False, rows, den, None
+        f.window, f.rows, f.den, f._support = window, rows, den, None
         return f
+
+    @property
+    def finite_support(self) -> bool:
+        return self.window is None
 
     @property
     def values(self):
@@ -139,9 +139,9 @@ class LatticeFunction:
 
     def __getitem__(self, p: Point) -> Fraction:
         x, y = p
-        if self.finite_support:
-            return self._support.get((x, y), Fraction(0))
         w = self.window
+        if w is None:
+            return self._support.get((x, y), Fraction(0))
         if not (w.x0 <= x <= w.x1 and w.y0 <= y <= w.y1):
             raise OutOfWindow(f"{(x, y)} outside {w}")
         return Fraction(self.rows[y - w.y0][x - w.x0], self.den)
@@ -159,12 +159,11 @@ class LatticeFunction:
     def __eq__(self, other):
         if not isinstance(other, LatticeFunction):
             return NotImplemented
-        if self.window != other.window or self.finite_support != other.finite_support:
+        if self.window != other.window:
             return NotImplemented
         if not self.finite_support:
             return self.den == other.den and self.rows == other.rows
-        pts = self.window.points() if self.window else set(self.values) | set(other.values)
-        return all(self[p] == other[p] for p in pts)
+        return all(self[p] == other[p] for p in set(self.values) | set(other.values))
 
 
 class _WindowValues(Mapping):
@@ -216,8 +215,9 @@ def _rows_on(f: LatticeFunction, window: Window) -> tuple[list, int]:
     return [r[i:i + width] for r in f.rows[j:j + height]], f.den
 
 
-def delta(at: Point = (0, 0)) -> LatticeFunction:
-    return LatticeFunction({tuple(at): 1}, finite_support=True)
+def delta() -> LatticeFunction:
+    """The finite-support delta function at the origin."""
+    return LatticeFunction({(0, 0): 1})
 
 
 Q_OFFSETS = ((0, 0), E1, E2)
@@ -241,7 +241,7 @@ def _apply_stencil(f, offsets, shrink):
             for off in offsets:
                 q = _sub(p, off)
                 out[q] = out.get(q, Fraction(0)) + v
-        return LatticeFunction(out, finite_support=True)
+        return LatticeFunction(out)
     try:
         new_w = f.window.shrink(**shrink)
     except InsufficientWindow:
@@ -266,9 +266,10 @@ def _stencil_rows(rows: list, window: Window, offsets, out: Window) -> list:
     return result
 
 
-def is_holomorphic(f: LatticeFunction, window: Window | None = None) -> bool:
-    """Q+ f = 0 at every point of the (shrunk) window where the stencil fits."""
-    return not apply_Qplus(f if window is None else f.restrict(window)).support()
+def is_holomorphic(f: LatticeFunction) -> bool:
+    """Q+ f = 0 at every point of f's (shrunk) window where the stencil
+    fits, or everywhere for finite support."""
+    return not apply_Qplus(f).support()
 
 
 # --- covariant constants on the lattice ------------------------------------
@@ -455,31 +456,26 @@ class BigBlackTriangle:
 
 # affine solver: Q psi = phi, Q+ psi = 0 ------------------------------------
 
-def solve_q_affine(phi: LatticeFunction, window: Window,
-                   seeds: tuple = None) -> LatticeFunction:
-    """One exact solution of Q psi = phi, Q+ psi = 0 on the window.
+def solve_q_affine(phi: LatticeFunction, window: Window) -> LatticeFunction:
+    """One exact solution of Q psi = phi, Q+ psi = 0 on the window, the one
+    that vanishes at the two top-right points.
 
     phi must be holomorphic (Q+ phi = 0) wherever the stencil fits, else
     NotHolomorphic.  The solution is unique up to adding a covariant
-    constant; `seeds` optionally pins the two top-right values.
+    constant.
     """
     w = window
     if w.x1 - w.x0 < 1 or w.y1 - w.y0 < 1:
         raise InsufficientWindow("affine solve needs at least a 2x2 window")
-    s1, s2 = (Fraction(0), Fraction(0)) if seeds is None else (frac(seeds[0]), frac(seeds[1]))
-    # Q psi = phi is read on the window less its top row and right column
-    phi_rows, phi_den = _rows_on(phi, Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1))
-    den = math.lcm(phi_den, s1.denominator, s2.denominator)
-    scale = den // phi_den
+    # Q psi = phi is read on the window less its top row and right column,
+    # so psi shares phi's denominator
+    phi_rows, den = _rows_on(phi, Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1))
     width, height = w.size
-    # top two rows (y1, y1 - 1), zigzagging leftward from the seeds
+    # top two rows (y1, y1 - 1), zigzagging leftward from the two zeros
     top, below = [0] * width, [0] * width
-    top[-1] = s1.numerator * (den // s1.denominator)
-    top[-2] = s2.numerator * (den // s2.denominator)
-    below[-1] = -top[-1] - top[-2]
     phi_row = phi_rows[-1]
     for i in range(width - 2, -1, -1):
-        below[i] = phi_row[i] * scale - below[i + 1] - top[i]
+        below[i] = phi_row[i] - below[i + 1] - top[i]
         if i > 0:
             top[i - 1] = -top[i] - below[i]
     rows = [top, below]
@@ -487,7 +483,7 @@ def solve_q_affine(phi: LatticeFunction, window: Window,
     for phi_row in reversed(phi_rows[:-1]):
         above = rows[-1]
         row = [-(a + b) for a, b in zip(above, above[1:])]
-        row.insert(0, phi_row[0] * scale - row[0] - above[0])
+        row.insert(0, phi_row[0] - row[0] - above[0])
         rows.append(row)
     rows.reverse()
     out = LatticeFunction.from_rows(rows, den, w)

@@ -418,14 +418,15 @@ def dual_tree(neighbours, count: int, base: int = 0):
     return parent, order, sorted(cotree)
 
 
-def tree_sweep(neighbours, count: int, base_state, cross, base: int = 0):
-    """Carry `base_state` down the BFS dual tree with `cross(state, a, b)`.
+def tree_sweep(neighbours, count: int, base_state, cross):
+    """Carry `base_state` down the BFS dual tree from node 0 with
+    `cross(state, a, b)`.
 
     Returns the state of every node (in BFS order) and, for each sorted
     cotree edge (a, b), the pair (b, cross(state[a], a, b)): compared with
     state[b] it gives the generator the edge closes."""
-    parent, order, cotree = dual_tree(neighbours, count, base)
-    state = {base: base_state}
+    parent, order, cotree = dual_tree(neighbours, count)
+    state = {0: base_state}
     for t in order[1:]:
         state[t] = cross(state[parent[t]], parent[t], t)
     return state, [(b, cross(state[a], a, b)) for a, b in cotree]
@@ -444,15 +445,15 @@ def _carry_labels(labels: dict, sa, sb) -> dict:
     return out
 
 
-def label_sweep(simplices, neighbours, count: int, base: int = 0):
+def label_sweep(simplices, neighbours, count: int):
     """(vertex -> slot labels per simplex, one slot permutation per cotree
-    edge): `tree_sweep` from `base`, whose sorted vertices own slots 0..k;
-    sigma[labels[b][v]] = crossed[v] is the `simplicial.slot_permutation`
-    of the loop through the edge."""
-    start = {v: i for i, v in enumerate(sorted(simplices[base]))}
+    edge): `tree_sweep` from simplex 0, whose sorted vertices own slots
+    0..k; sigma[labels[b][v]] = crossed[v] is the
+    `simplicial.slot_permutation` of the loop through the edge."""
+    start = {v: i for i, v in enumerate(sorted(simplices[0]))}
     labels, crossings = tree_sweep(
         neighbours, count, start,
-        lambda lab, a, b: _carry_labels(lab, simplices[a], simplices[b]), base)
+        lambda lab, a, b: _carry_labels(lab, simplices[a], simplices[b]))
     gens = []
     for b, crossed in crossings:
         sigma = [0] * len(start)

@@ -78,8 +78,7 @@ class DifferenceOperator:
                 for p, v in f.values.items():
                     q = (p[0] - alpha[0], p[1] - alpha[1])
                     out[q] = out.get(q, Fraction(0)) + c(q) * v
-            return LatticeFunction({p: v for p, v in out.items() if v != 0},
-                                   finite_support=True)
+            return LatticeFunction({p: v for p, v in out.items() if v != 0})
         left, right, bottom, top = self.margins()
         w = f.window.shrink(left=left, right=right, bottom=bottom, top=top)
         vals = {}
@@ -359,14 +358,15 @@ def random_factorizable(rng: random.Random, color: str = "black") -> Schrodinger
     return SchrodingerOperator.from_operator(fac.recompose())
 
 
-def exponential_both_colors(base: int = 2, pot: int = 3) -> SchrodingerOperator:
+def exponential_both_colors() -> SchrodingerOperator:
     """A non-constant L exactly factorizable in both colors: built from the
-    black operator u(n) = base^(n1+n2), v = w = 1.  Its black and white
-    potentials differ, which makes it a good two-sided test instance."""
+    black operator u(n) = 2^(n1+n2), v = w = 1, with potential 3.  Its black
+    and white potentials differ, which makes it a good two-sided test
+    instance."""
     def u(n):
-        return Fraction(base) ** (n[0] + n[1])
+        return Fraction(2) ** (n[0] + n[1])
 
-    fac = Factorization("black", {"u": u, "v": const(1), "w": const(1)}, pot)
+    fac = Factorization("black", {"u": u, "v": const(1), "w": const(1)}, 3)
     return SchrodingerOperator.from_operator(fac.recompose())
 
 

@@ -28,8 +28,6 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/4' and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 

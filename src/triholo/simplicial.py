@@ -146,17 +146,17 @@ class KHolonomy:
     orbits: tuple         # tuple of sorted slot tuples
 
 
-def classify_holonomy_k(x: SimplicialComplexK, base: int = 0) -> KHolonomy:
+def classify_holonomy_k(x: SimplicialComplexK) -> KHolonomy:
     """Holonomy subgroup of S_{k+1} of the canonical connection, its orbit
     count q on the value slots, and the covariant dimension q - 1."""
-    return _holonomy_k(x, base)[1]
+    return _holonomy_k(x)[1]
 
 
-def _holonomy_k(x: SimplicialComplexK, base: int):
+def _holonomy_k(x: SimplicialComplexK):
     """(tree slot labels per simplex, KHolonomy) from one label sweep."""
     if not canonical_local_holonomy_ok(x):
         raise LocalHolonomyNontrivial("a (k-2)-simplex has odd valence")
-    labels, gens = label_sweep(x.simplices, x.adjacency().__getitem__, x.num_simplices, base)
+    labels, gens = label_sweep(x.simplices, x.adjacency().__getitem__, x.num_simplices)
     group = generated_group(gens, x.k + 1)
     orbits = _orbits(group, x.k + 1)
     q = len(orbits)
@@ -182,9 +182,10 @@ def _orbits(group, k1):
     return tuple(orbits)
 
 
-def vertex_orbit_classes(x: SimplicialComplexK, base: int = 0) -> tuple[dict, KHolonomy]:
-    """Assign every vertex the orbit index of its slot under tree transport."""
-    labels_of, hol = _holonomy_k(x, base)
+def vertex_orbit_classes(x: SimplicialComplexK) -> tuple[dict, KHolonomy]:
+    """Assign every vertex the orbit index of its slot under tree transport
+    from simplex 0."""
+    labels_of, hol = _holonomy_k(x)
     orbit_of_slot = {}
     for i, orbit in enumerate(hol.orbits):
         for s in orbit:
@@ -198,10 +199,10 @@ def vertex_orbit_classes(x: SimplicialComplexK, base: int = 0) -> tuple[dict, KH
     return classes, hol
 
 
-def covariant_constants_k(x: SimplicialComplexK, base: int = 0) -> list:
+def covariant_constants_k(x: SimplicialComplexK) -> list:
     """Basis of solutions of Q psi = 0: one vector per orbit beyond the
     weighted-sum relation sum_orbits |orbit| c_orbit = 0."""
-    classes, hol = vertex_orbit_classes(x, base)
+    classes, hol = vertex_orbit_classes(x)
     q = hol.orbit_count
     sizes = [len(o) for o in hol.orbits]
     basis = []

@@ -74,24 +74,26 @@ def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
 
 
 def _assert_solves(conn, psi):
-    for eq in q_matrix(conn.surface.triangles, conn.family, _coefficients(conn)):
+    for eq in _q_rows(conn):
         if sum(x * psi[v] for v, x in eq.items()) != 0:
             raise NonzeroCurvature("propagated seed fails a triangle equation")
 
 
-def _coefficients(conn):
-    """The coefficient function for `q_matrix`: None (every entry the int 1)
-    for a plain connection, else `conn.b`."""
-    return None if conn.is_plain else conn.b
+def _q_rows(conn) -> list:
+    """Q of a connection, one row per triangle: every entry the int 1 for
+    the canonical connection, else `conn.b`."""
+    surf = conn.surface
+    return q_matrix(surf.triangles, range(surf.num_triangles),
+                    None if conn.is_canonical else conn.b)
 
 
 # --- L = Q+Q and identities --------------------------------------------------
 
 def assemble_L(conn: DiscreteConnection) -> list:
-    """Sparse rows of L = Q+Q over the connection's family."""
-    surf = conn.surface
-    return ratmat.gram(q_matrix(surf.triangles, sorted(conn.family), _coefficients(conn)),
-                       surf.num_vertices)
+    """Sparse rows of L = Q+Q, summed over every triangle.  The black and
+    white halves Qb+Qb and Qw+Qw are `ratmat.gram` of `q_matrix` on the
+    black or the white triangles (`check_L_identity`)."""
+    return ratmat.gram(_q_rows(conn), conn.surface.num_vertices)
 
 
 def graph_laplacian(surface: TriangulatedSurface) -> list:
@@ -115,8 +117,8 @@ def valence_potential(surface: TriangulatedSurface, scale=3) -> list:
 class LIdentityReport:
     """Outcome of the entrywise operator-identity checks.
 
-    sign_convention records the choice Delta = delta d = deg - adj under
-    which L = -2 Delta + 3 n_P holds entrywise.
+    The identities use the positive Laplacian Delta = delta d = deg -
+    adjacency, the sign under which L = -2 Delta + 3 n_P holds entrywise.
     """
 
     l_identity: bool
@@ -124,7 +126,6 @@ class LIdentityReport:
     qb_identity: bool | None
     qw_identity: bool | None
     dual_block_identity: bool | None
-    sign_convention: str = "Delta = delta d = deg - adjacency (positive)"
 
 
 def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
@@ -155,28 +156,14 @@ def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
 
 def _dual_block_identity(surface, coloring) -> bool:
     """Delta_Gamma^2 = L (+) L' for the dual-graph adjacency in the
-    (white | black) block ordering."""
-    whites = sorted(coloring.white_triangles())
-    blacks = sorted(coloring.black_triangles())
-    windex = {t: i for i, t in enumerate(whites)}
-    bindex = {t: i for i, t in enumerate(blacks)}
-    nw, nb = len(whites), len(blacks)
-    qwb: list = [{} for _ in blacks]  # white functions -> black
-    qbw: list = [{} for _ in whites]  # its transpose
-    for e, ts in surface.edge_triangles.items():
-        if len(ts) != 2:
-            return False
-        a, b = ts
-        if coloring.face_colors[a] == BLACK:
-            a, b = b, a
-        wi, bi = windex[a], bindex[b]
-        qwb[bi][wi] = qwb[bi].get(wi, 0) + 1
-        qbw[wi][bi] = qbw[wi].get(bi, 0) + 1
-    adj = [{nw + bi: x for bi, x in row.items()} for row in qbw] + qwb
-    sq = ratmat.gram(adj, nw + nb)  # adj is symmetric, so adj^T adj = adj^2
-    top = ratmat.gram(qwb, nw)      # acts on white functions
-    bot = ratmat.gram(qbw, nb)      # acts on black functions
-    return sq == top + [{nw + j: x for j, x in row.items()} for row in bot]
+    (white | black) block ordering.  The adjacency is block off-diagonal,
+    [[0, Qbw], [Qwb, 0]] with Qbw = Qwb^T, exactly when every edge lies in
+    two triangles of different colours, and its square is then the block
+    diagonal of L = Qbw Qwb and L' = Qwb Qbw: that edge condition is the
+    identity."""
+    colors = coloring.face_colors
+    return all(len(ts) == 2 and colors[ts[0]] != colors[ts[1]]
+               for ts in surface.edge_triangles.values())
 
 
 def zero_modes(conn: DiscreteConnection) -> list:
@@ -186,10 +173,8 @@ def zero_modes(conn: DiscreteConnection) -> list:
     two have the same row space, hence the same reduced form and basis, and Q
     (3 nonzeros per row) is far cheaper to eliminate than its Gram product.
     """
-    surf = conn.surface
-    q = q_matrix(surf.triangles, sorted(conn.family), _coefficients(conn))
-    return [dict(enumerate(vec))
-            for vec in ratmat.nullspace(ratmat.dense(q, surf.num_vertices))]
+    q = ratmat.dense(_q_rows(conn), conn.surface.num_vertices)
+    return [dict(enumerate(vec)) for vec in ratmat.nullspace(q)]
 
 
 # --- black-triangle boundary value solver ------------------------------------
@@ -199,7 +184,6 @@ class BWSolveResult:
     values: dict                 # particular solution (free unknowns at 0)
     nullspace: list = field(default_factory=list)  # list of dicts on free directions
     unique: bool = True
-    free_vertices: tuple = ()
 
 
 def solve_bw(domain, coloring: Coloring, boundary_values: dict) -> BWSolveResult:
@@ -245,7 +229,7 @@ def solve_bw(domain, coloring: Coloring, boundary_values: dict) -> BWSolveResult
     for v, i in col.items():
         values[v] = particular[i]
     null_dicts = [{v: vec[i] for v, i in col.items()} for vec in null]
-    return BWSolveResult(values, null_dicts, not null_dicts, tuple(unknowns))
+    return BWSolveResult(values, null_dicts, not null_dicts)
 
 
 def determining_vertex_set(domain, coloring: Coloring) -> tuple:

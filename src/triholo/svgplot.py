@@ -2,32 +2,34 @@
 
 from __future__ import annotations
 
+SIZE = 480   # side of the scatter plot and the heatmap's target side, in px
 
-def _viewbox(points, pad_frac=0.1):
+
+def _viewbox(points):
     xs = [float(p[0]) for p in points]
     ys = [float(p[1]) for p in points]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     w = (x1 - x0) or 1.0
     h = (y1 - y0) or 1.0
-    pad = pad_frac * max(w, h)
+    pad = 0.1 * max(w, h)
     return x0 - pad, y0 - pad, w + 2 * pad, h + 2 * pad
 
 
-def scatter_hull_svg(points, hull, size: int = 480) -> str:
+def scatter_hull_svg(points, hull) -> str:
     """Scatter of psi-hat images with the boundary hull polygon."""
     pts = [(float(p[0]), float(p[1])) for p in points]
     hl = [(float(p[0]), float(p[1])) for p in hull]
     x0, y0, w, h = _viewbox(pts + hl or [(0.0, 0.0)])
-    scale = size / max(w, h)
+    scale = SIZE / max(w, h)
 
     def sx(x):
         return (x - x0) * scale
 
     def sy(y):
-        return size - (y - y0) * scale  # flip: math orientation
+        return SIZE - (y - y0) * scale  # flip: math orientation
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">']
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" height="{SIZE}">']
     if len(hl) >= 2:
         path = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in hl)
         out.append(f'<polygon points="{path}" fill="#dce9f7" stroke="#34679a" '
@@ -38,14 +40,14 @@ def scatter_hull_svg(points, hull, size: int = 480) -> str:
     return "\n".join(out) + "\n"
 
 
-def lattice_heatmap_svg(f, size: int = 480) -> str:
+def lattice_heatmap_svg(f) -> str:
     """Signed heatmap of a windowed lattice function (red/blue, log scale)."""
     import math
 
     w = f.window
     nx = w.x1 - w.x0 + 1
     ny = w.y1 - w.y0 + 1
-    cell = max(4, size // max(nx, ny))
+    cell = max(4, SIZE // max(nx, ny))
     vals = {p: float(f[p]) for p in w.points()}
     vmax = max(abs(v) for v in vals.values()) or 1.0
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -86,3 +86,13 @@ def test_factorize_float_mode_and_tol_go_together(extra):
     rc, out, err = run(argv)
     assert rc == 2 and out == ""
     assert "--tol" in err
+
+
+def test_key_error_inside_a_command_propagates(monkeypatch):
+    # a KeyError is a bug in the program, not a domain error: no JSON body
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_green", broken)
+    with pytest.raises(KeyError, match="internal"):
+        cli.main(["green"])

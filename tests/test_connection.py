@@ -349,23 +349,6 @@ def test_gauge_retry_budget_exhausted(octa):
                                          max_retries=0)
 
 
-def test_transport_outside_family_raises():
-    from triholo.errors import ZeroDivisor
-
-    octa = fixtures.octahedron()
-    bw = mesh.bw_face_coloring(octa)
-    blacks = bw.black_triangles()
-    conn = C.DiscreteConnection(octa, family=blacks)
-    e, ts = next(iter(octa.edge_triangles.items()))
-    t0 = ts[0] if ts[0] in blacks else ts[1]
-    other = ts[1] if ts[0] in blacks else ts[0]
-    tv = octa.triangles[t0]
-    seed = {tv[0]: Fraction(1), tv[1]: Fraction(0), tv[2]: Fraction(-1)}
-    path = mesh.ThickPath(octa, (t0, other))
-    with pytest.raises(ZeroDivisor):
-        C.transport(conn, path, seed)
-
-
 def test_covariant_constants_requires_flat(ico):
     from triholo.solver import covariant_constants
 

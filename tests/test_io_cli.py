@@ -83,7 +83,7 @@ def test_boundary_and_lattice_files(octa):
     f = io.parse_lattice_function("f 0 0 1\nf 1 0 -1/3\n")
     assert f[(1, 0)] == Fraction(-1, 3)
     g = build_green(Window(0, 3, 0, 3))
-    h = io.parse_lattice_function(io.write_lattice_function(g), g.window)
+    h = io.parse_lattice_function(io.write_lattice_function(g))
     assert all(h[p] == g[p] for p in g.window.points())
 
 
@@ -428,6 +428,14 @@ def test_cli_connection_zero_denominator(fixture_dir, tmp_path):
     conn_file.write_text("b 0 0 1/0\n")
     assert_typed_error(*run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                                  "--conn", str(conn_file)]))
+
+
+def test_cli_factorize_window_past_the_grid_names_the_point(fixture_dir):
+    # random.op holds coefficients on 0..11 x 0..11; the window reads (12, 0)
+    rc, out, err = run_cli(["factorize", "--op", str(fixture_dir / "random.op"),
+                            "--window", "0", "13", "0", "13"])
+    assert_typed_error(rc, out, err)
+    assert json.loads(out)["message"] == "operator coefficient missing at (12, 0)"
 
 
 @pytest.mark.parametrize("text", ["op 0\n", "op 0 0\nc 0 0\n"])

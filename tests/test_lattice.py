@@ -386,14 +386,14 @@ def test_convolution_vanishing_cases():
     rng = random.Random(6)
     w = L.Window(-20, 20, -20, 20)
     phi = L.random_holomorphic(w, rng)
-    zero = L.LatticeFunction({}, finite_support=True)
+    zero = L.LatticeFunction({})
     assert L.convolution_vanishing(zero, phi, (0, 0)) == 0
     d = L.delta()
     cov = L.covariant_constant((1, 2, -3), L.Window(-9, 9, -9, 9))
     assert L.convolution_vanishing(d, cov, (1, 1)) == 0
     sup = {(rng.randint(-2, 2), rng.randint(-2, 2)): Fraction(rng.randint(-5, 5))
            for _ in range(10)}
-    psi = L.LatticeFunction(sup, finite_support=True)
+    psi = L.LatticeFunction(sup)
     for _ in range(20):
         n = (rng.randint(-8, 8), rng.randint(-8, 8))
         assert L.convolution_vanishing(psi, phi, n) == 0
@@ -707,9 +707,10 @@ def rand_values(rng, w, kind=None):
             if kind == "dense" or rng.random() < 0.4}
 
 
-def both(vals, window=None, finite_support=False):
-    return (L.LatticeFunction(vals, window, finite_support),
-            RefLatticeFunction(vals, window, finite_support))
+def both(vals, window=None):
+    """The function and its oracle; without a window, of finite support."""
+    return (L.LatticeFunction(vals, window),
+            RefLatticeFunction(vals, window, finite_support=window is None))
 
 
 def rand_holomorphic_values(rng, w):
@@ -734,7 +735,7 @@ def check_stencils(rng):
     w = rand_window(rng, lo=1)
     vals = rand_values(rng, w)
     for finite in (False, True):
-        new, ref = both(vals, None if finite else w, finite)
+        new, ref = both(vals, None if finite else w)
         for op, offsets, shrink in STENCILS:
             assert_same(run(lambda: op(new)), run(lambda: ref_apply_stencil(ref, offsets, shrink)))
         ref_qplus = run(lambda: ref_apply_stencil(ref, *STENCILS[1][1:]))
@@ -766,11 +767,9 @@ def check_window_reads(rng):
 
 def check_affine_solve(rng, holomorphic=True):
     w = rand_window(rng)
-    seeds = None if rng.random() < 0.3 else (rand_value(rng), rand_value(rng))
     kind = rng.random()
     if kind < 0.15:                     # finite-support phi
-        new, ref = both(rand_values(rng, w, "sparse") if rng.random() < 0.5 else {},
-                        finite_support=True)
+        new, ref = both(rand_values(rng, w, "sparse") if rng.random() < 0.5 else {})
     else:
         pw = grow(rng, w) if kind < 0.6 else w
         if kind > 0.9:                  # phi's window misses part of the solve window
@@ -782,8 +781,8 @@ def check_affine_solve(rng, holomorphic=True):
             if pw.contains(p):
                 vals[p] += Fraction(1, rng.choice(DENS))
         new, ref = both(vals, pw)
-    got = run(lambda: L.solve_q_affine(new, w, seeds))
-    assert_same(got, run(lambda: ref_solve_q_affine(ref, w, seeds)))
+    got = run(lambda: L.solve_q_affine(new, w))
+    assert_same(got, run(lambda: ref_solve_q_affine(ref, w)))
     return got
 
 
@@ -815,7 +814,7 @@ def check_add_covariant(rng):
     if kind == "none":
         new = ref = None
     elif kind == "finite":
-        new, ref = both(rand_values(rng, grow(rng, w), "sparse"), finite_support=True)
+        new, ref = both(rand_values(rng, grow(rng, w), "sparse"))
     else:
         pw = {"same": w, "larger": grow(rng, w), "smaller": w.shrink(left=1)}[kind]
         new, ref = both(rand_values(rng, pw), pw)
@@ -865,7 +864,7 @@ def test_affine_solve_oracle_raises_on_both_sides():
     w = L.Window(-3, 2, -1, 3)
     vals = rand_holomorphic_values(rng, w)
     new, ref = both(vals, w)
-    assert L.solve_q_affine(new, w, (Fraction(1, 3), Fraction(-2, 7))) is not None
+    assert L.solve_q_affine(new, w) is not None
     vals[(0, 0)] += Fraction(1, 11)
     new, ref = both(vals, w)
     with pytest.raises(NotHolomorphic):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from triholo import connection as C
 from triholo import fixtures, mesh, ratmat, simplicial, solver
-from triholo.errors import NonzeroCurvature, ZeroDivisor
+from triholo.errors import NonzeroCurvature
 
 
 def subdivided(surf, t):
@@ -83,7 +83,7 @@ def items(rows):
 @pytest.mark.parametrize("tag", sorted(SURFACES))
 def test_even_valence_curvature_matches_closed_form(tag):
     conn = C.canonical_connection(SURFACES[tag])
-    assert conn.is_plain
+    assert conn.is_canonical
     flat = C.has_zero_curvature(conn)
     assert flat == ref_has_zero_curvature(conn)
     assert flat == (tag not in ("ico", "octa+1", "torus6s0+1"))
@@ -102,21 +102,6 @@ def test_slot_frames_match_gl2_sweep(tag):
     for t, pair in frames.items():
         assert [list(f.items()) for f in pair] == [list(f.items()) for f in want_frames[t]]
     assert gens == want_gens
-
-
-def test_partial_family_takes_the_weighted_path():
-    # the black triangles of the octahedron: canonical, but not the whole
-    # surface, so every star meets a triangle outside the family
-    octa = fixtures.octahedron()
-    blacks = mesh.bw_face_coloring(octa).black_triangles()
-    conn = C.DiscreteConnection(octa, family=blacks)
-    assert conn.is_canonical and not conn.is_plain
-    for fn in (C.has_zero_curvature, C.holonomy_frames, C.holonomy_generators,
-               solver.covariant_constants):
-        with pytest.raises(ZeroDivisor):
-            fn(conn)
-    want = ratmat.gram(ref_q_matrix(octa.triangles, sorted(blacks), conn.b), 6)
-    assert items(solver.assemble_L(conn)) == items(want)
 
 
 # --- integers in Q and in the elimination ----------------------------------------

@@ -22,7 +22,7 @@ def nullspace_oracle(conn):
     import sympy
 
     surf = conn.surface
-    q = ratmat.dense(simplicial.q_matrix(surf.triangles, sorted(conn.family), conn.b),
+    q = ratmat.dense(simplicial.q_matrix(surf.triangles, range(surf.num_triangles), conn.b),
                      surf.num_vertices)
     m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in q])
     return [[Fraction(str(v)) for v in vec] for vec in m.nullspace()]
@@ -112,11 +112,26 @@ def dense_L(conn):
     surf = conn.surface
     nv = surf.num_vertices
     out = [[Fraction(0)] * nv for _ in range(nv)]
-    for t in conn.family:
+    for t in range(surf.num_triangles):
         for u in surf.triangles[t]:
             for v in surf.triangles[t]:
                 out[u][v] += conn.b(t, u) * conn.b(t, v)
     return out
+
+
+def test_dual_block_identity_needs_every_edge_between_two_colours(octa):
+    good = mesh.bw_face_coloring(octa)
+    assert solver._dual_block_identity(octa, good)
+    # one triangle recoloured: each of its edges joins two triangles of one colour
+    colors = dict(good.face_colors)
+    colors[0] = mesh.WHITE if colors[0] == mesh.BLACK else mesh.BLACK
+    assert not solver._dual_block_identity(octa, mesh.Coloring(face_colors=colors))
+    # a boundary edge lies in one triangle only
+    patch = fixtures.hex_patch(2)
+    lattice_colors = {t: mesh.BLACK if t in patch.black else mesh.WHITE
+                      for t in range(patch.surface.num_triangles)}
+    assert not solver._dual_block_identity(patch.surface,
+                                           mesh.Coloring(face_colors=lattice_colors))
 
 
 def test_zero_modes_identical_to_dense_L(octa, monkeypatch):
