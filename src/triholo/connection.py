@@ -65,6 +65,8 @@ class DiscreteConnection:
         self.coefficients: dict[tuple[int, int], Fraction] = {}
         if coefficients:
             for (t, v), val in coefficients.items():
+                if not 0 <= t < surface.num_triangles:
+                    raise ValueError(f"triangle index {t} outside 0..{surface.num_triangles - 1}")
                 val = frac(val)
                 if val == 0:
                     raise ZeroDivisor(f"coefficient b[{t},{v}] must be nonzero")

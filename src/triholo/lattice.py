@@ -21,6 +21,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import add
 
 from .errors import (
@@ -784,8 +785,20 @@ def cauchy_reconstruct(domain: LatticeDomain, psi: dict, kernel=green) -> dict:
         psi_n = sum over black T_m in the outer boundary of D of
                 (Q+ psi)_m * G(n - m)
 
-    with psi extended by zero outside D.  `kernel` may be any function
-    with Q+ kernel = delta (the Green's function by default).
+    with psi extended by zero outside D; returns {n: Fraction} over the
+    vertices of D in sorted order.  `kernel` may be any function with
+    Q+ kernel = delta; any kernel other than `green` itself is summed term
+    by term over every (vertex, charge) pair.
+
+    For `green` the sum is not formed.  G vanishes off the forward quadrant
+    and Q+ G = delta, so u = sum_m q_m G(. - m) is the unique solution of
+
+        u(n) = q(n) - u(n - e1) - u(n - e2)
+
+    that is zero to the left of and below every charge q.  One sweep of
+    Python ints over the lcm of the charge denominators computes it, row by
+    row across the box from the lowest charge to the highest vertex; a
+    vertex left of or below every charge reads 0.
     """
     verts = domain.vertices()
 
@@ -797,12 +810,41 @@ def cauchy_reconstruct(domain: LatticeDomain, psi: dict, kernel=green) -> dict:
         q = val(m) + val(_sub(m, E1)) + val(_sub(m, E2))
         if q != 0:
             charges.append((m, q))
+    if kernel is not green:
+        out = {}
+        for n in sorted(verts):
+            acc = Fraction(0)
+            for m, q in charges:
+                acc += q * frac(kernel(_sub(n, m)))
+            out[n] = acc
+        return out
+    x1 = max(n[0] for n in verts)
+    y1 = max(n[1] for n in verts)
+    charges = [(m, q) for m, q in charges if m[0] <= x1 and m[1] <= y1]
+    if not charges:
+        return {n: Fraction(0) for n in sorted(verts)}
+    x0 = min(m[0] for m, _ in charges)
+    y0 = min(m[1] for m, _ in charges)
+    den = math.lcm(*(q.denominator for _, q in charges))
+    width = x1 - x0 + 1
+    # w = (-1)^(i+j) u on box offsets (i, j) turns the recurrence into
+    # Pascal's rule w(i, j) = w(i-1, j) + w(i, j-1) + (-1)^(i+j) q(i, j)
+    source = {}
+    for (x, y), q in charges:
+        i, j = x - x0, y - y0
+        scaled = q.numerator * (den // q.denominator)
+        source.setdefault(j, [0] * width)[i] = (-1) ** (i + j) * scaled
+    rows = []
+    row = [0] * width
+    for j in range(y1 - y0 + 1):
+        src = source.get(j)
+        row = list(accumulate(map(add, row, src) if src else row))
+        rows.append(row)
     out = {}
-    for n in sorted(verts):
-        acc = Fraction(0)
-        for m, q in charges:
-            acc += q * frac(kernel(_sub(n, m)))
-        out[n] = acc
+    for x, y in sorted(verts):
+        i, j = x - x0, y - y0
+        u = (-1) ** (i + j) * rows[j][i] if i >= 0 and j >= 0 else 0
+        out[x, y] = Fraction(u, den)
     return out
 
 

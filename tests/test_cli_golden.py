@@ -33,6 +33,10 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
 # cauchy --domain: a 6x6 block of black and white triangles around the origin
 DOMAIN = "".join(f"d {k} {x} {y}\n" for x in range(-3, 3) for y in range(-2, 4)
                  for k in "bw")
+# cauchy --domain on a filled 24x24 block of both kinds; its vertices span
+# [-13, 12] on each axis, so it runs on that window
+BLOCK = "".join(f"d {k} {x} {y}\n" for x in range(-12, 12) for y in range(-12, 12)
+                for k in "bw")
 
 
 def _operator_file() -> str:
@@ -127,6 +131,13 @@ def cases() -> dict:
             out[f"{tag}-json"] = (base, None)
             for ext in ("csv", "svg"):
                 out[f"{tag}-{ext}"] = (base + ["--out", f"{{dir}}/c.{ext}"], f"c.{ext}")
+    big = ["cauchy", "--window", "0", "59", "0", "59", "--seed", "1"]
+    out["cauchy-w60-s1-walk-json"] = (big, None)
+    out["cauchy-w60-s1-walk-csv"] = (big + ["--out", "{dir}/c.csv"], "c.csv")
+    block = ["cauchy", "--domain", "{dir}/block.ld", "--window", "-13", "12", "-13", "12"]
+    out["cauchy-block24-json"] = (block, None)
+    for ext in ("csv", "svg"):
+        out[f"cauchy-block24-{ext}"] = (block + ["--out", f"{{dir}}/c.{ext}"], f"c.{ext}")
     for win in (["-5", "25"], ["-3", "8", "-6", "4"]):
         tag = "green" + "_".join(win)
         base = ["green", "--window", *win]
@@ -156,6 +167,7 @@ def compute() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         (d / "dom.ld").write_text(DOMAIN)
+        (d / "block.ld").write_text(BLOCK)
         op_text = _operator_file()
         (d / "random.op").write_text(op_text)
         _surface_inputs(d)

@@ -396,3 +396,12 @@ def test_holonomy_invariant_under_elementary_homotopies(torus4):
                 e = surf.shared_edge(cur.triangles[i], cur.triangles[j])
                 cur = mesh.star_rotation_move(cur, i, rng.choice(e))
         assert C.holonomy_matrix(conn, cur) == want
+
+
+@pytest.mark.parametrize("where", ["negative", "past-the-end"])
+def test_triangle_index_outside_range_rejected(octa, where):
+    # triangles[-1] would pass the vertex check and the coefficient would
+    # be stored under a key that b() never reads
+    t = -1 if where == "negative" else octa.num_triangles
+    with pytest.raises(ValueError, match=f"triangle index {t} outside 0..7"):
+        C.DiscreteConnection(octa, {(t, 0): 2})

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -914,3 +915,177 @@ def test_negative_order_rejected(order):
         L.taylor_coefficients(psi, seq, order)
     with pytest.raises(ValueError, match="order must be >= 0"):
         L.poly_space_basis(seq, order, psi.window)
+
+
+# --- the term-by-term Cauchy sum, kept as the oracle for the causal sweep ---
+
+def ref_cauchy_reconstruct(domain: L.LatticeDomain, psi: dict, kernel=L.green) -> dict:
+    """Recover a holomorphic function on D from its boundary behavior:
+
+        psi_n = sum over black T_m in the outer boundary of D of
+                (Q+ psi)_m * G(n - m)
+
+    with psi extended by zero outside D.  `kernel` may be any function
+    with Q+ kernel = delta (the Green's function by default).
+    """
+    verts = domain.vertices()
+
+    def val(p) -> Fraction:
+        return frac(psi.get(p, 0)) if p in verts else Fraction(0)
+
+    charges = []
+    for m in domain.boundary_plus_black():
+        q = val(m) + val(_sub(m, E1)) + val(_sub(m, E2))
+        if q != 0:
+            charges.append((m, q))
+    out = {}
+    for n in sorted(verts):
+        acc = Fraction(0)
+        for m, q in charges:
+            acc += q * frac(kernel(_sub(n, m)))
+        out[n] = acc
+    return out
+
+
+CAUCHY_DENS = (*range(1, 13), 7919, 2 ** 61 - 1)
+CAUCHY_SHAPES = ("walk", "scatter", "square")
+CAUCHY_DATA = ("holomorphic", "arbitrary", "zero")
+
+
+def filled_square(x0, y0, width) -> L.LatticeDomain:
+    """Every black and white triangle with apex in a width x width block."""
+    return L.LatticeDomain(frozenset((k, (x, y)) for x in range(x0, x0 + width)
+                                     for y in range(y0, y0 + width) for k in "bw"))
+
+
+def cauchy_domain(rng, shape, width) -> L.LatticeDomain:
+    """A walk, scatter or filled-square domain with its triangle apexes in a
+    width x width block, most often at negative coordinates."""
+    x0, y0 = rng.randint(-90, 30), rng.randint(-90, 30)
+    if shape == "square":
+        return filled_square(x0, y0, width)
+    x1, y1 = x0 + width - 1, y0 + width - 1
+    tris = set()
+    x, y = rng.randint(x0, x1), rng.randint(y0, y1)
+    for _ in range(max(8, 2 * width)):
+        if shape == "walk":
+            tris.update((("b", (x, y)), ("w", (x - 1, y - 1))))
+        else:
+            tris.add((rng.choice("bw"), (x, y)))
+            if rng.random() < 0.15:
+                x, y = rng.randint(x0, x1), rng.randint(y0, y1)
+        x = min(max(x + rng.choice((-1, 0, 1)), x0), x1)
+        y = min(max(y + rng.choice((-1, 0, 1)), y0), y1)
+    return L.LatticeDomain(frozenset(tris))
+
+
+def cauchy_data(rng, dom, kind) -> dict:
+    """psi on the vertices of `dom` as int, str or Fraction values; now and
+    then only on some of them, or with points outside D thrown in."""
+    verts = sorted(dom.vertices())
+    if kind == "zero":
+        vals = {v: Fraction(0) for v in verts}
+    elif kind == "holomorphic":
+        w = L.Window(min(x for x, _ in verts), max(x for x, _ in verts),
+                     min(y for _, y in verts), max(y for _, y in verts))
+        psi = L.random_holomorphic(w, rng)
+        scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(CAUCHY_DENS))
+        vals = {v: psi[v] * scale for v in verts}
+    else:
+        vals = {v: Fraction(rng.randint(-9, 9), rng.choice(CAUCHY_DENS)) for v in verts}
+    if rng.random() < 0.3:
+        vals = {v: x for v, x in vals.items() if rng.random() < 0.6}
+    if rng.random() < 0.3:
+        for _ in range(5):
+            p = (rng.randint(-100, 100), rng.randint(-100, 100))
+            if p not in dom.vertices():
+                vals[p] = Fraction(rng.randint(1, 9), rng.choice(CAUCHY_DENS))
+
+    def as_input(x):
+        kind = rng.choice((int, str, Fraction))
+        if kind is int and x.denominator == 1:
+            return int(x)
+        return str(x) if kind is str else x
+
+    return {p: as_input(x) for p, x in vals.items()}
+
+
+def check_cauchy(rng, shape, width, kind):
+    dom = cauchy_domain(rng, shape, width)
+    data = cauchy_data(rng, dom, kind)
+    got = L.cauchy_reconstruct(dom, data)
+    assert list(got.items()) == list(ref_cauchy_reconstruct(dom, data).items())
+    assert all(type(v) is Fraction for v in got.values())
+    if kind == "holomorphic" and dom.vertices() <= set(data):
+        assert all(got[v] == frac(data[v]) for v in dom.vertices())
+    if kind == "zero":
+        assert not any(got.values())
+
+
+@pytest.mark.parametrize("shape", CAUCHY_SHAPES)
+def test_cauchy_sweep_matches_term_sum_seeded(shape):
+    # the oracle costs O(V x charges): a filled square has charges on every
+    # vertex under arbitrary data, so those stop at 16 wide
+    if shape == "square":
+        cases = [(w, kind) for w in (1, 2, 3, 5, 8, 12, 16) for kind in CAUCHY_DATA]
+        cases += [(33, "holomorphic"), (60, "holomorphic")]
+    else:
+        cases = [(w, kind) for w in (1, 2, 3, 5, 8, 13, 21, 34, 45, 60) for kind in CAUCHY_DATA]
+    rng = random.Random(9000 + CAUCHY_SHAPES.index(shape))
+    for width, kind in cases:
+        check_cauchy(rng, shape, width, kind)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32), st.sampled_from(CAUCHY_SHAPES),
+       st.integers(min_value=1, max_value=60), st.sampled_from(CAUCHY_DATA))
+def test_cauchy_sweep_matches_term_sum_hypothesis(seed, shape, width, kind):
+    if shape == "square":
+        width = 1 + (width - 1) % (16 if kind == "arbitrary" else 30)
+    check_cauchy(random.Random(seed), shape, width, kind)
+
+
+def test_cauchy_charges_only_past_the_top_right():
+    # a lone black triangle with data at its apex: both charges lie past
+    # the highest vertex, so no vertex sees one
+    dom = L.LatticeDomain(frozenset({("b", (-3, 5))}))
+    data = {(-3, 5): Fraction(2, 7)}
+    got = L.cauchy_reconstruct(dom, data)
+    assert list(got.items()) == list(ref_cauchy_reconstruct(dom, data).items())
+    assert list(got) == [(-4, 5), (-3, 4), (-3, 5)] and not any(got.values())
+
+
+def test_cauchy_other_kernels_take_the_term_sum():
+    rng = random.Random(31)
+    dom = cauchy_domain(rng, "walk", 20)
+    data = cauchy_data(rng, dom, "arbitrary")
+    calls = []
+
+    def kern(n):
+        calls.append(n)
+        return L.green(n)
+
+    got = L.cauchy_reconstruct(dom, data, kernel=kern)
+    want = ref_cauchy_reconstruct(dom, data)
+    assert list(got.items()) == list(want.items())
+    assert list(L.cauchy_reconstruct(dom, data).items()) == list(want.items())
+    verts = dom.vertices()
+
+    def val(p):
+        return frac(data.get(p, 0)) if p in verts else 0
+
+    charges = [m for m in dom.boundary_plus_black()
+               if val(m) + val(_sub(m, E1)) + val(_sub(m, E2)) != 0]
+    assert len(calls) == len(verts) * len(charges) > 0
+
+
+def test_cauchy_120_wide_square_within_budget():
+    dom = filled_square(-60, -60, 120)
+    verts = dom.vertices()
+    psi = L.random_holomorphic(L.Window(-61, 60, -61, 60), random.Random(120))
+    data = {v: psi[v] for v in verts}
+    start = time.perf_counter()
+    got = L.cauchy_reconstruct(dom, data)
+    elapsed = time.perf_counter() - start
+    assert list(got) == sorted(verts) and all(got[v] == psi[v] for v in verts)
+    assert elapsed < 5.0, f"{len(verts)} vertices took {elapsed:.2f} s"
