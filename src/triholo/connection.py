@@ -75,6 +75,8 @@ class DiscreteConnection:
                 self.coefficients[(t, v)] = val
 
     def b(self, t: int, v: int) -> Fraction:
+        if not 0 <= t < self.surface.num_triangles:
+            raise ValueError(f"triangle index {t} outside 0..{self.surface.num_triangles - 1}")
         if v not in self.surface.triangles[t]:
             raise ValueError(f"vertex {v} is not in triangle {t}")
         return self.coefficients.get((t, v), Fraction(1))
@@ -348,8 +350,12 @@ def _slot_frames(surf: TriangulatedSurface) -> tuple[dict, list[Mat2]]:
     return frames, [permutation_matrix(sigma) for sigma in perms]
 
 
-def _gl2_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
-    """`holonomy_frames` by weighted GL(2) transport with `_solve_third`."""
+def frame_sweep(conn: DiscreteConnection) -> tuple[dict, list]:
+    """Weighted GL(2) transport with `_solve_third` down the dual tree, with
+    no curvature check: `mesh.tree_sweep` of the pair of solutions seeded
+    (1, 0) and (0, 1) on the two lowest vertices of triangle 0.  Returns the
+    frame of every triangle and, per cotree edge (a, b), the pair
+    (b, frame of a crossed into b)."""
     surf = conn.surface
     v0, v1, _ = sorted(surf.triangles[0])
     seeds = tuple(_solve_third(conn, 0, {v0: x, v1: y})
@@ -359,7 +365,13 @@ def _gl2_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
         return tuple(_solve_third(conn, b, {u: f[u] for u in surf.triangles[b] if u in f})
                      for f in frame)
 
-    frames, crossings = tree_sweep(surf.dual_neighbours, surf.num_triangles, seeds, cross)
+    return tree_sweep(surf.dual_neighbours, surf.num_triangles, seeds, cross)
+
+
+def _gl2_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
+    """`holonomy_frames` by weighted GL(2) transport (`frame_sweep`)."""
+    surf = conn.surface
+    frames, crossings = frame_sweep(conn)
     gens = []
     for b, crossed in crossings:
         u0, u1, _ = sorted(surf.triangles[b])

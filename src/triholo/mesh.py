@@ -372,12 +372,15 @@ class Coloring:
     vertex_colors: dict | None = None
 
     def black_triangles(self) -> frozenset[int]:
-        assert self.face_colors is not None
-        return frozenset(t for t, c in self.face_colors.items() if c == BLACK)
+        return self._faces(BLACK)
 
     def white_triangles(self) -> frozenset[int]:
-        assert self.face_colors is not None
-        return frozenset(t for t, c in self.face_colors.items() if c == WHITE)
+        return self._faces(WHITE)
+
+    def _faces(self, color: int) -> frozenset[int]:
+        if self.face_colors is None:
+            raise ValueError("coloring has no face colours")
+        return frozenset(t for t, c in self.face_colors.items() if c == color)
 
 
 def as_domain(arg) -> SubComplexDomain:

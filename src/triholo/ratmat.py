@@ -44,7 +44,8 @@ def identity(n: int) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
+    if any(len(row) != k for row in a):
+        raise ValueError(f"mat_mul: a row of the left factor is not {k} long")
     out = zeros(n, m)
     for i in range(n):
         ai = a[i]
@@ -94,7 +95,8 @@ def dense(rows: list, cols: int) -> Mat:
 def vec_mat(v: Vec, a: Mat) -> Vec:
     """Row vector times matrix (the right-action convention used throughout)."""
     n, m = len(a), len(a[0])
-    assert len(v) == n
+    if len(v) != n:
+        raise ValueError(f"vec_mat: vector of length {len(v)} against {n} rows")
     return [sum((v[i] * a[i][j] for i in range(n)), Fraction(0)) for j in range(m)]
 
 
@@ -221,6 +223,35 @@ def _kernel(red: Mat, pivots: list[int], cols: int) -> list[Vec]:
             v[p] = -red[i][f]
         basis.append(v)
     return basis
+
+
+def nullspace_form(basis: list[Vec]) -> list[Vec]:
+    """The basis `nullspace` returns for the space spanned by `basis`
+    (linearly independent vectors of one length), found without the matrix.
+
+    Column f of a reduced matrix is free exactly when some vector of its
+    null space has its last nonzero entry at f.  So reducing `basis` from
+    the last column down makes each vector's last nonzero a free column,
+    with 1 there and 0 at the other free columns, as in `nullspace`; the
+    vectors come out in free-column order, every entry a Fraction.
+    """
+    red: list = []   # (free column, vector)
+    for vec in basis:
+        vec = [frac(x) for x in vec]
+        for f, row in red:
+            if vec[f]:
+                c = vec[f]
+                vec = [x - c * y for x, y in zip(vec, row)]
+        f = max(j for j, x in enumerate(vec) if x)
+        if vec[f] != 1:
+            c = vec[f]
+            vec = [x / c for x in vec]
+        for i, (g, row) in enumerate(red):
+            if row[f]:
+                c = row[f]
+                red[i] = (g, [x - c * y for x, y in zip(row, vec)])
+        red.append((f, vec))
+    return [vec for _, vec in sorted(red, key=lambda fr: fr[0])]
 
 
 def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, list[Vec]]:

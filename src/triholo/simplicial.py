@@ -9,13 +9,17 @@ slots gives covariant constants of dimension q - 1, which coincide with
 the zero modes of L = Q+ Q.
 
 One sweep of slot labels over the dual tree (`mesh.label_sweep`) gives
-the holonomy generators and each vertex's orbit class; surfaces use it at
-k = 2, where it gives colour permutations.  `slot_permutation` follows one
-explicit closed walk.
+the holonomy generators, each vertex's orbit class and the zero modes
+(`plain_kernel`, with no elimination); surfaces use it at k = 2, where it
+gives colour permutations.  `slot_permutation` follows one explicit closed
+walk.  `bw_factorization_check` still eliminates Q for its kernel, so that
+the zero-mode/covariant comparison it reports tests the sweep against an
+independent computation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -213,7 +217,8 @@ def covariant_constants_k(x: SimplicialComplexK) -> list:
         basis.append({v: c[classes[v]] for v in range(x.num_vertices)})
     for psi in basis:
         for s in x.simplices:
-            assert sum(psi[v] for v in s) == 0
+            if sum(psi[v] for v in s) != 0:
+                raise LocalHolonomyNontrivial(f"orbit-class vector fails simplex {s}")
     return basis
 
 
@@ -236,9 +241,54 @@ def assemble_Lk(x: SimplicialComplexK) -> list:
 
 
 def zero_modes_k(x: SimplicialComplexK) -> list:
-    """Null space of L = Q+Q, taken from Q: over the rationals ker L = ker Q."""
-    q = q_matrix(x.simplices, range(x.num_simplices))
-    return [dict(enumerate(vec)) for vec in ratmat.nullspace(ratmat.dense(q, x.num_vertices))]
+    """Null space of L = Q+Q on a facet-connected complex, read off one label
+    sweep (`plain_kernel`): over the rationals ker L = ker Q."""
+    return plain_kernel(x.simplices, x.adjacency().__getitem__, x.num_vertices)
+
+
+def plain_kernel(simplices, neighbours, num_vertices: int) -> list:
+    """ker Q of the plain equations sum_{P in sigma} psi_P = 0, one per
+    simplex, as `ratmat.nullspace` gives it: one dict per free column, in
+    column order, with Fraction values.  `neighbours` is the dual graph,
+    which must be connected (ValueError otherwise).
+
+    Down the dual tree of `mesh.label_sweep` a solution is fixed by its
+    values c on the k+1 slots of simplex 0, which sum to 0: each simplex
+    holds c on its slot labels.  That is one function exactly when every
+    vertex reads one value from all its simplices, so c is constant on the
+    classes of slots that some vertex ties together (across a cotree edge
+    these are the orbits of its slot permutation; an odd-valence fan just
+    ties one more pair, and no curvature check is needed).  The kernel is
+    {x per class : sum of size_i x_i = 0}, size_i the slots in class i.
+    Column f of the reduced Q is free exactly when a kernel vector has its
+    last nonzero at f: that is the last vertex of each class but the class
+    whose last vertex comes first (the base), and the basis vector of class
+    i is 1 on i, -size_i / size_base on the base and 0 elsewhere.
+    """
+    labels, _ = label_sweep(simplices, neighbours, len(simplices))
+    tie = list(range(len(simplices[0])))   # union-find over slots
+
+    def find(s):
+        while tie[s] != s:
+            s = tie[s]
+        return s
+
+    slot_of: dict = {}
+    for lab in labels.values():
+        for v, s in lab.items():
+            a, b = find(slot_of.setdefault(v, s)), find(s)
+            if a != b:
+                tie[max(a, b)] = min(a, b)
+    cls = [find(slot_of[v]) for v in range(num_vertices)]
+    size = Counter(map(find, range(len(tie))))
+    last = {c: v for v, c in enumerate(cls)}
+    base, *free = sorted(last, key=last.get)
+    zero = Fraction(0)
+    out = []
+    for i in free:
+        x = {i: Fraction(1), base: Fraction(-size[i], size[base])}
+        out.append({v: x.get(c, zero) for v, c in enumerate(cls)})
+    return out
 
 
 def bw_simplex_coloring(x: SimplicialComplexK) -> dict | None:

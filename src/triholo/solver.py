@@ -4,19 +4,24 @@ principle checker.
 Q (one row per triangle, three nonzeros) and the operators built from it,
 L = Q+Q, the Laplacian and the valence potential, are sparse rational rows
 indexed by vertex (see `ratmat`); identities between them compare entry by
-entry.  Null spaces and boundary solves go through the sparse exact
-elimination `ratmat.rref`.
+entry.  The null space of Q comes from one sweep down the dual tree, with
+no elimination: two values on triangle 0 fix a solution, and each cotree
+edge adds a condition on them (`zero_modes`).  Boundary solves go through
+the sparse exact elimination `ratmat.rref`.  The maximum-principle check
+runs on integers: psi scaled by the lcm of its denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import ratmat
 from .connection import (
     DiscreteConnection,
     canonical_connection,
+    frame_sweep,
     holonomy_frames,
 )
 from .errors import (
@@ -35,7 +40,7 @@ from .mesh import (
     three_vertex_coloring,
 )
 from .ratmat import frac
-from .simplicial import q_matrix
+from .simplicial import plain_kernel, q_matrix
 
 
 # --- covariant constants ----------------------------------------------------
@@ -61,16 +66,28 @@ def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
     for g in gens:
         rows.append([g[0][0] - 1, g[1][0]])
         rows.append([g[0][1], g[1][1] - 1])
-    invariant = ratmat.nullspace(rows) if rows else [[Fraction(1), Fraction(0)],
-                                                     [Fraction(0), Fraction(1)]]
-    at: dict = {}  # vertex -> (first, second) on the first triangle reached
-    for first, second in frames.values():
-        for v in first:
-            at.setdefault(v, (first[v], second[v]))
-    basis = [{v: c0 * a + c1 * b for v, (a, b) in at.items()} for c0, c1 in invariant]
+    at = _first_values(frames)
+    basis = [{v: c0 * a + c1 * b for v, (a, b) in at.items()} for c0, c1 in _seeds(rows)]
     for psi in basis:
         _assert_solves(conn, psi)
     return CovariantConstantSpace(basis, len(basis))
+
+
+def _seeds(rows) -> list:
+    """Basis of the seed pairs (c0, c1) with c0 x + c1 y = 0 for every row
+    [x, y]; both unit pairs when there are no rows."""
+    return ratmat.nullspace(rows) if rows else [[Fraction(1), Fraction(0)],
+                                                [Fraction(0), Fraction(1)]]
+
+
+def _first_values(frames) -> dict:
+    """vertex -> (first, second) frame value on the first triangle the
+    sweep reached it in."""
+    at: dict = {}
+    for first, second in frames.values():
+        for v in first:
+            at.setdefault(v, (first[v], second[v]))
+    return at
 
 
 def _assert_solves(conn, psi):
@@ -167,14 +184,33 @@ def _dual_block_identity(surface, coloring) -> bool:
 
 
 def zero_modes(conn: DiscreteConnection) -> list:
-    """Exact null space of L = Q+Q as vertex functions.
+    """Exact null space of L = Q+Q as vertex functions on an edge-connected
+    surface, in the form `ratmat.nullspace` gives it (one dict per free
+    column of the reduced Q, in column order, Fraction values).
 
-    Over the rationals L x = 0 gives |Q x|^2 = 0, so ker L = ker Q: the
-    two have the same row space, hence the same reduced form and basis, and Q
-    (3 nonzeros per row) is far cheaper to eliminate than its Gram product.
+    Over the rationals L x = 0 gives |Q x|^2 = 0, so ker L = ker Q, and
+    ker Q is read off one sweep down the dual tree, with no curvature check
+    and no elimination of Q: two values on triangle 0 fix a solution on
+    every triangle.  The canonical connection takes the slot classes of
+    `simplicial.plain_kernel`.  Any other connection carries the GL(2)
+    frames of `connection.frame_sweep`; a seed pair (c0, c1) is a zero mode
+    exactly when the frame crossed over each cotree edge equals the tree
+    frame there (rows in two unknowns), and `ratmat.nullspace_form` puts
+    the resulting vectors into the reduced form.  A surface that is not
+    edge-connected is a ValueError.
     """
-    q = ratmat.dense(_q_rows(conn), conn.surface.num_vertices)
-    return [dict(enumerate(vec)) for vec in ratmat.nullspace(q)]
+    surf = conn.surface
+    if conn.is_canonical:
+        return plain_kernel(surf.triangles, surf.dual_neighbours, surf.num_vertices)
+    frames, crossings = frame_sweep(conn)
+    rows = []
+    for b, (x0, x1) in crossings:
+        f0, f1 = frames[b]
+        rows += [[x0[u] - f0[u], x1[u] - f1[u]] for u in f0]
+    at = _first_values(frames)
+    vecs = [[c0 * a + c1 * b for a, b in map(at.__getitem__, range(surf.num_vertices))]
+            for c0, c1 in _seeds(rows)]
+    return [dict(enumerate(vec)) for vec in ratmat.nullspace_form(vecs)]
 
 
 # --- black-triangle boundary value solver ------------------------------------
@@ -289,6 +325,10 @@ def max_principle_check(domain, psi: dict,
     boundary triangles, containment failures, and internal triangles whose
     image is not between a neighbor pair on one of the three coordinate
     lines.
+
+    Every test runs on psi times the lcm of its denominators, in ints: a
+    positive scale keeps the sort order and the sign of every cross
+    product.  The corners are scaled back to Fraction pairs.
     """
     dom = as_domain(domain)
     surf = dom.surface
@@ -301,6 +341,12 @@ def max_principle_check(domain, psi: dict,
         if vertex_coloring is None:
             raise NonTrivialHolonomy("domain admits no tri-coloring")
     psi = {v: frac(x) for v, x in psi.items()}
+    den = lcm(*{x.denominator for x in psi.values()})
+    psi = {v: x.numerator * (den // x.denominator) for v, x in psi.items()}
+
+    def unscaled(pts):
+        return [(Fraction(a, den), Fraction(b, den)) for a, b in pts]
+
     blacks = sorted(t for t in dom.tris if face_coloring.face_colors[t] == BLACK)
     for t in blacks:
         if sum(psi[v] for v in surf.triangles[t]) != 0:
@@ -315,10 +361,11 @@ def max_principle_check(domain, psi: dict,
     corners = convex_hull(pts)
     if dom.tris == frozenset(range(surf.num_triangles)) and surf.is_closed:
         # closed surface: no boundary; only covariant constants may pass
-        corner_violations = [] if point_hull else list(corners)
-        return MaxPrincipleReport(point_hull, corners, corner_violations, [], [], 0)
+        corner_violations = [] if point_hull else corners
+        return MaxPrincipleReport(point_hull, unscaled(corners),
+                                  unscaled(corner_violations), [], [], 0)
 
-    corner_violations = [c for c in corners if c not in boundary_pts]
+    corner_violations = unscaled(c for c in corners if c not in boundary_pts)
     hull_b = convex_hull(sorted(boundary_pts))
     containment_violations = [t for t in blacks if not point_in_hull(images[t], hull_b)]
 
@@ -343,7 +390,7 @@ def max_principle_check(domain, psi: dict,
         if not any(_between_on_line(images, t, mates, color)
                    for color, mates in pairs):
             betweenness_failures.append(t)
-    return MaxPrincipleReport(point_hull, corners, corner_violations,
+    return MaxPrincipleReport(point_hull, unscaled(corners), corner_violations,
                               containment_violations, betweenness_failures, checked)
 
 
@@ -368,14 +415,14 @@ def _between_on_line(images, t, mates, color) -> bool:
 
 # --- exact 2D hull helpers -----------------------------------------------------
 
-def _cross(o, a, b) -> Fraction:
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull(points) -> list:
-    """Andrew monotone chain over exact rational points; collinear hull
-    points are dropped so the result lists the polygon's corners in CCW
-    order (degenerate inputs give 1 or 2 points)."""
+    """Andrew monotone chain over exact points (Fraction or int pairs);
+    collinear hull points are dropped so the result lists the polygon's
+    corners in CCW order (degenerate inputs give 1 or 2 points)."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts

@@ -405,3 +405,11 @@ def test_triangle_index_outside_range_rejected(octa, where):
     t = -1 if where == "negative" else octa.num_triangles
     with pytest.raises(ValueError, match=f"triangle index {t} outside 0..7"):
         C.DiscreteConnection(octa, {(t, 0): 2})
+
+
+@pytest.mark.parametrize("where", ["negative", "past-the-end"])
+def test_b_rejects_triangle_index_outside_range(octa, where):
+    # b(-1, v) would read triangle 7 through negative indexing
+    t = -1 if where == "negative" else octa.num_triangles
+    with pytest.raises(ValueError, match=f"triangle index {t} outside 0..7"):
+        C.canonical_connection(octa).b(t, 0)

@@ -75,6 +75,13 @@ def test_bw_coloring_octahedron(octa):
         assert col.face_colors[ts[0]] != col.face_colors[ts[1]]
 
 
+def test_coloring_without_face_colours_raises(octa):
+    vertex_only = mesh.three_vertex_coloring(octa)
+    for read in (vertex_only.black_triangles, vertex_only.white_triangles):
+        with pytest.raises(ValueError, match="no face colours"):
+            read()
+
+
 def test_bw_matches_bipartite_oracle(octa, ico, torus4):
     import networkx as nx
 

@@ -75,6 +75,32 @@ def test_vec_mat_row_action():
     assert ratmat.vec_mat([Fraction(2), Fraction(5)], m) == [5, 2]
 
 
+def test_shape_mismatch_is_a_value_error():
+    m = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
+    with pytest.raises(ValueError, match="not 2 long"):
+        ratmat.mat_mul([[Fraction(1)] * 3], m)
+    with pytest.raises(ValueError, match="length 3 against 2 rows"):
+        ratmat.vec_mat([Fraction(1)] * 3, m)
+
+
+def test_nullspace_form_from_any_kernel_basis():
+    rng = random.Random(8)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 7)
+        a = [[Fraction(rng.choice((0, 0, rng.randint(-3, 3))), rng.randint(1, 3))
+              for _ in range(cols)] for _ in range(rows)]
+        want = ratmat.nullspace(a)
+        # an invertible mix of the kernel basis: unit lower triangular, rows reversed
+        d = len(want)
+        mix = [[rng.randint(-4, 4) if j < i else int(i == j) for j in range(d)]
+               for i in range(d)]
+        mixed = [[sum(mix[i][j] * want[j][c] for j in range(d)) for c in range(cols)]
+                 for i in range(d)][::-1]
+        got = ratmat.nullspace_form(mixed)
+        assert got == want
+        assert all(type(x) is Fraction for v in got for x in v)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_nullspace_and_rank_nullity(seed):

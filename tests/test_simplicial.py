@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from test_holonomy_sweep import cross_polytope_3
 from test_ratmat import dense_rref
+from test_solver import KERNEL_SURFACES
 from triholo import connection as C
 from triholo import fixtures, mesh, ratmat, simplicial as SK, solver
 from triholo.errors import LocalHolonomyNontrivial, NotAManifold
@@ -65,6 +67,65 @@ def test_zero_modes_k_identical_to_dense_L(monkeypatch):
                 for v in simplex:
                     lk[u][v] += 1
         assert modes == [dict(enumerate(vec)) for vec in ratmat.nullspace(lk)]
+
+
+def elimination_zero_modes_k(x):
+    """The former `zero_modes_k`: `ratmat.nullspace` of the dense matrix Q."""
+    q = SK.q_matrix(x.simplices, range(x.num_simplices))
+    return [dict(enumerate(vec)) for vec in ratmat.nullspace(ratmat.dense(q, x.num_vertices))]
+
+
+def kernel_complexes():
+    """The surfaces of the `zero_modes` oracle as 2-complexes, graphs, two
+    closed 3-manifolds, and complexes that are not manifolds: a facet in
+    three simplices, a vertex whose simplices share no facet through it
+    (the strip (0,1,2), (1,2,3), (2,3,4), (3,4,0)), and a path."""
+    out = {tag: SK.SimplicialComplexK(surf.triangles) for tag, surf in KERNEL_SURFACES.items()}
+    out.update((f"cycle{n}", SK.cycle_graph(n)) for n in range(3, 10))
+    out["bd4simplex"] = SK.boundary_of_4_simplex()
+    out["cross16"] = cross_polytope_3()
+    out["book"] = SK.SimplicialComplexK([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
+    out["pinched"] = SK.SimplicialComplexK([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0)])
+    out["path"] = SK.SimplicialComplexK([(0, 1), (1, 2), (2, 3)])
+    out["two_tets"] = SK.SimplicialComplexK([(0, 1, 2, 3), (0, 1, 2, 4)])
+    return out
+
+
+KERNEL_COMPLEXES = kernel_complexes()
+
+
+@pytest.mark.parametrize("tag", sorted(KERNEL_COMPLEXES))
+def test_zero_modes_k_equal_elimination(tag, monkeypatch):
+    x = KERNEL_COMPLEXES[tag]
+    want = elimination_zero_modes_k(x)
+
+    def no_elimination(*args):
+        raise AssertionError("zero_modes_k eliminated")
+
+    monkeypatch.setattr(ratmat, "rref", no_elimination)
+    monkeypatch.setattr(ratmat, "dense", no_elimination)
+    got = SK.zero_modes_k(x)
+    monkeypatch.undo()
+    assert got == want
+    assert [list(m) for m in got] == [list(m) for m in want]
+    assert all(type(v) is Fraction for m in got for v in m.values())
+    if tag == "pinched":  # the vertex 0 ties slots no cotree permutation moves
+        assert len(got) == 1 and SK.label_sweep(x.simplices, x.adjacency().__getitem__,
+                                                x.num_simplices)[1] == ()
+
+
+def test_zero_modes_k_need_a_facet_connected_complex():
+    with pytest.raises(ValueError, match="dual graph is not connected"):
+        SK.zero_modes_k(SK.SimplicialComplexK([(0, 1, 2), (2, 3, 4)]))
+
+
+def test_covariant_constants_k_failing_basis_is_a_typed_error(monkeypatch):
+    x = SK.cycle_graph(6)
+    classes, hol = SK.vertex_orbit_classes(x)
+    classes[0] = 1 - classes[0]
+    monkeypatch.setattr(SK, "vertex_orbit_classes", lambda _: (classes, hol))
+    with pytest.raises(LocalHolonomyNontrivial, match="fails simplex"):
+        SK.covariant_constants_k(x)
 
 
 def test_k2_octahedron_matches_surface_modules(octa):

@@ -5,10 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_frac
+from conftest import klein_bottle, rand_frac
 from test_ratmat import dense_rref
 from triholo import connection as C
 from triholo import fixtures, lattice, mesh, ratmat, simplicial, solver
+from triholo.mesh import (
+    BLACK,
+    Coloring,
+    as_domain,
+    bw_face_coloring,
+    three_vertex_coloring,
+)
+from triholo.ratmat import frac
+from triholo.solver import MaxPrincipleReport
 from triholo.errors import (
     InconsistentBoundary,
     NonTrivialHolonomy,
@@ -144,13 +153,16 @@ def test_zero_modes_identical_to_dense_L(octa, monkeypatch):
         assert modes == [dict(enumerate(vec)) for vec in oracle]
 
 
-def test_zero_modes_torus_18_within_budget():
-    surf = fixtures.torus_lattice(18).surface
+def zero_modes_within_budget(n, budget):
+    """zero_modes on torus_lattice(n) in `budget` seconds: two modes, each
+    solving every triangle equation and together spanning the covariant
+    constants."""
+    surf = fixtures.torus_lattice(n).surface
     conn = C.canonical_connection(surf)
     start = time.perf_counter()
     modes = solver.zero_modes(conn)
     elapsed = time.perf_counter() - start
-    assert elapsed <= 10.0, f"zero_modes at V={surf.num_vertices} took {elapsed:.1f}s"
+    assert elapsed <= budget, f"zero_modes at V={surf.num_vertices} took {elapsed:.1f}s"
     assert len(modes) == 2
     for m in modes:
         assert all(m[a] + m[b] + m[c] == 0 for a, b, c in surf.triangles)
@@ -158,6 +170,112 @@ def test_zero_modes_torus_18_within_budget():
     nv = surf.num_vertices
     assert ratmat.span_equal([[m[v] for v in range(nv)] for m in modes],
                              [[c[v] for v in range(nv)] for c in cov.basis])
+
+
+def test_zero_modes_torus_18_within_budget():
+    zero_modes_within_budget(18, 10.0)
+
+
+def test_zero_modes_torus_36_within_budget():
+    zero_modes_within_budget(36, 2.0)
+
+
+# --- zero modes from the sweep against elimination -----------------------------
+
+def elimination_zero_modes(conn):
+    """The former `zero_modes`: `ratmat.nullspace` of the dense T x V matrix Q."""
+    q = ratmat.dense(solver._q_rows(conn), conn.surface.num_vertices)
+    return [dict(enumerate(vec)) for vec in ratmat.nullspace(q)]
+
+
+def kernel_surfaces():
+    """Closed surfaces with trivial, Z2, Z3 and S3 holonomy, the curved
+    icosahedron, and discs."""
+    out = {f"torus{n}s{s}": fixtures.torus_lattice(n, s).surface
+           for n in range(3, 9) for s in range(n)}
+    out.update((f"hex{r}", fixtures.hex_patch(r).surface) for r in range(1, 5))
+    out.update(octa=fixtures.octahedron(), ico=fixtures.icosahedron(),
+               triangle=fixtures.single_triangle())
+    out.update((f"klein{k},{m}", klein_bottle(k, m)) for k in (2, 3) for m in (3, 4, 5, 6))
+    out["annulus"] = annulus()
+    return out
+
+
+def annulus():
+    """hex_patch(2) without the star of its centre, renumbered."""
+    patch = fixtures.hex_patch(2)
+    centre = patch.vertex_of[(0, 0)]
+    tris = [t for t in patch.surface.triangles if centre not in t]
+    index = {v: i for i, v in enumerate(sorted({v for t in tris for v in t}))}
+    return mesh.build_surface([tuple(index[v] for v in t) for t in tris])
+
+
+KERNEL_SURFACES = kernel_surfaces()
+
+
+def vertex_gauged(surf, rng):
+    """b[T, P] = c_P: psi is a zero mode exactly when c psi is a canonical
+    one, so the kernel dimension is the canonical one."""
+    c = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+         for _ in range(surf.num_vertices)]
+    return C.DiscreteConnection(surf, {(t, v): c[v] for t, tri in enumerate(surf.triangles)
+                                       for v in tri})
+
+
+def random_weighted(surf, rng):
+    return C.DiscreteConnection(surf, {(t, v): rand_frac(rng, 1, 9, 5) * rng.choice((-1, 1))
+                                       for t, tri in enumerate(surf.triangles) for v in tri})
+
+
+def mostly_plain(surf, rng):
+    """b = 1 on about half the incidences and 2, -1 or 3 on the rest: a
+    crossed frame then often agrees with the tree frame on some vertices
+    of a cotree triangle and not on others."""
+    return C.DiscreteConnection(surf, {(t, v): rng.choice((1, 1, 1, 2, -1, 3))
+                                       for t, tri in enumerate(surf.triangles) for v in tri})
+
+
+def test_kernel_surfaces_reach_dimensions_0_1_2():
+    dims = {len(elimination_zero_modes(C.canonical_connection(surf)))
+            for surf in KERNEL_SURFACES.values()}
+    assert dims == {0, 1, 2}
+
+
+@pytest.mark.parametrize("tag", sorted(KERNEL_SURFACES))
+def test_zero_modes_equal_elimination(tag, monkeypatch):
+    surf = KERNEL_SURFACES[tag]
+    rng = random.Random(tag)
+    conns = [C.canonical_connection(surf), vertex_gauged(surf, rng), random_weighted(surf, rng),
+             mostly_plain(surf, rng)]
+    want = [elimination_zero_modes(conn) for conn in conns]
+    rref = ratmat.rref
+
+    def seed_rows_only(a):  # the <= 2 unknowns of the weighted sweep, never Q
+        assert all(len(row) <= 2 for row in a)
+        return rref(a)
+
+    def no_dense(rows, cols):
+        raise AssertionError("zero_modes densified a matrix")
+
+    monkeypatch.setattr(ratmat, "rref", seed_rows_only)
+    monkeypatch.setattr(ratmat, "dense", no_dense)
+    got = [solver.zero_modes(conn) for conn in conns]
+    monkeypatch.undo()
+    for modes, oracle in zip(got, want):
+        assert modes == oracle
+        assert [list(m) for m in modes] == [list(m) for m in oracle]
+        assert all(type(x) is Fraction for m in modes for x in m.values())
+    assert len(got[1]) == len(got[0])
+    if surf.is_closed and C.has_zero_curvature(conns[0]):
+        assert len(got[0]) == C.classify_holonomy(conns[0]).covariant_dimension
+
+
+def test_zero_modes_need_an_edge_connected_surface():
+    apart = mesh.build_surface([(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(ValueError, match="dual graph is not connected"):
+        solver.zero_modes(C.canonical_connection(apart))
+    with pytest.raises(ValueError, match="dual graph is not connected"):
+        solver.zero_modes(C.DiscreteConnection(apart, {(0, 0): 2}))
 
 
 def bw_runs(radius):
@@ -324,6 +442,236 @@ def test_max_principle_closed_surface(octa):
     psi = {v: cov.basis[0][v] + 2 * cov.basis[1][v] for v in range(6)}
     rep = solver.max_principle_check(mesh.whole_domain(octa), psi)
     assert rep.point_hull and rep.ok
+
+
+# --- the integer maximum-principle check against the Fraction one --------------
+#
+# `ref_max_principle_check` and its helpers are the former implementation,
+# verbatim except for their names: hat map, hull and betweenness on Fractions.
+
+def ref_hat_map(domain, psi: dict, face_coloring: Coloring, vertex_coloring: Coloring) -> dict:
+    """psi-hat: black triangle -> (psi_a, psi_b) in the covariant plane."""
+    dom = as_domain(domain)
+    surf = dom.surface
+    vc = vertex_coloring.vertex_colors
+    out = {}
+    for t in sorted(dom.tris):
+        if face_coloring.face_colors[t] != BLACK:
+            continue
+        by_color = {vc[v]: psi[v] for v in surf.triangles[t]}
+        out[t] = (by_color[0], by_color[1])
+    return out
+
+
+def ref_max_principle_check(domain, psi: dict,
+                            face_coloring: Coloring | None = None,
+                            vertex_coloring: Coloring | None = None) -> MaxPrincipleReport:
+    """Check that psi-hat lands in the convex hull of the boundary images.
+
+    psi must solve every black triangle equation of the domain
+    (NotASolution otherwise).  Reports hull corners not realized by
+    boundary triangles, containment failures, and internal triangles whose
+    image is not between a neighbor pair on one of the three coordinate
+    lines.
+    """
+    dom = as_domain(domain)
+    surf = dom.surface
+    if face_coloring is None:
+        face_coloring = bw_face_coloring(dom)
+        if face_coloring is None:
+            raise NonTrivialHolonomy("domain admits no b/w coloring")
+    if vertex_coloring is None:
+        vertex_coloring = three_vertex_coloring(dom)
+        if vertex_coloring is None:
+            raise NonTrivialHolonomy("domain admits no tri-coloring")
+    psi = {v: frac(x) for v, x in psi.items()}
+    blacks = sorted(t for t in dom.tris if face_coloring.face_colors[t] == BLACK)
+    for t in blacks:
+        if sum(psi[v] for v in surf.triangles[t]) != 0:
+            raise NotASolution(f"black triangle {t} sum is nonzero")
+
+    images = ref_hat_map(dom, psi, face_coloring, vertex_coloring)
+    pts = list(images.values())
+    point_hull = len(set(pts)) == 1
+
+    lower = dom.lower_boundary()
+    boundary_pts = {images[t] for t in blacks if t in lower}
+    corners = ref_convex_hull(pts)
+    if dom.tris == frozenset(range(surf.num_triangles)) and surf.is_closed:
+        # closed surface: no boundary; only covariant constants may pass
+        corner_violations = [] if point_hull else list(corners)
+        return MaxPrincipleReport(point_hull, corners, corner_violations, [], [], 0)
+
+    corner_violations = [c for c in corners if c not in boundary_pts]
+    hull_b = ref_convex_hull(sorted(boundary_pts))
+    containment_violations = [t for t in blacks if not ref_point_in_hull(images[t], hull_b)]
+
+    betweenness_failures = []
+    checked = 0
+    vc = vertex_coloring.vertex_colors
+    for t in blacks:
+        if t in lower:
+            continue
+        pairs = []
+        degenerate = False
+        for v in surf.triangles[t]:
+            mates = [o for o in surf.vertex_triangles[v]
+                     if o != t and o in dom.tris and face_coloring.face_colors[o] == BLACK]
+            if len(mates) != 2:
+                degenerate = True
+                break
+            pairs.append((vc[v], mates))
+        if degenerate:
+            continue
+        checked += 1
+        if not any(ref_between_on_line(images, t, mates, color)
+                   for color, mates in pairs):
+            betweenness_failures.append(t)
+    return MaxPrincipleReport(point_hull, corners, corner_violations,
+                              containment_violations, betweenness_failures, checked)
+
+
+def ref_between_on_line(images, t, mates, color) -> bool:
+    """Image of t between the two mate images along the psi_color = const line."""
+    p = images[t]
+    q1, q2 = images[mates[0]], images[mates[1]]
+
+    def coord(pt, c):
+        if c == 0:
+            return pt[0]
+        if c == 1:
+            return pt[1]
+        return -pt[0] - pt[1]
+
+    if coord(q1, color) != coord(p, color) or coord(q2, color) != coord(p, color):
+        return False
+    free = 1 if color == 0 else 0
+    a, b, x = coord(q1, free), coord(q2, free), coord(p, free)
+    return min(a, b) <= x <= max(a, b)
+
+
+def ref_cross(o, a, b) -> Fraction:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def ref_convex_hull(points) -> list:
+    """Andrew monotone chain over exact rational points; collinear hull
+    points are dropped so the result lists the polygon's corners in CCW
+    order (degenerate inputs give 1 or 2 points)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower, upper = [], []
+    for p in pts:
+        while len(lower) >= 2 and ref_cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    for p in reversed(pts):
+        while len(upper) >= 2 and ref_cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 2:  # all points collinear: keep the two extremes
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def ref_point_in_hull(p, hull) -> bool:
+    """Closed containment test against a CCW hull (exact)."""
+    if not hull:
+        return False
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        a, b = hull
+        if ref_cross(a, b, p) != 0:
+            return False
+        return (min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+                and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
+    for i in range(len(hull)):
+        a, b = hull[i], hull[(i + 1) % len(hull)]
+        if ref_cross(a, b, p) < 0:
+            return False
+    return True
+
+
+def same_max_principle(*args):
+    """Both checks give equal reports (corners as Fraction pairs) or raise
+    the same error."""
+    try:
+        want = ref_max_principle_check(*args)
+    except (NotASolution, NonTrivialHolonomy) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            solver.max_principle_check(*args)
+        return None
+    got = solver.max_principle_check(*args)
+    assert got == want
+    assert all(type(x) is Fraction for c in got.hull_corners + got.corner_violations
+               for x in c)
+    return got
+
+
+def random_bw_solution(dom, fc, rng, den):
+    """solve_bw with random values over denominators `den()` on a
+    determining set."""
+    free = solver.determining_vertex_set(dom, fc)
+    return solver.solve_bw(dom, fc, {v: Fraction(rng.randint(-99, 99), den())
+                                     for v in free}).values
+
+
+def grown_domain(surf, rng):
+    """An edge-connected triangle set grown from a random triangle."""
+    tris = {rng.randrange(surf.num_triangles)}
+    for _ in range(rng.randint(1, surf.num_triangles)):
+        tris.add(rng.choice(surf.dual_neighbours(rng.choice(sorted(tris)))))
+    return mesh.SubComplexDomain(surf, frozenset(tris))
+
+
+@pytest.mark.parametrize("radius", [2, 3, 4, 5])
+def test_max_principle_equals_fraction_hull(radius):
+    rng = random.Random(radius)
+    surf = fixtures.hex_patch(radius).surface
+    dens = (lambda: rng.randint(1, 12), lambda: 2 ** 61 - 1)
+    domains = [mesh.whole_domain(surf)] + [grown_domain(surf, rng) for _ in range(6)]
+    outcomes = set()
+    for dom in domains:
+        fc = mesh.bw_face_coloring(dom)
+        vc = mesh.three_vertex_coloring(dom)
+        for den in dens:
+            psi = random_bw_solution(dom, fc, rng, den)
+            rep = same_max_principle(dom, psi, fc, vc)
+            outcomes.add((rep.point_hull, rep.checked_internal > 0))
+            # values given as str and int, and values off the domain
+            mixed = {v: str(x) if v % 2 else x for v, x in psi.items()}
+            mixed.update({v: Fraction(1, 2 ** 61 - 1) for v in range(surf.num_vertices)
+                          if v not in psi})
+            assert same_max_principle(dom, mixed) == rep
+        # a covariant constant, and a function that is not a solution
+        same_max_principle(dom, {v: (5, Fraction(-7, 3), Fraction(-8, 3))[c]
+                                 for v, c in vc.vertex_colors.items()}, fc, vc)
+        same_max_principle(dom, {v: Fraction(v, 7) for v in dom.vertices}, fc, vc)
+    assert (False, True) in outcomes
+
+
+def test_max_principle_closed_surfaces_equal_fraction_hull(octa):
+    rng = random.Random(3)
+    conn = C.canonical_connection(octa)
+    cov = solver.covariant_constants(conn).basis
+    psi = {v: Fraction(2, 3) * cov[0][v] - Fraction(1, 2 ** 61 - 1) * cov[1][v]
+           for v in range(6)}
+    assert same_max_principle(mesh.whole_domain(octa), psi).point_hull
+    # a closed torus with a third of its black triangles marked black: no
+    # boundary, so every corner of a hull wider than a point is reported
+    surf = fixtures.torus_lattice(6).surface
+    dom = mesh.whole_domain(surf)
+    fc = mesh.Coloring(face_colors={t: mesh.BLACK if t % 6 == 1 else mesh.WHITE
+                                    for t in range(surf.num_triangles)})
+    vc = mesh.three_vertex_coloring(dom)
+    null = solver.solve_bw(dom, fc, {}).nullspace
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in null]
+    psi = {v: sum(c * n[v] for c, n in zip(coeffs, null)) for v in range(surf.num_vertices)}
+    rep = same_max_principle(dom, psi, fc, vc)
+    assert not rep.point_hull and rep.corner_violations == rep.hull_corners
 
 
 def test_convex_hull_exact():
