@@ -27,8 +27,8 @@ from triholo import ratmat
 
 for k in range(5):
     pts = list(seq.triangle(k).points())
-    mat = [[f[p] for p in pts] for f in basis[: 2 * k + 2]]
-    print(f"  k={k}: rank {ratmat.rank(mat)} = 2k+2 = {2 * k + 2}")
+    mat = [dict(enumerate(f[p] for p in pts)) for f in basis[: 2 * k + 2]]
+    print(f"  k={k}: rank {ratmat.rank(mat, len(pts))} = 2k+2 = {2 * k + 2}")
 
 coeffs = L.taylor_coefficients(psi, seq, 4)
 print("taylor coefficients (alpha^1_k, alpha^2_k):")

@@ -240,7 +240,8 @@ def cmd_cauchy(args) -> dict:
     psi = lattice.random_holomorphic(w, rng, pad=1)
     if args.domain:
         dom = io.parse_lattice_domain_points(_read(args.domain))
-        for v in dom.vertices():
+        verts = dom.vertices()
+        for v in verts:
             if not w.contains(v):
                 raise TriholoError(f"domain vertex {v} outside the window")
     else:
@@ -255,17 +256,18 @@ def cmd_cauchy(args) -> dict:
             x = min(max(x, w.x0 + 2), w.x1 - 2)
             y = min(max(y, w.y0 + 2), w.y1 - 2)
         dom = lattice.LatticeDomain(frozenset(tris))
-    data = {v: psi[v] for v in dom.vertices()}
+        verts = dom.vertices()
+    data = {v: psi[v] for v in verts}
     rec = lattice.cauchy_reconstruct(dom, data)
-    exact = all(rec[v] == psi[v] for v in dom.vertices())
+    exact = all(rec[v] == psi[v] for v in verts)
     payload = {
         "domain_triangles": len(dom.tris),
-        "vertices": len(dom.vertices()),
+        "vertices": len(verts),
         "exact": exact,
         "ok": exact,
     }
     grid = lattice.LatticeFunction(
-        {p: rec[p] for p in dom.vertices()},
+        {p: rec[p] for p in verts},
         lattice.Window(min(p[0] for p in rec), max(p[0] for p in rec),
                        min(p[1] for p in rec), max(p[1] for p in rec)))
     return payload, lambda: io.lattice_csv(grid), lambda: lattice_heatmap_svg(grid)

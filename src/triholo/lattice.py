@@ -666,7 +666,8 @@ def taylor_coefficients(psi: LatticeFunction, seq: AdmissibleSequence, order: in
         b1 = _apex_values(tb, i1)
         b2 = _apex_values(tb, i2)
         # value = a1 * b1 + a2 * b2 on the three points of T^b(k)
-        alpha, null = solve_affine([[b1[p], b2[p]] for p, _ in triple], [v for _, v in triple])
+        alpha, null = solve_affine([{0: b1[p], 1: b2[p]} for p, _ in triple],
+                                   [v for _, v in triple], 2)
         if null:
             raise ArithmeticError("side polynomials degenerate on T^b(k)")
         if alpha is None:

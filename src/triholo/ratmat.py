@@ -2,18 +2,23 @@
 
 Everything in this package that claims exactness funnels through these
 routines: reduced row echelon form, rank, null spaces, affine solves and
-2x2 matrix algebra.  Dense matrices are plain row-major lists of lists.
-The global systems (Q, L = Q+Q, the Laplacian) have a handful of nonzeros
-per row, so they are kept as sparse rows, one `{column: value}` dict per
-row with zero entries left out; `gram` multiplies them and `dense` hands
-them to the elimination.  `rref` takes and returns dense rows but
-eliminates on sparse ones, so its cost follows the nonzeros and the
-fill-in, not rows x columns x rank.
+2x2 matrix algebra.  The global systems (Q, L = Q+Q, the Laplacian and
+the black-triangle boundary problem) have a handful of nonzeros per row,
+so every matrix handed to the elimination is one format: sparse rows, one
+`{column: value}` dict per row with zero entries left out, plus an
+explicit column count, which an empty matrix needs to say how many
+unknowns it has.  `rref` returns only its pivot rows, in the same format,
+and its cost follows the nonzeros and the fill-in, not rows x columns x
+rank.  Kernel and particular vectors come back as dense lists, one entry
+per column, since every caller reads every coordinate.  The 2x2 holonomy
+algebra (`mat_mul`, `inv2`, `det2`, `identity`) stays on dense
+row-major lists of lists.
 
 Entries may be ints (the canonical equation matrix is all 1s): `gram`
-and `combine` keep them as they are, while `dense` and `rref` (behind
-`rank`, `nullspace` and `solve_affine`) turn every entry into a Fraction,
-so no elimination divides an int by an int.
+and `combine` keep them as they are, while `rref` (behind `rank`,
+`nullspace`, `solve_affine` and `span_equal`) turns every entry into a
+Fraction, so no elimination divides an int by an int and every entry it
+returns is a Fraction.
 """
 
 from __future__ import annotations
@@ -83,15 +88,6 @@ def combine(*terms) -> list:
     return [{j: x for j, x in oi.items() if x} for oi in out]
 
 
-def dense(rows: list, cols: int) -> Mat:
-    """Sparse rows as a dense Fraction matrix with `cols` columns."""
-    out = zeros(len(rows), cols)
-    for oi, row in zip(out, rows):
-        for j, x in row.items():
-            oi[j] = frac(x)
-    return out
-
-
 def vec_mat(v: Vec, a: Mat) -> Vec:
     """Row vector times matrix (the right-action convention used throughout)."""
     n, m = len(a), len(a[0])
@@ -122,20 +118,19 @@ def inv2(a: Mat) -> Mat:
     return [[a[1][1] / d, -a[0][1] / d], [-a[1][0] / d, a[0][0] / d]]
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form of a copy of `a`, with pivot column list.
+def rref(rows: list, cols: int) -> tuple[list, list[int]]:
+    """Reduced row echelon form of sparse `rows` over `cols` columns: the
+    reduced pivot rows, as `{column: Fraction}` dicts in pivot order, and
+    the pivot columns.  `rows` is left untouched.
 
-    Sparse Gauss-Jordan on dict rows.  Columns are eliminated left to
-    right, so the pivot columns and the reduced rows are the unique RREF;
-    among the live rows with a nonzero in the column, the pivot is the one
-    with the fewest nonzeros (row index breaks ties), which keeps fill-in
-    low on the 3-nonzero rows of Q.  Back-substitution then clears each
-    pivot column from the earlier pivot rows.  Rows of zeros pad the
-    result to the input's row count.  Int entries are converted to
-    Fractions on entry, so every entry of the result is a Fraction.
+    Sparse Gauss-Jordan.  Columns are eliminated left to right, so the
+    pivot columns and the reduced rows are the unique RREF; among the live
+    rows with a nonzero in the column, the pivot is the one with the
+    fewest nonzeros (row index breaks ties), which keeps fill-in low on the
+    3-nonzero rows of Q.  Back-substitution then clears each pivot column
+    from the earlier pivot rows.
     """
-    rows = [{j: frac(x) for j, x in enumerate(row) if x} for row in a]
-    cols = len(a[0]) if a else 0
+    rows = [{j: frac(x) for j, x in row.items() if x} for row in rows]
     incol: list[set] = [set() for _ in range(cols)]   # column -> rows with a nonzero
     for i, row in enumerate(rows):
         for j in row:
@@ -144,6 +139,8 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     pivots: list[int] = []
     prow: list[int] = []
     for c in range(cols):
+        if not live:
+            break
         cand = incol[c] & live
         if not cand:
             continue
@@ -158,8 +155,6 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
                 _eliminate(rows[i], i, pr, c, incol)
         pivots.append(c)
         prow.append(p)
-        if not live:
-            break
     # Back-substitution, last pivot first.  When pivot k is used its row
     # holds only column c and non-pivot columns, so clearing c from earlier
     # rows leaves the other pivot columns, and their `incol` sets, as they are.
@@ -167,15 +162,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
         c, p = pivots[k], prow[k]
         for i in incol[c] - {p}:
             _eliminate(rows[i], i, rows[p], c, None)
-    zero = Fraction(0)
-    out = []
-    for p in prow:
-        full = [zero] * cols
-        for j, x in rows[p].items():
-            full[j] = x
-        out.append(full)
-    out += [[zero] * cols for _ in range(len(rows) - len(prow))]
-    return out, pivots
+    return [rows[p] for p in prow], pivots
 
 
 def _eliminate(row: dict, i: int, pivot_row: dict, c: int, incol) -> None:
@@ -194,35 +181,29 @@ def _eliminate(row: dict, i: int, pivot_row: dict, c: int, incol) -> None:
                 incol[j].discard(i)
 
 
-def rank(a: Mat) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+def rank(rows: list, cols: int) -> int:
+    return len(rref(rows, cols)[1])
 
 
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right null space {x : a x = 0}."""
-    if not a:
-        return []
-    red, pivots = rref(a)
-    return _kernel(red, pivots, len(a[0]))
+def nullspace(rows: list, cols: int) -> list[Vec]:
+    """Basis of the right null space {x : a x = 0} of sparse rows over
+    `cols` columns, one dense vector per free column."""
+    return _kernel(*rref(rows, cols), cols)
 
 
-def _kernel(red: Mat, pivots: list[int], cols: int) -> list[Vec]:
-    """Null space basis of the first `cols` columns of a reduced matrix:
-    one vector per free column, pivot columns beyond `cols` ignored."""
-    pivots = [p for p in pivots if p < cols]
+def _kernel(red: list, pivots: list[int], cols: int) -> list[Vec]:
+    """Null space basis of the first `cols` columns of reduced pivot rows:
+    one dense vector per free column, pivot columns beyond `cols` ignored."""
     pivset = set(pivots)
-    basis = []
-    for f in range(cols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * cols
+    free = {f: [Fraction(0)] * cols for f in range(cols) if f not in pivset}
+    for f, v in free.items():
         v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(v)
-    return basis
+    for row, p in zip(red, pivots):
+        if p < cols:
+            for f, x in row.items():
+                if f in free:
+                    free[f][p] = -x
+    return list(free.values())
 
 
 def nullspace_form(basis: list[Vec]) -> list[Vec]:
@@ -254,32 +235,28 @@ def nullspace_form(basis: list[Vec]) -> list[Vec]:
     return [vec for _, vec in sorted(red, key=lambda fr: fr[0])]
 
 
-def solve_affine(a: Mat, b: Vec) -> tuple[Vec | None, list[Vec]]:
-    """Solve a x = b exactly.
+def solve_affine(rows: list, b: Vec, cols: int) -> tuple[Vec | None, list[Vec]]:
+    """Solve a x = b exactly, for sparse rows a over `cols` columns.
 
     Returns (particular, nullspace_basis); particular is None when the
     system is inconsistent.  Free variables are set to zero in the
     particular solution.  One elimination of [a | b] gives both: its first
     columns are the reduced form of a.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
+    aug = [{**row, cols: bi} for row, bi in zip(rows, b)]
+    red, pivots = rref(aug, cols + 1)
     null = _kernel(red, pivots, cols)
     if cols in pivots:
         return None, null
     x = [Fraction(0)] * cols
-    for i, p in enumerate(pivots):
-        x[p] = red[i][cols]
+    for row, p in zip(red, pivots):
+        if cols in row:
+            x[p] = row[cols]
     return x, null
 
 
-def span_equal(b1: list[Vec], b2: list[Vec]) -> bool:
-    """Exact equality of the subspaces spanned by two row collections."""
-    r1 = rank(b1) if b1 else 0
-    r2 = rank(b2) if b2 else 0
-    if r1 != r2:
-        return False
-    stacked = [v[:] for v in b1] + [v[:] for v in b2]
-    return (rank(stacked) if stacked else 0) == r1
+def span_equal(b1: list, b2: list, cols: int) -> bool:
+    """Exact equality of the subspaces spanned by two collections of
+    sparse rows over `cols` columns."""
+    r1 = rank(b1, cols)
+    return r1 == rank(b2, cols) and rank(b1 + b2, cols) == r1

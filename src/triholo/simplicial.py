@@ -317,11 +317,10 @@ def bw_factorization_check(x: SimplicialComplexK) -> KFactorizationReport:
     nv = x.num_vertices
     q = q_matrix(x.simplices, range(x.num_simplices))
     lmat = ratmat.gram(q, nv)
-    kernel = ratmat.nullspace(ratmat.dense(q, nv))  # over the rationals ker L = ker Q
+    kernel = ratmat.nullspace(q, nv)  # over the rationals ker L = ker Q
     try:
-        cov = covariant_constants_k(x)
-        cov_vecs = [[psi[v] for v in range(nv)] for psi in cov]
-        matches = ratmat.span_equal(kernel, cov_vecs)
+        matches = ratmat.span_equal([dict(enumerate(vec)) for vec in kernel],
+                                    covariant_constants_k(x), nv)
     except (LocalHolonomyNontrivial, NotAManifold):
         matches = None
     colors = bw_simplex_coloring(x)

@@ -64,20 +64,14 @@ def covariant_constants(conn: DiscreteConnection) -> CovariantConstantSpace:
     frames, gens = holonomy_frames(conn)  # raises NonzeroCurvature when curved
     rows = []
     for g in gens:
-        rows.append([g[0][0] - 1, g[1][0]])
-        rows.append([g[0][1], g[1][1] - 1])
+        rows.append({0: g[0][0] - 1, 1: g[1][0]})
+        rows.append({0: g[0][1], 1: g[1][1] - 1})
     at = _first_values(frames)
-    basis = [{v: c0 * a + c1 * b for v, (a, b) in at.items()} for c0, c1 in _seeds(rows)]
+    basis = [{v: c0 * a + c1 * b for v, (a, b) in at.items()}
+             for c0, c1 in ratmat.nullspace(rows, 2)]
     for psi in basis:
         _assert_solves(conn, psi)
     return CovariantConstantSpace(basis, len(basis))
-
-
-def _seeds(rows) -> list:
-    """Basis of the seed pairs (c0, c1) with c0 x + c1 y = 0 for every row
-    [x, y]; both unit pairs when there are no rows."""
-    return ratmat.nullspace(rows) if rows else [[Fraction(1), Fraction(0)],
-                                                [Fraction(0), Fraction(1)]]
 
 
 def _first_values(frames) -> dict:
@@ -206,10 +200,10 @@ def zero_modes(conn: DiscreteConnection) -> list:
     rows = []
     for b, (x0, x1) in crossings:
         f0, f1 = frames[b]
-        rows += [[x0[u] - f0[u], x1[u] - f1[u]] for u in f0]
+        rows += [{0: x0[u] - f0[u], 1: x1[u] - f1[u]} for u in f0]
     at = _first_values(frames)
     vecs = [[c0 * a + c1 * b for a, b in map(at.__getitem__, range(surf.num_vertices))]
-            for c0, c1 in _seeds(rows)]
+            for c0, c1 in ratmat.nullspace(rows, 2)]
     return [dict(enumerate(vec)) for vec in ratmat.nullspace_form(vecs)]
 
 
@@ -233,55 +227,45 @@ def solve_bw(domain, coloring: Coloring, boundary_values: dict) -> BWSolveResult
     is a ValueError.
     """
     dom = as_domain(domain)
-    surf = dom.surface
     if three_vertex_coloring(dom) is None:
         raise NonTrivialHolonomy("domain has no global tri-coloring")
-    blacks = sorted(t for t in dom.tris if coloring.face_colors[t] == BLACK)
-    verts = sorted(dom.vertices)
-    outside = sorted(set(boundary_values) - set(verts))
+    outside = sorted(set(boundary_values) - dom.vertices)
     if outside:
         raise ValueError(f"boundary values on vertices outside the domain: {outside}")
     fixed = {v: frac(x) for v, x in boundary_values.items()}
-    unknowns = [v for v in verts if v not in fixed]
-    col = {v: i for i, v in enumerate(unknowns)}
-    rows, rhs = [], []
-    for eq in q_matrix(surf.triangles, blacks):
-        rows.append({col[v]: x for v, x in eq.items() if v not in fixed})
-        rhs.append(-sum((x * fixed[v] for v, x in eq.items() if v in fixed), Fraction(0)))
-    rows = ratmat.dense(rows, len(unknowns))
-    if not unknowns:
-        if any(b != 0 for b in rhs):
-            raise InconsistentBoundary("prescribed values violate a black triangle")
-        particular, null = [], []
-    elif not rows:
-        particular = [Fraction(0)] * len(unknowns)
-        null = [[Fraction(int(i == j)) for j in range(len(unknowns))]
-                for i in range(len(unknowns))]
-    else:
-        particular, null = ratmat.solve_affine(rows, rhs)
+    unknowns, rows, rhs = _black_system(dom, coloring, fixed)
+    particular, null = ratmat.solve_affine(rows, rhs, len(unknowns))
     if particular is None:
         raise InconsistentBoundary("boundary values admit no black-triangle solution")
     values = dict(fixed)
-    for v, i in col.items():
-        values[v] = particular[i]
-    null_dicts = [{v: vec[i] for v, i in col.items()} for vec in null]
+    values.update(zip(unknowns, particular))
+    null_dicts = [dict(zip(unknowns, vec)) for vec in null]
     return BWSolveResult(values, null_dicts, not null_dicts)
 
 
 def determining_vertex_set(domain, coloring: Coloring) -> tuple:
-    """Greedy determining set: the non-pivot columns of the black system.
+    """Greedy determining set: the free columns of the black system with
+    nothing prescribed.
 
     Prescribing values there makes the solution unique.
     """
-    dom = as_domain(domain)
+    verts, rows, _ = _black_system(as_domain(domain), coloring, {})
+    pivots = set(ratmat.rref(rows, len(verts))[1])
+    return tuple(v for i, v in enumerate(verts) if i not in pivots)
+
+
+def _black_system(dom, coloring: Coloring, fixed: dict) -> tuple:
+    """The black triangle equations of `dom` with the values `fixed` moved
+    to the right: (the other vertices in sorted order, one sparse row over
+    their columns per black triangle, the right-hand sides)."""
     blacks = sorted(t for t in dom.tris if coloring.face_colors[t] == BLACK)
-    verts = sorted(dom.vertices)
-    col = {v: i for i, v in enumerate(verts)}
-    rows = [{col[v]: x for v, x in eq.items()}
-            for eq in q_matrix(dom.surface.triangles, blacks)]
-    _, pivots = ratmat.rref(ratmat.dense(rows, len(verts)))
-    pivset = set(pivots)
-    return tuple(v for v in verts if col[v] not in pivset)
+    unknowns = [v for v in sorted(dom.vertices) if v not in fixed]
+    col = {v: i for i, v in enumerate(unknowns)}
+    rows, rhs = [], []
+    for eq in q_matrix(dom.surface.triangles, blacks):
+        rows.append({col[v]: x for v, x in eq.items() if v not in fixed})
+        rhs.append(-sum((x * fixed[v] for v, x in eq.items() if v in fixed), Fraction(0)))
+    return unknowns, rows, rhs
 
 
 # --- maximum principle --------------------------------------------------------

@@ -144,7 +144,7 @@ def ref_covariant_constants(conn):
     for g in gens:
         rows.append([g[0][0] - 1, g[1][0]])
         rows.append([g[0][1], g[1][1] - 1])
-    invariant = (solver.ratmat.nullspace(rows) if rows
+    invariant = (solver.ratmat.nullspace([dict(enumerate(row)) for row in rows], 2) if rows
                  else [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
     basis = [ref_propagate_seed(conn, vec) for vec in invariant]
     for psi in basis:

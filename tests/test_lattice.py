@@ -135,8 +135,8 @@ def test_poly_space_ranks():
     for k in range(7):
         basis = L.poly_space_basis(seq, k, w)
         pts = list(seq.triangle(k).points())
-        mat = [[f[p] for p in pts] for f in basis]
-        assert ratmat.rank(mat) == 2 * k + 2
+        mat = [dict(enumerate(f[p] for p in pts)) for f in basis]
+        assert ratmat.rank(mat, len(pts)) == 2 * k + 2
 
 
 def test_side_values_determine_polynomial():
@@ -146,8 +146,8 @@ def test_side_values_determine_polynomial():
     for k in range(1, 5):
         basis = L.poly_space_basis(seq, k, w)
         side = seq.triangle(k).side_points(1)
-        mat = [[f[p] for p in side] for f in basis]
-        assert ratmat.rank(mat) == 2 * k + 2
+        mat = [dict(enumerate(f[p] for p in side)) for f in basis]
+        assert ratmat.rank(mat, len(side)) == 2 * k + 2
 
 
 def test_sum_of_sides_drops_degree():

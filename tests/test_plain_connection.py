@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_ratmat import sparse
 from triholo import connection as C
 from triholo import fixtures, mesh, ratmat, simplicial, solver
 from triholo.errors import NonzeroCurvature
@@ -122,18 +123,19 @@ def all_fractions(rows):
 @settings(max_examples=150, deadline=None)
 @given(int_matrices, st.data())
 def test_int_matrices_eliminate_to_fractions(a, data):
-    red, pivots = ratmat.rref(a)
-    assert all_fractions(red)
-    assert (red, pivots) == ratmat.rref(as_fractions(a))
-    null = ratmat.nullspace(a)
-    assert all_fractions(null) and null == ratmat.nullspace(as_fractions(a))
-    assert ratmat.rank(a) == ratmat.rank(as_fractions(a))
+    cols = len(a[0])
+    ints, fracs = sparse(a), sparse(as_fractions(a))
+    red, pivots = ratmat.rref(ints, cols)
+    assert all_fractions([row.values() for row in red])
+    assert (red, pivots) == ratmat.rref(fracs, cols)
+    null = ratmat.nullspace(ints, cols)
+    assert all_fractions(null) and null == ratmat.nullspace(fracs, cols)
+    assert ratmat.rank(ints, cols) == ratmat.rank(fracs, cols)
     b = data.draw(st.lists(st.integers(-4, 4), min_size=len(a), max_size=len(a)))
-    x, kernel = ratmat.solve_affine(a, b)
-    want_x, want_kernel = ratmat.solve_affine(as_fractions(a), [Fraction(y) for y in b])
+    x, kernel = ratmat.solve_affine(ints, b, cols)
+    want_x, want_kernel = ratmat.solve_affine(fracs, [Fraction(y) for y in b], cols)
     assert x == want_x and kernel == want_kernel
     assert all_fractions(kernel) and (x is None or all_fractions([x]))
-    assert all_fractions(ratmat.dense([dict(enumerate(row)) for row in a], len(a[0])))
 
 
 @pytest.mark.parametrize("tag", sorted(SURFACES))
@@ -152,7 +154,7 @@ def test_integer_q_equals_fraction_q(tag):
     modes = solver.zero_modes(conn)
     assert all(type(m[v]) is Fraction for m in modes for v in m)
     assert modes == [dict(enumerate(vec)) for vec in ratmat.nullspace(
-        ratmat.dense(ref_q_matrix(surf.triangles, rows), surf.num_vertices))]
+        ref_q_matrix(surf.triangles, rows), surf.num_vertices)]
 
 
 # --- relabelling ------------------------------------------------------------------

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from test_holonomy_sweep import cross_polytope_3
-from test_ratmat import dense_rref
+from test_ratmat import reference_rref, sparse
 from test_solver import KERNEL_SURFACES
 from triholo import connection as C
 from triholo import fixtures, mesh, ratmat, simplicial as SK, solver
@@ -59,20 +59,21 @@ def test_zero_modes_k_identical_to_dense_L(monkeypatch):
     xs += [SK.SimplicialComplexK(fixtures.torus_lattice(n, s).surface.triangles)
            for n in range(3, 7) for s in range(n)]
     got = [SK.zero_modes_k(x) for x in xs]
-    monkeypatch.setattr(ratmat, "rref", dense_rref)
+    monkeypatch.setattr(ratmat, "rref", reference_rref)
     for x, modes in zip(xs, got):
         lk = [[Fraction(0)] * x.num_vertices for _ in range(x.num_vertices)]
         for simplex in x.simplices:
             for u in simplex:
                 for v in simplex:
                     lk[u][v] += 1
-        assert modes == [dict(enumerate(vec)) for vec in ratmat.nullspace(lk)]
+        assert modes == [dict(enumerate(vec)) for vec in ratmat.nullspace(sparse(lk),
+                                                                          x.num_vertices)]
 
 
 def elimination_zero_modes_k(x):
     """The former `zero_modes_k`: `ratmat.nullspace` of the dense matrix Q."""
     q = SK.q_matrix(x.simplices, range(x.num_simplices))
-    return [dict(enumerate(vec)) for vec in ratmat.nullspace(ratmat.dense(q, x.num_vertices))]
+    return [dict(enumerate(vec)) for vec in ratmat.nullspace(q, x.num_vertices)]
 
 
 def kernel_complexes():
@@ -103,7 +104,6 @@ def test_zero_modes_k_equal_elimination(tag, monkeypatch):
         raise AssertionError("zero_modes_k eliminated")
 
     monkeypatch.setattr(ratmat, "rref", no_elimination)
-    monkeypatch.setattr(ratmat, "dense", no_elimination)
     got = SK.zero_modes_k(x)
     monkeypatch.undo()
     assert got == want
@@ -140,10 +140,8 @@ def test_k2_octahedron_matches_surface_modules(octa):
                          solver.assemble_L(C.canonical_connection(octa)))
     # covariant constants agree as subspaces
     kb = SK.covariant_constants_k(x)
-    kv = [[psi[v] for v in range(6)] for psi in kb]
     sb = solver.covariant_constants(C.canonical_connection(octa)).basis
-    sv = [[psi[v] for v in range(6)] for psi in sb]
-    assert ratmat.span_equal(kv, sv)
+    assert ratmat.span_equal(kb, sb, 6)
 
 
 def test_k2_torus_matches_surface(torus4, torus3):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import klein_bottle, rand_frac
-from test_ratmat import dense_rref
+from test_ratmat import dense, reference_rref, sparse
 from triholo import connection as C
 from triholo import fixtures, lattice, mesh, ratmat, simplicial, solver
 from triholo.mesh import (
@@ -31,8 +31,8 @@ def nullspace_oracle(conn):
     import sympy
 
     surf = conn.surface
-    q = ratmat.dense(simplicial.q_matrix(surf.triangles, range(surf.num_triangles), conn.b),
-                     surf.num_vertices)
+    q = dense(simplicial.q_matrix(surf.triangles, range(surf.num_triangles), conn.b),
+              surf.num_vertices)
     m = sympy.Matrix([[sympy.Rational(x) for x in row] for row in q])
     return [[Fraction(str(v)) for v in vec] for vec in m.nullspace()]
 
@@ -43,7 +43,7 @@ def test_covariant_constants_octahedron(octa):
     assert space.dimension == 2
     oracle = nullspace_oracle(conn)
     ours = [[psi[v] for v in range(6)] for psi in space.basis]
-    assert ratmat.span_equal(ours, oracle)
+    assert ratmat.span_equal(sparse(ours), sparse(oracle), 6)
     for psi in space.basis:
         for t in octa.triangles:
             assert sum(psi[v] for v in t) == 0
@@ -98,9 +98,7 @@ def test_zero_modes_match_covariants(octa, torus3, torus4, torus6):
         conn = C.canonical_connection(surf)
         modes = solver.zero_modes(conn)
         space = solver.covariant_constants(conn)
-        mv = [[m[v] for v in range(surf.num_vertices)] for m in modes]
-        cv = [[c[v] for v in range(surf.num_vertices)] for c in space.basis]
-        assert ratmat.span_equal(mv, cv)
+        assert ratmat.span_equal(modes, space.basis, surf.num_vertices)
         assert len(modes) == space.dimension
 
 
@@ -147,9 +145,10 @@ def test_zero_modes_identical_to_dense_L(octa, monkeypatch):
     surfaces = [octa] + [fixtures.torus_lattice(n, s).surface
                          for n in range(3, 9) for s in range(n)]
     got = [solver.zero_modes(C.canonical_connection(surf)) for surf in surfaces]
-    monkeypatch.setattr(ratmat, "rref", dense_rref)
+    monkeypatch.setattr(ratmat, "rref", reference_rref)
     for surf, modes in zip(surfaces, got):
-        oracle = ratmat.nullspace(dense_L(C.canonical_connection(surf)))
+        oracle = ratmat.nullspace(sparse(dense_L(C.canonical_connection(surf))),
+                                  surf.num_vertices)
         assert modes == [dict(enumerate(vec)) for vec in oracle]
 
 
@@ -167,9 +166,7 @@ def zero_modes_within_budget(n, budget):
     for m in modes:
         assert all(m[a] + m[b] + m[c] == 0 for a, b, c in surf.triangles)
     cov = solver.covariant_constants(conn)
-    nv = surf.num_vertices
-    assert ratmat.span_equal([[m[v] for v in range(nv)] for m in modes],
-                             [[c[v] for v in range(nv)] for c in cov.basis])
+    assert ratmat.span_equal(modes, cov.basis, surf.num_vertices)
 
 
 def test_zero_modes_torus_18_within_budget():
@@ -184,8 +181,8 @@ def test_zero_modes_torus_36_within_budget():
 
 def elimination_zero_modes(conn):
     """The former `zero_modes`: `ratmat.nullspace` of the dense T x V matrix Q."""
-    q = ratmat.dense(solver._q_rows(conn), conn.surface.num_vertices)
-    return [dict(enumerate(vec)) for vec in ratmat.nullspace(q)]
+    return [dict(enumerate(vec))
+            for vec in ratmat.nullspace(solver._q_rows(conn), conn.surface.num_vertices)]
 
 
 def kernel_surfaces():
@@ -250,15 +247,12 @@ def test_zero_modes_equal_elimination(tag, monkeypatch):
     want = [elimination_zero_modes(conn) for conn in conns]
     rref = ratmat.rref
 
-    def seed_rows_only(a):  # the <= 2 unknowns of the weighted sweep, never Q
-        assert all(len(row) <= 2 for row in a)
-        return rref(a)
-
-    def no_dense(rows, cols):
-        raise AssertionError("zero_modes densified a matrix")
+    def seed_rows_only(rows, cols):  # the <= 2 unknowns of the weighted sweep, never Q
+        assert cols <= 2
+        assert all(len(row) <= 2 for row in rows)
+        return rref(rows, cols)
 
     monkeypatch.setattr(ratmat, "rref", seed_rows_only)
-    monkeypatch.setattr(ratmat, "dense", no_dense)
     got = [solver.zero_modes(conn) for conn in conns]
     monkeypatch.undo()
     for modes, oracle in zip(got, want):
@@ -293,7 +287,7 @@ def bw_runs(radius):
 
 def test_bw_solves_identical_to_dense_elimination(monkeypatch):
     got = [bw_runs(r) for r in (2, 3, 4)]
-    monkeypatch.setattr(ratmat, "rref", dense_rref)
+    monkeypatch.setattr(ratmat, "rref", reference_rref)
     assert got == [bw_runs(r) for r in (2, 3, 4)]
     assert got[0][1].unique and not got[0][2].unique
 
@@ -344,9 +338,7 @@ def test_solve_bw_closed_octahedron_black_only(octa):
     assert len(res.nullspace) == 2
     conn = C.canonical_connection(octa)
     cov = solver.covariant_constants(conn)
-    nv = [[n.get(v, Fraction(0)) for v in range(6)] for n in res.nullspace]
-    cv = [[c[v] for v in range(6)] for c in cov.basis]
-    assert ratmat.span_equal(nv, cv)
+    assert ratmat.span_equal(res.nullspace, cov.basis, 6)
 
 
 def test_solve_bw_inconsistent():
@@ -356,6 +348,21 @@ def test_solve_bw_inconsistent():
                                     for t in range(patch.surface.num_triangles)})
     t = sorted(patch.black)[0]
     bad = {v: Fraction(1) for v in patch.surface.triangles[t]}
+    with pytest.raises(InconsistentBoundary):
+        solver.solve_bw(dom, fc, bad)
+
+
+def test_solve_bw_with_every_vertex_prescribed():
+    """No unknowns left: the black system has rows and no columns."""
+    patch = fixtures.hex_patch(1)
+    dom = patch.domain()
+    fc = mesh.bw_face_coloring(dom)
+    free = solver.determining_vertex_set(dom, fc)
+    full = solver.solve_bw(dom, fc, {v: Fraction(v + 1, 3) for v in free}).values
+    res = solver.solve_bw(dom, fc, full)
+    assert res.unique and res.nullspace == [] and res.values == full
+    bad = dict(full)
+    bad[free[0]] += 1
     with pytest.raises(InconsistentBoundary):
         solver.solve_bw(dom, fc, bad)
 
