@@ -76,12 +76,11 @@ def _emit(args, payload: dict, csv=None, svg=None) -> None:
 
 
 def _window(values) -> lattice.Window:
+    """[a, b]^2 from 2 values, else x0 x1 y0 y1 (`main` checks the count)."""
     if len(values) == 2:
         a, b = values
         return lattice.Window(a, b, a, b)
-    if len(values) == 4:
-        return lattice.Window(*values)
-    raise ValueError("--window takes 2 values (square) or 4 (x0 x1 y0 y1)")
+    return lattice.Window(*values)
 
 
 def _nonnegative_int(text: str) -> int:
@@ -411,6 +410,9 @@ def main(argv=None) -> int:
         parser.error("--mode float requires --tol")
     if mode == "rational" and args.tol is not None:
         parser.error("--tol is only meaningful with --mode float")
+    window = getattr(args, "window", None)
+    if window is not None and len(window) not in (2, 4):
+        parser.error("--window takes 2 values (square) or 4 (x0 x1 y0 y1)")
     # Looked up by name at call time, so a rebinding of the module
     # attribute (a tracer's wrapper) is the function that runs.
     cmd = globals()[COMMANDS[args.command][0].__name__]

@@ -9,7 +9,8 @@ vectors from the right.
 This module holds weighted GL(2) transport, curvature and Appendix 1.
 Generators come from one sweep of the dual tree: GL(2) frames for
 `holonomy_frames`, and for the canonical connection, whose holonomy is a
-colour permutation in S3, slot labels at k = 2 (`mesh.label_sweep`).
+colour permutation in S3, slot labels at k = 2 (`mesh.label_sweep`); its
+covariant dimension is their orbit count minus one (`simplicial.slot_classes`).
 `transport` and `holonomy_matrix` follow explicit loops.
 
 The canonical connection (`is_canonical`, every b = 1) is the plain
@@ -51,7 +52,7 @@ from .errors import (
 from .mesh import (ThickPath, TriangulatedSurface, cotree_walks, dual_tree, label_sweep,
                    tree_sweep)
 from .ratmat import frac
-from .simplicial import generated_group, perm_sign, slot_permutation
+from .simplicial import generated_group, perm_sign, slot_classes, slot_permutation
 
 Mat2 = list
 
@@ -295,7 +296,9 @@ class HolonomyClassification:
 
 def classify_holonomy(conn: DiscreteConnection) -> HolonomyClassification:
     """Holonomy group of a zero-curvature canonical connection on a closed
-    connected surface, computed as color permutations of pi_1 generators."""
+    connected surface, computed as color permutations of pi_1 generators;
+    the covariant dimension is the number of their orbits on the three
+    colours (`simplicial.slot_classes`) minus one."""
     surf = conn.surface
     if not surf.is_closed:
         raise ValueError("classification requires a closed surface")
@@ -304,10 +307,9 @@ def classify_holonomy(conn: DiscreteConnection) -> HolonomyClassification:
     if not has_zero_curvature(conn):
         raise NonzeroCurvature("connection has nonzero curvature")
     _, perms = label_sweep(surf.triangles, surf.dual_neighbours, surf.num_triangles)
-    group = generated_group(perms, 3)
-    tag = GROUP_TAGS[len(group)]
-    dim = {"trivial": 2, "Z2": 1, "Z3": 0, "S3": 0}[tag]
-    return HolonomyClassification(tag, perms, tuple(perm_sign(p) for p in perms), dim)
+    orbits = slot_classes(((s, p[s]) for p in perms for s in range(3)), 3)
+    return HolonomyClassification(GROUP_TAGS[len(generated_group(perms, 3))], perms,
+                                  tuple(perm_sign(p) for p in perms), len(orbits) - 1)
 
 
 def holonomy_generators(conn: DiscreteConnection) -> list[Mat2]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from operator import add
@@ -738,39 +738,30 @@ def build_green(window: Window) -> LatticeFunction:
 @dataclass(frozen=True)
 class LatticeDomain:
     """Finite simplicial subcomplex of the lattice triangulation, stored
-    as a set of ('b'|'w', apex) triangles."""
+    as a set of ('b'|'w', apex) triangles; its vertex set is computed once."""
 
     tris: frozenset
+    _vertices: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.tris:
             raise DomainUnbounded("empty lattice domain")
-        for kind, apex in self.tris:
-            if kind not in ("b", "w"):
-                raise ValueError(f"bad triangle kind {kind!r}")
+        verts = set()
+        for t in self.tris:
+            if t[0] not in ("b", "w"):
+                raise ValueError(f"bad triangle kind {t[0]!r}")
+            verts |= set(triangle_vertices(t))  # 3-set unions fix the iteration order
+        object.__setattr__(self, "_vertices", frozenset(verts))
 
     def vertices(self) -> frozenset:
-        out = set()
-        for t in self.tris:
-            out |= set(triangle_vertices(t))
-        return frozenset(out)
+        return self._vertices
 
     def boundary_plus_black(self) -> list:
-        """Apexes of black triangles not in D that touch D."""
-        verts = self.vertices()
-        member = {t for t in self.tris if t[0] == "b"}
-        cand = set()
-        for v in verts:
-            # black triangles having v as one of their three vertices
-            for apex in (v, _add(v, E1), _add(v, E2)):
-                cand.add(apex)
-        out = []
-        for apex in sorted(cand):
-            if ("b", apex) in member:
-                continue
-            if any(p in verts for p in triangle_vertices(("b", apex))):
-                out.append(apex)
-        return out
+        """Apexes of black triangles not in D that touch D: the black
+        triangle at apex a has vertices a, a - e1, a - e2."""
+        black = {apex for kind, apex in self.tris if kind == "b"}
+        return sorted({a for x, y in self._vertices for a in ((x, y), (x + 1, y), (x, y + 1))}
+                      - black)
 
 
 def triangle_vertices(t) -> tuple:

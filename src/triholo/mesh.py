@@ -13,9 +13,11 @@ n + 1 rim vertices for n triangles).
 
 The dual-graph traversal lives here for surfaces and k-complexes alike:
 `tree_sweep` carries a state once down the BFS dual tree and across each
-cotree edge, behind every holonomy read-out (`label_sweep` carries slot
-labels); `cotree_walks` spells the pi_1 generators out as loops, and
-`two_coloring` is the 2-colouring behind the b/w colourings.
+cotree edge, behind every holonomy read-out.  `_carry_labels` is the one
+slot-label carry: `label_sweep` runs it in `tree_sweep`, and the vertex
+3-colouring runs it down the same tree.  `cotree_walks` spells the pi_1
+generators out as loops, and `two_coloring` is the 2-colouring behind the
+b/w colourings.
 
 All structures are immutable after construction and safe to share.
 """
@@ -436,16 +438,22 @@ def tree_sweep(neighbours, count: int, base_state, cross):
 
 
 def _carry_labels(labels: dict, sa, sb) -> dict:
-    """Vertex -> slot labels moved from simplex `sa` to the facet-adjacent
-    simplex `sb`: the shared facet keeps its labels, the new vertex takes
-    the dropped vertex's slot."""
-    sa, sb = set(sa), set(sb)
-    dropped, new = sa - sb, sb - sa
-    if len(dropped) != 1 or len(new) != 1:
+    """Vertex -> slot labels moved from simplex `sa` (the keys of `labels`)
+    to the facet-adjacent simplex `sb`: the shared facet keeps its labels,
+    and the new vertex takes the dropped vertex's slot and is inserted last
+    (`connection._slot_frames` and `three_vertex_coloring` read it there)."""
+    out = {}
+    for v in sb:
+        if v in labels:
+            out[v] = labels[v]
+        else:
+            new = v
+    if len(out) != len(labels) - 1 or len(sb) != len(labels):
         raise ValueError(f"simplices {sorted(sa)},{sorted(sb)} do not share a (k-1)-facet")
-    out = {v: labels[v] for v in sa & sb}
-    out[new.pop()] = labels[dropped.pop()]
-    return out
+    for v, slot in labels.items():
+        if v not in out:
+            out[new] = slot
+            return out
 
 
 def label_sweep(simplices, neighbours, count: int):
@@ -525,13 +533,15 @@ def _domain_neighbours(dom: SubComplexDomain, t: int) -> list[int]:
 
 
 def three_vertex_coloring(surface_or_domain) -> Coloring | None:
-    """3-color vertices so every triangle is tri-chromatic; None when the
-    propagation meets a contradiction.
+    """3-color vertices so every triangle is tri-chromatic; None when a
+    vertex reads two colours.
 
     The lowest-index triangle receives colors (a, b, c) in vertex-index
-    order; down the BFS dual tree (`dual_tree`) each new triangle's third
-    vertex takes the color of the parent vertex it replaces, the one color
-    its shared edge lacks.  An edge-disconnected domain is a ValueError.
+    order, and `_carry_labels` carries them down the BFS dual tree
+    (`dual_tree`): each new triangle's third vertex takes the color of the
+    parent vertex it replaces.  Every triangle's colours are then a
+    bijection onto {0, 1, 2}, so a colouring exists exactly when each
+    vertex reads one colour.  An edge-disconnected domain is a ValueError.
     """
     dom = as_domain(surface_or_domain)
     triangles = dom.surface.triangles
@@ -539,14 +549,13 @@ def three_vertex_coloring(surface_or_domain) -> Coloring | None:
     if not tris:
         return Coloring(vertex_colors={})
     parent, order, _ = dual_tree(lambda t: _domain_neighbours(dom, t), len(tris), tris[0])
-    colors = {v: c for c, v in enumerate(sorted(triangles[tris[0]]))}
+    labels = {tris[0]: {v: c for c, v in enumerate(sorted(triangles[tris[0]]))}}
+    colors = dict(labels[tris[0]])
     for t in order[1:]:
-        pt, tt = triangles[parent[t]], triangles[t]
-        new, = (v for v in tt if v not in pt)
-        old, = (v for v in pt if v not in tt)
-        colors[new] = colors[old]
-    for t in tris:
-        if len({colors[v] for v in triangles[t]}) != 3:
+        p = parent[t]
+        lab = labels[t] = _carry_labels(labels[p], triangles[p], triangles[t])
+        new = next(reversed(lab))
+        if colors.setdefault(new, lab[new]) != lab[new]:
             return None
     return Coloring(vertex_colors=colors)
 

@@ -11,15 +11,19 @@ the zero modes of L = Q+ Q.
 One sweep of slot labels over the dual tree (`mesh.label_sweep`) gives
 the holonomy generators, each vertex's orbit class and the zero modes
 (`plain_kernel`, with no elimination); surfaces use it at k = 2, where it
-gives colour permutations.  `slot_permutation` follows one explicit closed
-walk.  `bw_factorization_check` still eliminates Q for its kernel, so that
-the zero-mode/covariant comparison it reports tests the sweep against an
+gives colour permutations.  `slot_classes` is the one union-find over
+slots: the orbits are the classes of the generators' pairs (s, g[s]), so q
+is their count, and `plain_kernel` ties each vertex's slots the same way.
+`vertex_orbit_classes` reads the sweep once for the `KHolonomy` and the
+vertex classes, and rejects a pinched vertex star whose slots fall in two
+orbits.  `slot_permutation` follows one explicit closed walk.
+`bw_factorization_check` still eliminates Q for its kernel, so that the
+zero-mode/covariant comparison it reports tests the sweep against an
 independent computation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -90,7 +94,8 @@ class SimplicialComplexK:
 def canonical_local_holonomy_ok(x: SimplicialComplexK) -> bool:
     """Trivial local holonomy of the canonical connection: always for k = 1;
     for k >= 2, a closed triangulated k-manifold (else NotAManifold) with
-    every (k-2)-simplex of even valence."""
+    every (k-2)-simplex of even valence.  Only facets and valences are
+    checked here: `vertex_orbit_classes` rejects a pinched vertex star."""
     if x.k == 1:
         return True
     for facet, members in x.facet_simplices.items():
@@ -153,54 +158,52 @@ class KHolonomy:
 def classify_holonomy_k(x: SimplicialComplexK) -> KHolonomy:
     """Holonomy subgroup of S_{k+1} of the canonical connection, its orbit
     count q on the value slots, and the covariant dimension q - 1."""
-    return _holonomy_k(x)[1]
+    return vertex_orbit_classes(x)[1]
 
 
-def _holonomy_k(x: SimplicialComplexK):
-    """(tree slot labels per simplex, KHolonomy) from one label sweep."""
-    if not canonical_local_holonomy_ok(x):
-        raise LocalHolonomyNontrivial("a (k-2)-simplex has odd valence")
-    labels, gens = label_sweep(x.simplices, x.adjacency().__getitem__, x.num_simplices)
-    group = generated_group(gens, x.k + 1)
-    orbits = _orbits(group, x.k + 1)
-    q = len(orbits)
-    return labels, KHolonomy(tuple(sorted(group)), gens, q, q - 1, orbits)
+def slot_classes(ties, k1: int) -> tuple:
+    """Classes of the slots 0..k1-1 under the tied pairs (s, t), each class
+    a sorted tuple, in order of least slot: the one union-find over slots.
+    The orbits of a permutation group are the classes of its generators'
+    pairs (s, g[s])."""
+    root = list(range(k1))
 
+    def find(s):
+        while root[s] != s:
+            s = root[s]
+        return s
 
-def _orbits(group, k1):
-    seen = set()
-    orbits = []
+    for s, t in ties:
+        a, b = find(s), find(t)
+        if a != b:
+            root[max(a, b)] = min(a, b)
+    classes: dict = {}
     for s in range(k1):
-        if s in seen:
-            continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            t = frontier.pop()
-            for g in group:
-                if g[t] not in orbit:
-                    orbit.add(g[t])
-                    frontier.append(g[t])
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+        classes.setdefault(find(s), []).append(s)
+    return tuple(map(tuple, classes.values()))
 
 
 def vertex_orbit_classes(x: SimplicialComplexK) -> tuple[dict, KHolonomy]:
     """Assign every vertex the orbit index of its slot under tree transport
-    from simplex 0."""
-    labels_of, hol = _holonomy_k(x)
-    orbit_of_slot = {}
-    for i, orbit in enumerate(hol.orbits):
-        for s in orbit:
-            orbit_of_slot[s] = i
+    from simplex 0, with the `KHolonomy` of the same label sweep.
+
+    A vertex whose slots fall in two orbits has a pinched star (two fans
+    that meet only at it) and raises NotAManifold.  A pinch whose slots stay
+    within one orbit is accepted: it changes no reported number."""
+    if not canonical_local_holonomy_ok(x):
+        raise LocalHolonomyNontrivial("a (k-2)-simplex has odd valence")
+    k1 = x.k + 1
+    labels, gens = label_sweep(x.simplices, x.adjacency().__getitem__, x.num_simplices)
+    orbits = slot_classes(((s, g[s]) for g in gens for s in range(k1)), k1)
+    orbit_of_slot = {s: i for i, orbit in enumerate(orbits) for s in orbit}
     classes = {}
-    for t, lab in labels_of.items():
+    for lab in labels.values():
         for v, s in lab.items():
             c = orbit_of_slot[s]
             if classes.setdefault(v, c) != c:
-                raise LocalHolonomyNontrivial("inconsistent orbit classes")
-    return classes, hol
+                raise NotAManifold(f"the star of vertex {v} is pinched")
+    group = tuple(sorted(generated_group(gens, k1)))
+    return classes, KHolonomy(group, gens, len(orbits), len(orbits) - 1, orbits)
 
 
 def covariant_constants_k(x: SimplicialComplexK) -> list:
@@ -256,7 +259,7 @@ def plain_kernel(simplices, neighbours, num_vertices: int) -> list:
     values c on the k+1 slots of simplex 0, which sum to 0: each simplex
     holds c on its slot labels.  That is one function exactly when every
     vertex reads one value from all its simplices, so c is constant on the
-    classes of slots that some vertex ties together (across a cotree edge
+    `slot_classes` of the pairs each vertex ties together (across a cotree edge
     these are the orbits of its slot permutation; an odd-valence fan just
     ties one more pair, and no curvature check is needed).  The kernel is
     {x per class : sum of size_i x_i = 0}, size_i the slots in class i.
@@ -266,21 +269,12 @@ def plain_kernel(simplices, neighbours, num_vertices: int) -> list:
     i is 1 on i, -size_i / size_base on the base and 0 elsewhere.
     """
     labels, _ = label_sweep(simplices, neighbours, len(simplices))
-    tie = list(range(len(simplices[0])))   # union-find over slots
-
-    def find(s):
-        while tie[s] != s:
-            s = tie[s]
-        return s
-
     slot_of: dict = {}
-    for lab in labels.values():
-        for v, s in lab.items():
-            a, b = find(slot_of.setdefault(v, s)), find(s)
-            if a != b:
-                tie[max(a, b)] = min(a, b)
-    cls = [find(slot_of[v]) for v in range(num_vertices)]
-    size = Counter(map(find, range(len(tie))))
+    ties = [(slot_of.setdefault(v, s), s) for lab in labels.values() for v, s in lab.items()]
+    classes = slot_classes(ties, len(simplices[0]))
+    class_of = {s: i for i, c in enumerate(classes) for s in c}
+    cls = [class_of[slot_of[v]] for v in range(num_vertices)]
+    size = [len(c) for c in classes]
     last = {c: v for v, c in enumerate(cls)}
     base, *free = sorted(last, key=last.get)
     zero = Fraction(0)

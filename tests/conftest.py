@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from triholo import fixtures, mesh
+from triholo.simplicial import SimplicialComplexK
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +63,15 @@ def klein_bottle(k: int, m: int):
     if surf.num_vertices != 2 * k * m or surf.num_triangles != 2 * surf.num_vertices:
         raise ValueError(f"Z^2 / <g, t> with k={k}, m={m} is not a simplicial quotient")
     return surf
+
+
+def pinched_torus(u: int) -> SimplicialComplexK:
+    """`torus_lattice(9)` with vertex u merged into vertex 0 and the vertices
+    renumbered densely.  Every edge still lies in two triangles and every
+    vertex has even valence, but the star of vertex 0 is two discs meeting
+    only there.  With u = 4 the two discs give vertex 0 slots in two orbits;
+    with u = 3 both slots lie in one orbit."""
+    merged = [tuple(0 if v == u else v for v in t)
+              for t in fixtures.torus_lattice(9).surface.triangles]
+    ids = {v: i for i, v in enumerate(sorted({v for t in merged for v in t}))}
+    return SimplicialComplexK([tuple(ids[v] for v in t) for t in merged])

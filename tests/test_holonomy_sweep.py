@@ -2,21 +2,23 @@
 
 `holonomy_generators`, `classify_holonomy`, `classify_holonomy_k`,
 `vertex_orbit_classes`, `covariant_constants` and `three_vertex_coloring`
-read everything off one `mesh.tree_sweep`.  The `ref_` functions below are
-the former implementations, verbatim except for their names: explicit
-loops through `holonomy_matrix` and `slot_permutation`, a second seed
-propagation, and a depth-first colouring.  Every result must agree
-exactly, order included.
+read everything off one `mesh.tree_sweep`, and the orbits off one
+`simplicial.slot_classes`.  The `ref_` functions below are the former
+implementations, verbatim except for their names: explicit loops through
+`holonomy_matrix` and `slot_permutation`, a second seed propagation, a
+depth-first colouring, and a breadth-first orbit search over every group
+element.  Every result must agree exactly, order included.
 """
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import klein_bottle
 from test_connection import torus_rep_matrices
 from triholo import connection as C
 from triholo import fixtures, mesh, simplicial as SK, solver
@@ -31,7 +33,7 @@ from triholo.connection import (
 from triholo.errors import NonzeroCurvature
 from triholo.mesh import Coloring, as_domain, cotree_walks, dual_tree
 from triholo.ratmat import frac
-from triholo.simplicial import KHolonomy, _orbits, generated_group, perm_sign, slot_permutation
+from triholo.simplicial import KHolonomy, generated_group, perm_sign, slot_permutation
 
 
 # --- the former implementations ---------------------------------------------
@@ -77,6 +79,25 @@ def ref_carry_labels(labels, sa, sb):
     return out
 
 
+def ref_orbits(group, k1):
+    seen = set()
+    orbits = []
+    for s in range(k1):
+        if s in seen:
+            continue
+        orbit = {s}
+        frontier = [s]
+        while frontier:
+            t = frontier.pop()
+            for g in group:
+                if g[t] not in orbit:
+                    orbit.add(g[t])
+                    frontier.append(g[t])
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
+
+
 def ref_classify_holonomy_k(x, base=0):
     """Holonomy subgroup of S_{k+1} of the canonical connection, its orbit
     count q on the value slots, and the covariant dimension q - 1."""
@@ -85,7 +106,7 @@ def ref_classify_holonomy_k(x, base=0):
     parent, _, cotree = ref_dual_tree(x, base)
     gens = tuple(slot_permutation(x.simplices, walk) for walk in cotree_walks(parent, cotree))
     group = generated_group(gens, x.k + 1)
-    orbits = _orbits(group, x.k + 1)
+    orbits = ref_orbits(group, x.k + 1)
     q = len(orbits)
     return KHolonomy(tuple(sorted(group)), gens, q, q - 1, orbits)
 
@@ -320,6 +341,50 @@ def test_slot_sweep_matches_per_walk_permutations(tag):
     assert SK.classify_holonomy_k(x) == ref_classify_holonomy_k(x)
     got, want = SK.vertex_orbit_classes(x), ref_vertex_orbit_classes(x)
     assert got == want and list(got[0].items()) == list(want[0].items())
+
+
+def three_torus(n):
+    """Z^3 / nZ^3 with each unit cube cut into six tetrahedra along its main
+    diagonal.  Each tetrahedron holds one vertex of each coordinate sum mod
+    4, so a loop around an axis shifts the slots by n mod 4: for n = 6 the
+    holonomy is the double transposition (0 2)(1 3), of order 2 with two
+    orbits."""
+    def idx(p):
+        return (p[0] % n) * n * n + (p[1] % n) * n + p[2] % n
+
+    tets = set()
+    for corner in product(range(n), repeat=3):
+        for axes in permutations(range(3)):
+            p, verts = list(corner), [idx(corner)]
+            for a in axes:
+                p[a] += 1
+                verts.append(idx(p))
+            tets.add(tuple(sorted(verts)))
+    return SK.SimplicialComplexK(sorted(tets))
+
+
+ORBIT_SURFACES = {**{f"torus9s{s}": fixtures.torus_lattice(9, s).surface for s in range(9)},
+                  **{f"klein{k},{m}": klein_bottle(k, m) for k in (2, 3) for m in range(3, 7)}}
+THREE_TORI = {f"3torus{n}": three_torus(n) for n in (3, 4, 5, 6)}
+
+
+@pytest.mark.parametrize("tag", sorted(complexes()) + sorted(ORBIT_SURFACES) + sorted(THREE_TORI))
+def test_slot_classes_of_generators_are_group_orbits(tag):
+    surf = ORBIT_SURFACES.get(tag) or CLOSED.get(tag)
+    x = THREE_TORI.get(tag) or complexes().get(tag) or SK.SimplicialComplexK(surf.triangles)
+    k1 = x.k + 1
+    _, gens = mesh.label_sweep(x.simplices, x.adjacency().__getitem__, x.num_simplices)
+    want = ref_orbits(generated_group(gens, k1), k1)
+    assert SK.slot_classes(((s, g[s]) for g in gens for s in range(k1)), k1) == want
+    hol = SK.classify_holonomy_k(x)
+    assert (hol.orbits, hol.orbit_count, hol.covariant_dimension) == (want, len(want), len(want) - 1)
+    assert len(SK.zero_modes_k(x)) == len(want) - 1
+    if surf is not None:
+        conn = C.canonical_connection(surf)
+        assert C.classify_holonomy(conn).covariant_dimension == len(want) - 1
+        assert ref_classify_holonomy(conn).covariant_dimension == len(want) - 1
+    if tag == "3torus6":  # an order-2 group with two orbits on four slots
+        assert (len(hol.group), want) == (2, ((0, 2), (1, 3)))
 
 
 def connected_subdomains(surf, rng, count):

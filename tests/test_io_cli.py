@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pinched_torus
 from triholo import connection as C
 from triholo import fixtures, io, opalgebra
 from triholo.lattice import Window, build_green
@@ -300,6 +301,22 @@ def test_cli_ksimplicial(fixture_dir):
     payload = json.loads(out)
     assert payload["covariant_dimension"] == 1
     assert payload["kernel_dimension"] == 1
+
+
+def test_cli_ksimplicial_rejects_a_pinched_vertex(tmp_path):
+    path = tmp_path / "pinched.cplx"
+    path.write_text("".join(f"s {a} {b} {c}\n" for a, b, c in pinched_torus(4).simplices))
+    rc, out, err = run_cli(["ksimplicial", "--complex", str(path)])
+    assert rc == 1 and "Traceback" not in err
+    assert json.loads(out) == {"error": "NotAManifold",
+                               "message": "the star of vertex 0 is pinched"}
+
+
+@pytest.mark.parametrize("values", [["3"], ["-3", "8", "2"], ["0", "1", "2", "3", "4"]])
+def test_cli_window_count_is_usage_error(values):
+    rc, out, err = run_cli(["green", "--window", *values])
+    assert rc == 2 and out == ""
+    assert "--window takes 2 values (square) or 4 (x0 x1 y0 y1)" in err
 
 
 def test_cli_byte_identical_reruns(fixture_dir):

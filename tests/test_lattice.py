@@ -919,6 +919,31 @@ def test_negative_order_rejected(order):
 
 # --- the term-by-term Cauchy sum, kept as the oracle for the causal sweep ---
 
+def ref_vertices(domain: L.LatticeDomain) -> frozenset:
+    out = set()
+    for t in domain.tris:
+        out |= set(L.triangle_vertices(t))
+    return frozenset(out)
+
+
+def ref_boundary_plus_black(domain: L.LatticeDomain) -> list:
+    """Apexes of black triangles not in D that touch D."""
+    verts = ref_vertices(domain)
+    member = {t for t in domain.tris if t[0] == "b"}
+    cand = set()
+    for v in verts:
+        # black triangles having v as one of their three vertices
+        for apex in (v, _add(v, E1), _add(v, E2)):
+            cand.add(apex)
+    out = []
+    for apex in sorted(cand):
+        if ("b", apex) in member:
+            continue
+        if any(p in verts for p in L.triangle_vertices(("b", apex))):
+            out.append(apex)
+    return out
+
+
 def ref_cauchy_reconstruct(domain: L.LatticeDomain, psi: dict, kernel=L.green) -> dict:
     """Recover a holomorphic function on D from its boundary behavior:
 
@@ -934,7 +959,7 @@ def ref_cauchy_reconstruct(domain: L.LatticeDomain, psi: dict, kernel=L.green) -
         return frac(psi.get(p, 0)) if p in verts else Fraction(0)
 
     charges = []
-    for m in domain.boundary_plus_black():
+    for m in ref_boundary_plus_black(domain):
         q = val(m) + val(_sub(m, E1)) + val(_sub(m, E2))
         if q != 0:
             charges.append((m, q))
@@ -1043,6 +1068,16 @@ def test_cauchy_sweep_matches_term_sum_hypothesis(seed, shape, width, kind):
     if shape == "square":
         width = 1 + (width - 1) % (16 if kind == "arbitrary" else 30)
     check_cauchy(random.Random(seed), shape, width, kind)
+
+
+def test_domain_bookkeeping_matches_the_per_call_sets():
+    rng = random.Random(4242)
+    for i in range(300):
+        shape = CAUCHY_SHAPES[i % 3]
+        dom = cauchy_domain(rng, shape, rng.randint(1, 16 if shape == "square" else 45))
+        assert list(dom.vertices()) == list(ref_vertices(dom))
+        assert dom.boundary_plus_black() == ref_boundary_plus_black(dom)
+        assert dom.vertices() is dom.vertices()
 
 
 def test_cauchy_charges_only_past_the_top_right():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import pinched_torus
 from test_holonomy_sweep import cross_polytope_3
 from test_ratmat import reference_rref, sparse
 from test_solver import KERNEL_SURFACES
@@ -188,6 +189,25 @@ def test_non_manifold_rejected():
     x = SK.SimplicialComplexK([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
     with pytest.raises(NotAManifold):
         SK.canonical_local_holonomy_ok(x)
+
+
+def test_pinched_vertex_rejected():
+    x = pinched_torus(4)
+    assert SK.canonical_local_holonomy_ok(x)  # facets and valences cannot see it
+    for fn in (SK.vertex_orbit_classes, SK.classify_holonomy_k, SK.covariant_constants_k):
+        with pytest.raises(NotAManifold, match="the star of vertex 0 is pinched"):
+            fn(x)
+    assert len(SK.zero_modes_k(x)) == 1
+    rep = SK.bw_factorization_check(x)
+    assert (rep.kernel_dimension, rep.kernel_matches_covariants) == (1, None)
+
+
+def test_pinch_within_one_orbit_changes_no_number():
+    x = pinched_torus(3)
+    hol = SK.classify_holonomy_k(x)
+    assert (hol.orbit_count, hol.covariant_dimension) == (3, 2)
+    rep = SK.bw_factorization_check(x)
+    assert (rep.kernel_dimension, rep.kernel_matches_covariants) == (2, True)
 
 
 def test_rho_identities_on_k_thick_loops(octa, torus4):
