@@ -240,9 +240,9 @@ def cmd_cauchy(args) -> dict:
     if args.domain:
         dom = io.parse_lattice_domain_points(_read(args.domain))
         verts = dom.vertices()
-        for v in verts:
-            if not w.contains(v):
-                raise TriholoError(f"domain vertex {v} outside the window")
+        outside = [v for v in verts if not w.contains(v)]
+        if outside:
+            raise TriholoError(f"domain vertex {min(outside)} outside the window")
     else:
         tris = set()
         cx, cy = w.center()

@@ -9,8 +9,18 @@ a single term is
 
 which makes <A f, g> = <f, A+ g> for the counting inner product and
 t_j+ = t_j^{-1}.  Coefficients are arbitrary callables n -> value; exact
-when they return Fractions, float otherwise.  Two operators are compared
-on a window coefficient by coefficient (`equal_on_window`).
+when they return Fractions, float otherwise.
+
+Closures for points, tables for windows.  Every operator keeps its
+coefficient callables, so `coefficient(alpha)(n)` answers at any single
+point.  On a window an operator is a coefficient table: one set of rows
+per shift, rows[y - y0][x - x0], integers over one denominator, or floats
+when a coefficient is float.  `compose`, `adjoint`, `+` and `scale` record
+their operands, and a table is built bottom up from the operands' tables:
+each leaf coefficient is evaluated once per point of the hull of the
+windows its parents need, and compose and adjoint sum products of shifted
+row slices.  `equal_on_window`, `apply` on a windowed function,
+`factorize` and the zero-curvature criterion work on tables.
 
 Both colours of the factorization L = Q+ Q + U are one construction,
 read from the table `COLORS`: Q = q0 + q1 t1^s + q2 t2^s with s = -1
@@ -23,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import (
     ConditionViolated,
@@ -47,7 +58,9 @@ def const(v):
 
 
 class DifferenceOperator:
-    """Finite sum of coefficient-function shift terms."""
+    """Finite sum of coefficient-function shift terms.  A composite keeps
+    how it was built in `_node`, (kind, operands...), so that its table is
+    built from its operands' tables."""
 
     def __init__(self, terms: dict):
         self.terms = {}
@@ -56,6 +69,7 @@ class DifferenceOperator:
             if not callable(c):
                 c = const(c)
             self.terms[alpha] = c
+        self._node = None
 
     @property
     def shifts(self):
@@ -81,13 +95,19 @@ class DifferenceOperator:
             return LatticeFunction({p: v for p, v in out.items() if v != 0})
         left, right, bottom, top = self.margins()
         w = f.window.shrink(left=left, right=right, bottom=bottom, top=top)
-        vals = {}
-        for p in w.points():
-            acc = 0
-            for alpha, c in self.terms.items():
-                acc = acc + c(p) * f[(p[0] + alpha[0], p[1] + alpha[1])]
-            vals[p] = acc
-        return LatticeFunction(vals, w)
+        tab = _tabulate([(self, w)])[0]
+        # a float table sums the floats of f's values, term by term as the
+        # closures do, and the function keeps each sum exactly
+        rows = f.rows if tab.den is not None else [[v / f.den for v in r] for r in f.rows]
+        width, height = w.size
+        acc = [[0] * width] * height
+        for alpha in self.terms:
+            acc = [list(map(add, r, map(mul, cr, fr))) for r, cr, fr in
+                   zip(acc, tab.part(alpha, w), _slice(rows, f.window, w, alpha))]
+        if tab.den is None:
+            return LatticeFunction({(x, y): v for y, r in enumerate(acc, w.y0)
+                                    for x, v in enumerate(r, w.x0)}, w)
+        return LatticeFunction.from_rows(acc, tab.den * f.den, w)
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         terms = dict(self.terms)
@@ -96,15 +116,21 @@ class DifferenceOperator:
                 terms[alpha] = _sum_coeff(terms[alpha], c)
             else:
                 terms[alpha] = c
-        return DifferenceOperator(terms)
+        return _composite(terms, ("add", self, other))
 
     def __sub__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         return self + other.scale(-1)
 
     def scale(self, s) -> "DifferenceOperator":
         s = frac(s) if not isinstance(s, float) else s
-        return DifferenceOperator(
-            {alpha: _mul_coeff(c, s) for alpha, c in self.terms.items()})
+        return _composite({alpha: _mul_coeff(c, s) for alpha, c in self.terms.items()},
+                          ("scale", self, s))
+
+
+def _composite(terms: dict, node: tuple) -> DifferenceOperator:
+    op = DifferenceOperator(terms)
+    op._node = node
+    return op
 
 
 def _sum_coeff(c1, c2):
@@ -134,7 +160,7 @@ def compose(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
                 return c(n) * d((n[0] + alpha[0], n[1] + alpha[1]))
 
             terms[gamma] = _sum_coeff(terms[gamma], coeff) if gamma in terms else coeff
-    return DifferenceOperator(terms)
+    return _composite(terms, ("compose", a, b))
 
 
 def adjoint(a: DifferenceOperator) -> DifferenceOperator:
@@ -147,19 +173,192 @@ def adjoint(a: DifferenceOperator) -> DifferenceOperator:
             return c((n[0] - alpha[0], n[1] - alpha[1]))
 
         terms[nalpha] = _sum_coeff(terms[nalpha], coeff) if nalpha in terms else coeff
-    return DifferenceOperator(terms)
+    return _composite(terms, ("adjoint", a))
 
 
-def _coefficient_rows(a: DifferenceOperator, b: DifferenceOperator, window: Window):
-    """The window shrunk by the reach of both stencils, and for each point n
-    of it (n, [(a_alpha(n), b_alpha(n)) for every shift alpha of A or B])."""
+# --- coefficient tables -------------------------------------------------------
+
+class _Table:
+    """An operator's coefficients on `window`: rows[alpha][y - y0][x - x0],
+    integers over `den` > 0, or floats when `den` is None."""
+
+    __slots__ = ("window", "rows", "den")
+
+    def __init__(self, window: Window, rows: dict, den: int | None):
+        self.window, self.rows, self.den = window, rows, den
+
+    def part(self, alpha: Point, window: Window, dx: int = 0, dy: int = 0) -> list:
+        """The rows at shift alpha on `window` moved by (dx, dy); zeros for
+        a shift the operator does not have."""
+        rows = self.rows.get(alpha)
+        if rows is None:
+            width, height = window.size
+            return [[0] * width] * height
+        return _slice(rows, self.window, window, (dx, dy))
+
+    def floats(self) -> "_Table":
+        den = self.den
+        if den is None:
+            return self
+        return _Table(self.window, {alpha: [[v / den for v in r] for r in rows]
+                                    for alpha, rows in self.rows.items()}, None)
+
+    def values(self, alpha: Point, window: Window) -> list:
+        """Rows of values at alpha on `window`: Fractions, or floats."""
+        rows, den = self.part(alpha, window), self.den
+        return rows if den is None else [[Fraction(v, den) for v in r] for r in rows]
+
+
+def _slice(rows: list, window: Window, w: Window, shift: Point = (0, 0)) -> list:
+    """The rows on `w` moved by `shift`, of `rows` laid out on `window`."""
+    width, height = w.size
+    i = w.x0 + shift[0] - window.x0
+    j = w.y0 + shift[1] - window.y0
+    return [r[i:i + width] for r in rows[j:j + height]]
+
+
+def _scaled(rows: list, k) -> list:
+    return rows if k == 1 else [[v * k for v in r] for r in rows]
+
+
+def _grow(w: Window, left: int, right: int, bottom: int, top: int) -> Window:
+    return Window(w.x0 - left, w.x1 + right, w.y0 - bottom, w.y1 + top)
+
+
+def _hull(w: Window | None, v: Window) -> Window:
+    if w is None:
+        return v
+    return Window(min(w.x0, v.x0), max(w.x1, v.x1), min(w.y0, v.y0), max(w.y1, v.y1))
+
+
+def _operands(op: DifferenceOperator) -> list:
+    node = op._node
+    return [] if node is None else [x for x in node[1:] if isinstance(x, DifferenceOperator)]
+
+
+def _tabulate(pairs: list) -> list:
+    """The tables of (operator, window) pairs, built together.
+
+    Every operator reachable from the pairs gets one table, on the hull of
+    the windows its parents (or the pairs) need, so a shared operand is
+    tabulated once.  Tables are built children first.
+    """
+    order, seen = [], set()
+    stack = [(op, False) for op, _ in reversed(pairs)]
+    while stack:
+        op, expanded = stack.pop()
+        if expanded:
+            order.append(op)
+        elif id(op) not in seen:
+            seen.add(id(op))
+            stack.append((op, True))
+            stack.extend((x, False) for x in _operands(op))
+    need: dict = {}
+
+    def demand(op, w):
+        need[id(op)] = _hull(need.get(id(op)), w)
+
+    for op, w in pairs:
+        demand(op, w)
+    for op in reversed(order):          # parents before children
+        node, w = op._node, need[id(op)]
+        if node is None:
+            continue
+        kind, a = node[0], node[1]
+        if kind == "compose":
+            demand(a, w)
+            demand(node[2], _grow(w, *a.margins()))
+        elif kind == "adjoint":
+            left, right, bottom, top = a.margins()
+            demand(a, _grow(w, right, left, top, bottom))
+        elif kind == "add":
+            demand(a, w)
+            demand(node[2], w)
+        else:                           # scale
+            demand(a, w)
+    tabs: dict = {}
+    for op in order:
+        tabs[id(op)] = _build(op, need[id(op)], tabs)
+    return [tabs[id(op)] for op, _ in pairs]
+
+
+def _build(op: DifferenceOperator, w: Window, tabs: dict) -> _Table:
+    """The table of `op` on `w` from its operands' tables in `tabs`."""
+    node = op._node
+    if node is None:
+        return _leaf_table(op, w)
+    kind, a = node[0], node[1]
+    ta = tabs[id(a)]
+    if kind == "adjoint":
+        return _Table(w, {(-x, -y): ta.part((x, y), w, -x, -y) for x, y in a.terms}, ta.den)
+    if kind == "scale":
+        s = node[2]
+        if ta.den is None or isinstance(s, float):
+            ta, s = ta.floats(), float(s)
+            return _Table(w, {alpha: [[v * s for v in r] for r in ta.part(alpha, w)]
+                              for alpha in a.terms}, None)
+        return _Table(w, {alpha: _scaled(ta.part(alpha, w), s.numerator) for alpha in a.terms},
+                      ta.den * s.denominator)
+    b = node[2]
+    tb = tabs[id(b)]
+    if ta.den is None or tb.den is None:
+        ta, tb = ta.floats(), tb.floats()
+    if kind == "compose":
+        rows: dict = {}
+        for alpha in a.terms:
+            ra = ta.part(alpha, w)
+            for beta in b.terms:
+                part = [list(map(mul, x, y)) for x, y in zip(ra, tb.part(beta, w, *alpha))]
+                gamma = (alpha[0] + beta[0], alpha[1] + beta[1])
+                acc = rows.get(gamma)
+                rows[gamma] = part if acc is None else [list(map(add, x, y))
+                                                        for x, y in zip(acc, part)]
+        return _Table(w, rows, None if ta.den is None else ta.den * tb.den)
+    # add: the operands' rows over their common denominator
+    den, ka, kb = None, 1, 1
+    if ta.den is not None:
+        den = math.lcm(ta.den, tb.den)
+        ka, kb = den // ta.den, den // tb.den
+    rows = {alpha: _scaled(ta.part(alpha, w), ka) for alpha in a.terms}
+    for alpha in b.terms:
+        rb = _scaled(tb.part(alpha, w), kb)
+        rows[alpha] = [list(map(add, x, y)) for x, y in zip(rows[alpha], rb)] \
+            if alpha in rows else rb
+    return _Table(w, rows, den)
+
+
+def _leaf_table(op: DifferenceOperator, w: Window) -> _Table:
+    """Each coefficient evaluated once per point of `w`, row by row, unless
+    it hands out its own rows (a `_rows_on` attribute)."""
+    grids = {}
+    for alpha, fn in op.terms.items():
+        own = getattr(fn, "_rows_on", None)
+        got = own(w) if own is not None else None
+        grids[alpha] = got if got is not None else _evaluate(fn, w)
+    if any(den is None for _, den in grids.values()):
+        return _Table(w, {alpha: rows if den is None else [[v / den for v in r] for r in rows]
+                          for alpha, (rows, den) in grids.items()}, None)
+    den = math.lcm(*(d for _, d in grids.values()))
+    return _Table(w, {alpha: _scaled(rows, den // d) for alpha, (rows, d) in grids.items()},
+                  den)
+
+
+def _evaluate(fn, w: Window) -> tuple:
+    """(rows, den) of fn on `w`; floats and den None when a value is float."""
+    xs = range(w.x0, w.x1 + 1)
+    vals = [[fn((x, y)) for x in xs] for y in range(w.y0, w.y1 + 1)]
+    if any(isinstance(v, float) for r in vals for v in r):
+        return [[float(v) for v in r] for r in vals], None
+    den = math.lcm(*{v.denominator for r in vals for v in r})
+    return [[v.numerator * (den // v.denominator) for v in r] for r in vals], den
+
+
+def _inner(window: Window, a: DifferenceOperator, b: DifferenceOperator) -> Window:
+    """The window shrunk by the reach of both stencils."""
     la, ra, ba, ta = a.margins()
     lb, rb, bb, tb = b.margins()
-    inner = window.shrink(left=max(la, lb), right=max(ra, rb),
-                          bottom=max(ba, bb), top=max(ta, tb))
-    coeffs = [(a.coefficient(alpha), b.coefficient(alpha))
-              for alpha in sorted(set(a.shifts) | set(b.shifts))]
-    return inner, ((n, [(ca(n), cb(n)) for ca, cb in coeffs]) for n in inner.points())
+    return window.shrink(left=max(la, lb), right=max(ra, rb),
+                         bottom=max(ba, bb), top=max(ta, tb))
 
 
 def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
@@ -167,18 +366,31 @@ def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
     """Test A = B on the window: a_alpha(n) == b_alpha(n) for every shift
     alpha and every point n where both stencils fit.  With `tol`, values
     agree within tol relative to max(|a|, |b|, 1).  WindowMismatch when
-    no point fits."""
+    no point fits.  Both tables are built first, so a coefficient that
+    raises anywhere on the window raises here."""
     try:
-        _, rows = _coefficient_rows(a, b, window)
+        inner = _inner(window, a, b)
     except InsufficientWindow:
         raise WindowMismatch("window too small for both stencils")
-    for _, pairs in rows:
-        for va, vb in pairs:
-            if tol is None:
-                if va != vb:
+    ta, tb = _tabulate([(a, inner), (b, inner)])
+    shifts = sorted(set(a.terms) | set(b.terms))
+    da, db = ta.den, tb.den
+    if tol is None and da is not None and db is not None:
+        for alpha in shifts:
+            for ra, rb in zip(ta.part(alpha, inner), tb.part(alpha, inner)):
+                if da != db:
+                    ra, rb = [v * db for v in ra], [v * da for v in rb]
+                if ra != rb:
                     return False
-            elif abs(va - vb) > tol * max(abs(va), abs(vb), 1.0):
-                return False
+        return True
+    for alpha in shifts:
+        for ra, rb in zip(ta.values(alpha, inner), tb.values(alpha, inner)):
+            for va, vb in zip(ra, rb):
+                if tol is None:
+                    if va != vb:
+                        return False
+                elif abs(va - vb) > tol * max(abs(va), abs(vb), 1.0):
+                    return False
     return True
 
 
@@ -188,6 +400,11 @@ SCHRODINGER_SHIFTS = {
     "a": (0, 0), "b": (1, 0), "c": (0, 1), "d": (-1, 1),
     "e": (-1, 0), "f": (0, -1), "g": (1, -1),
 }
+_SHIFT_NAMES = {alpha: name for name, alpha in SCHRODINGER_SHIFTS.items()}
+
+# self-adjointness: (coefficient, its partner, where the partner is read
+# relative to n): e(n) = b(n - e1), f(n) = c(n - e2), g(n) = d(n + e1 - e2)
+_PARTNERS = (("e", "b", (-1, 0)), ("f", "c", (0, -1)), ("g", "d", (1, -1)))
 
 
 @dataclass
@@ -222,8 +439,17 @@ class SchrodingerOperator:
 
     def check_self_adjoint(self, window: Window) -> None:
         """e(n) = b(n - e1), f(n) = c(n - e2), g(n) = d(n + e1 - e2) on the
-        window interior; positivity of the diagonal and edge coefficients."""
+        window interior; positivity of the diagonal and edge coefficients.
+        Checked on the coefficient table; the error names the first
+        failing point in the pointwise order."""
         inner = window.shrink(left=1, right=1, bottom=1, top=1)
+        tab = _lop_table(self, window)
+        if tab is None or not _self_adjoint(tab, inner):
+            self._check_pointwise(inner)
+
+    def _check_pointwise(self, inner: Window) -> None:
+        """The check point by point on the closures, raising at the first
+        failure: the reference order of every error the check reports."""
         for n in inner.points():
             x, y = n
             if self.e(n) != self.b((x - 1, y)):
@@ -235,6 +461,28 @@ class SchrodingerOperator:
             for name in "abcdefg":
                 if getattr(self, name)(n) <= 0:
                     raise NotSelfAdjoint(f"coefficient {name}({n}) not positive")
+
+
+def _lop_table(lop: SchrodingerOperator, window: Window) -> _Table | None:
+    """L's seven coefficients on `window` as an exact table, or None when a
+    coefficient raises somewhere on the window or is not rational.  Any
+    exception is caught because the caller then reads the closures in the
+    pointwise order: that raises what the pointwise path raises, or
+    nothing when the failing point is one the pointwise path never reads."""
+    try:
+        tab = _tabulate([(lop.to_operator(), window)])[0]
+    except Exception:
+        return None
+    return tab if tab.den is not None else None
+
+
+def _self_adjoint(tab: _Table, inner: Window) -> bool:
+    """check_self_adjoint on the table: shifted row slices and signs."""
+    shifts = SCHRODINGER_SHIFTS
+    for name, partner, (dx, dy) in _PARTNERS:
+        if tab.part(shifts[name], inner) != tab.part(shifts[partner], inner, dx, dy):
+            return False
+    return all(v > 0 for alpha in shifts.values() for r in tab.part(alpha, inner) for v in r)
 
 
 # colour -> (names of Q's coefficients at (0, 0), (s, 0) and (0, s), the step
@@ -294,24 +542,11 @@ def _memo(fn):
     return wrapped
 
 
-def factorize(lop: SchrodingerOperator, color: str, window: Window,
-              mode: str = "rational") -> Factorization:
-    """Unique positive factorization L = Q+ Q + potential on the window.
-
-    The six off-diagonal coefficients pin Q up to sign; positivity fixes
-    the sign.  In rational mode the square roots must be exact
-    (NotFactorizable otherwise); float mode takes math.sqrt.
-
-    With s the colour's step, L's coefficients at t1^s and t2^s are
-    q0 q1 and q0 q2, and d = q1 q2 read at the colour's offset, so
-    q0 = sqrt(l1 l2 / d).
-    """
-    names, s, (dx, dy) = _color(color)
-    lop.check_self_adjoint(window)
-    sqrt = _sqrt_exact if mode == "rational" else math.sqrt
-    probe = window.shrink(left=1, right=1, bottom=1, top=1)
-    op = lop.to_operator()
-    l1, l2 = op.coefficient((s, 0)), op.coefficient((0, s))
+def _pointwise_factors(lop: SchrodingerOperator, s: int, offset: Point, sqrt) -> tuple:
+    """q0, q1, q2 and the potential as memoised closures on L's
+    coefficients: the values at points no table covers."""
+    dx, dy = offset
+    l1, l2 = (getattr(lop, _SHIFT_NAMES[alpha]) for alpha in ((s, 0), (0, s)))
 
     @_memo
     def q0(n):
@@ -331,9 +566,137 @@ def factorize(lop: SchrodingerOperator, color: str, window: Window,
         return (lop.a(n) - q0(n) ** 2
                 - q1((x - s, y)) ** 2 - q2((x, y - s)) ** 2)
 
-    for n in probe.points():  # eager: positivity/squareness errors surface now
-        q0(n)
-    return Factorization(color, dict(zip(names, (q0, q1, q2))), potential)
+    return q0, q1, q2, potential
+
+
+def _tabled(window: Window, rows: list, den: int | None, pointwise):
+    """The callable that reads rows[y - y0][x - x0] (over `den`, or floats)
+    on `window` and calls `pointwise` elsewhere.  Its `_rows_on` hands a
+    table builder the rows on any window inside `window`."""
+    x0, x1, y0, y1 = window.x0, window.x1, window.y0, window.y1
+
+    def f(n):
+        x, y = n
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            v = rows[y - y0][x - x0]
+            return v if den is None else Fraction(v, den)
+        return pointwise(n)
+
+    def rows_on(w):
+        if x0 <= w.x0 and w.x1 <= x1 and y0 <= w.y0 and w.y1 <= y1:
+            return _slice(rows, window, w), den
+        return None
+
+    f._rows_on = rows_on
+    return f
+
+
+def _root_cell(l1: int, l2: int, d: int, den: int, mode: str):
+    """q0 = sqrt(l1 l2 / d) for values over `den`: (p, q) with p / q the
+    exact root in lowest terms, or the float root; None where the pointwise
+    path raises (or, in float mode, returns 0)."""
+    num, rden = l1 * l2, den * d
+    if mode == "rational":
+        if rden < 0:
+            num, rden = -num, -rden
+        if num <= 0 or rden == 0:
+            return None
+        g = math.gcd(num, rden)
+        num, rden = num // g, rden // g
+        p, q = math.isqrt(num), math.isqrt(rden)
+        return (p, q) if p * p == num and q * q == rden else None
+    try:
+        root = math.sqrt(num / rden)
+    except (ArithmeticError, ValueError):
+        return None
+    return root or None
+
+
+def factorize(lop: SchrodingerOperator, color: str, window: Window,
+              mode: str = "rational") -> Factorization:
+    """Unique positive factorization L = Q+ Q + potential on the window.
+
+    The six off-diagonal coefficients pin Q up to sign; positivity fixes
+    the sign.  In rational mode the square roots must be exact
+    (NotFactorizable otherwise); float mode takes math.sqrt.
+
+    With s the colour's step, L's coefficients at t1^s and t2^s are
+    q0 q1 and q0 q2, and d = q1 q2 read at the colour's offset, so
+    q0 = sqrt(l1 l2 / d).
+
+    L is tabulated once on the window.  q0, q1 and q2 are tables where
+    their inputs lie in it, the potential where its q's do, and the
+    returned callables read those tables there and L's closures elsewhere.
+    Errors name the point the pointwise order meets first.
+    """
+    names, s, offset = _color(color)
+    inner = window.shrink(left=1, right=1, bottom=1, top=1)
+    sqrt = _sqrt_exact if mode == "rational" else math.sqrt
+    pointwise = _pointwise_factors(lop, s, offset, sqrt)
+    tab = _lop_table(lop, window)
+    if tab is None or not _self_adjoint(tab, inner):
+        lop._check_pointwise(inner)
+        return _eager(color, names, pointwise, inner)
+    dx, dy = offset
+    # q0 reads l1, l2 at n and d at n + offset, all inside the window on qwin
+    qwin = Window(window.x0 - min(dx, 0), window.x1 - max(dx, 0),
+                  window.y0 - min(dy, 0), window.y1 - max(dy, 0))
+    den = tab.den
+    l1 = tab.part((s, 0), qwin)
+    l2 = tab.part((0, s), qwin)
+    d = tab.part(SCHRODINGER_SHIFTS["d"], qwin, dx, dy)
+    roots = [[_root_cell(*cell, den, mode) for cell in zip(r1, r2, rd)]
+             for r1, r2, rd in zip(l1, l2, d)]
+    for x, y in inner.points():     # eager: positivity/squareness errors surface now
+        if roots[y - qwin.y0][x - qwin.x0] is None:
+            pointwise[0]((x, y))
+    if any(None in r for r in roots):
+        return _eager(color, names, pointwise, inner)
+    q, dens = _q_rows(roots, l1, l2, den, mode)
+    # the potential reads a and q0 at n, q1 at n - s e1 and q2 at n - s e2
+    lo, hi = max(s, 0), min(s, 0)
+    pwin = Window(qwin.x0 + lo, qwin.x1 + hi, qwin.y0 + lo, qwin.y1 + hi)
+    reads = zip(tab.part((0, 0), pwin), _slice(q[0], qwin, pwin),
+                _slice(q[1], qwin, pwin, (-s, 0)), _slice(q[2], qwin, pwin, (0, -s)))
+    if mode == "rational":
+        d0, d12 = dens[0], dens[1]
+        pden = math.lcm(den, d0 * d0, d12 * d12)
+        ka, k0, k12 = pden // den, pden // (d0 * d0), pden // (d12 * d12)
+        pot = [[va * ka - v0 * v0 * k0 - (v1 * v1 + v2 * v2) * k12
+                for va, v0, v1, v2 in zip(*rows)] for rows in reads]
+    else:
+        # the pointwise expression, its Fraction operand read as a float
+        pden = None
+        pot = [[va / den - v0 ** 2 - v1 ** 2 - v2 ** 2 for va, v0, v1, v2 in zip(*rows)]
+               for rows in reads]
+    coeffs = {k: _tabled(qwin, rows, dn, fn)
+              for k, rows, dn, fn in zip(names, q, dens, pointwise)}
+    return Factorization(color, coeffs, _tabled(pwin, pot, pden, pointwise[3]))
+
+
+def _q_rows(roots: list, l1: list, l2: list, den: int, mode: str) -> tuple:
+    """q0 = root, q1 = l1 / q0 and q2 = l2 / q0 as rows, with their
+    denominators: the lcm of the roots' denominators for q0, and den times
+    the lcm of their numerators for q1 and q2.  Float mode evaluates the
+    pointwise expressions, Fraction operands read as floats."""
+    if mode != "rational":
+        q12 = [[[v / den / root for v, root in zip(rv, r)] for rv, r in zip(lv, roots)]
+               for lv in (l1, l2)]
+        return [roots, *q12], (None, None, None)
+    r0 = math.lcm(*{q for r in roots for _, q in r})
+    m = math.lcm(*{p for r in roots for p, _ in r})
+    q0 = [[p * (r0 // q) for p, q in r] for r in roots]
+    q12 = [[[v * q * (m // p) for v, (p, q) in zip(rv, r)] for rv, r in zip(lv, roots)]
+           for lv in (l1, l2)]
+    return [q0, *q12], (r0, den * m, den * m)
+
+
+def _eager(color: str, names: tuple, pointwise: tuple, inner: Window) -> Factorization:
+    """The factorization on the closures alone, q0 evaluated on the window
+    interior first so that positivity and squareness errors surface now."""
+    for n in inner.points():
+        pointwise[0](n)
+    return Factorization(color, dict(zip(names, pointwise[:3])), pointwise[3])
 
 
 def random_factorizable(rng: random.Random, color: str = "black") -> SchrodingerOperator:
@@ -419,7 +782,8 @@ def verify_qcd_identity(c, d, window: Window, q=None, s=None, l=None,
     """Check  Q(c,d)+ Q(c,d) - 1 = q^2 (Q' Q'+ - 1)  with Q' = Q(c/q^2, d/q^2).
 
     Rational mode: pass q and s exactly.  Float mode: pass the l matrix
-    and a relative tolerance.
+    and a relative tolerance.  Both sides are tabulated together, so Q
+    and Q' are each evaluated once per point.
     """
     if l is None:
         if q is None or s is None:
@@ -451,25 +815,30 @@ def zero_curvature_f_criterion(qw: DifferenceOperator, qb: DifferenceOperator,
     one = identity_op()
     a = compose(qw - one, qb - one) - one
     b = compose(qb - one, qw - one) - one
-    inner, rows = _coefficient_rows(a, b, window)
+    inner = _inner(window, a, b)
+    ta, tb = _tabulate([(a, inner), (b, inner)])
+    shifts = sorted(set(a.terms) | set(b.terms))
+    cols = [(ta.values(alpha, inner), tb.values(alpha, inner)) for alpha in shifts]
     fvals = {}
-    for n, pairs in rows:
-        ratio = None
-        for va, vb in pairs:
-            if vb == 0:
-                if va != 0:
+    for j, y in enumerate(range(inner.y0, inner.y1 + 1)):
+        for i, x in enumerate(range(inner.x0, inner.x1 + 1)):
+            ratio = None
+            for ra, rb in cols:
+                va, vb = ra[j][i], rb[j][i]
+                if vb == 0:
+                    if va != 0:
+                        return None
+                    continue
+                r = frac(va) / frac(vb) if not isinstance(va, float) else va / vb
+                if ratio is None:
+                    ratio = r
+                elif ratio != r:
                     return None
-                continue
-            r = frac(va) / frac(vb) if not isinstance(va, float) else va / vb
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-        if ratio is None or ratio == 0:
-            # all terms vanish: any nonzero value works; fail the
-            # "everywhere nonzero" requirement only when forced to 0
-            if ratio == 0:
-                return None
-            ratio = Fraction(1)
-        fvals[n] = ratio
+            if ratio is None or ratio == 0:
+                # all terms vanish: any nonzero value works; fail the
+                # "everywhere nonzero" requirement only when forced to 0
+                if ratio == 0:
+                    return None
+                ratio = Fraction(1)
+            fvals[(x, y)] = ratio
     return LatticeFunction(fvals, inner)

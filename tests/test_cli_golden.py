@@ -148,7 +148,19 @@ def cases() -> dict:
     out["factorize-rational-json"] = (fac, None)
     out["factorize-rational-csv"] = (fac + ["--out", "{dir}/f.csv"], "f.csv")
     out["factorize-float-json"] = (fac + ["--mode", "float", "--tol", "1e-12"], None)
+    # a window one column past the operator file's grid: the error names
+    # the first point the check reads
+    out["factorize-past-grid-json"] = (["factorize", "--op", "{dir}/random.op",
+                                        "--window", "-1", "12", "0", "11"], None)
+    inner = ["factorize", "--op", "{dir}/random.op", "--window", "1", "10", "2", "9"]
+    out["factorize-inner-json"] = (inner, None)
+    out["factorize-inner-csv"] = (inner + ["--out", "{dir}/f.csv"], "f.csv")
     out["qcd-default"] = (["qcd-identity"], None)
+    out["qcd-rational-wide"] = (["qcd-identity", "--window", "-9", "9", "-2", "7",
+                                 "--c", "5/3", "--d", "2/7", "--q", "4/3", "--s", "2"], None)
+    out["qcd-float-tight"] = (["qcd-identity", "--mode", "float", "--tol", "1e-15",
+                               "--c", "1.0", "--d", "1.5", "--l", "0.25,0.1,0.4,0.25",
+                               "--window", "-12", "12"], None)
     out["qcd-rational"] = (["qcd-identity", "--c", "2/3", "--d=-5/7", "--q", "3",
                             "--s", "1/2", "--window", "-3", "3"], None)
     out["qcd-float"] = (["qcd-identity", "--mode", "float", "--c", "1.0", "--d", "1.5",

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -189,10 +190,10 @@ def test_cli_green_values(fixture_dir):
 def test_cli_green_csv_and_svg(fixture_dir, tmp_path):
     csv_path = str(tmp_path / "g.csv")
     rc, _, _ = run_cli(["green", "--window", "-3", "8", "--out", csv_path])
-    assert rc == 0 and ",2," in open(csv_path).read()
+    assert rc == 0 and ",2," in Path(csv_path).read_text()
     svg_path = str(tmp_path / "g.svg")
     rc, _, _ = run_cli(["green", "--window", "-3", "8", "--out", svg_path])
-    assert rc == 0 and open(svg_path).read().startswith("<svg")
+    assert rc == 0 and Path(svg_path).read_text().startswith("<svg")
 
 
 def test_cli_holonomy(fixture_dir):
@@ -242,7 +243,7 @@ def test_cli_maxprinciple(fixture_dir, tmp_path):
     svg = str(tmp_path / "mp.svg")
     rc, _, _ = run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
                         "--seed", "7", "--out", svg])
-    assert rc == 0 and open(svg).read().startswith("<svg")
+    assert rc == 0 and Path(svg).read_text().startswith("<svg")
 
 
 def test_cli_taylor_cauchy(fixture_dir):
@@ -263,7 +264,7 @@ def test_cli_factorize(fixture_dir, tmp_path):
                         "--window", "0", "11", "0", "11", "--mode", "float",
                         "--tol", "1e-12", "--out", csv])
     assert rc == 0
-    assert open(csv).read().startswith("n1,n2,color")
+    assert Path(csv).read_text().startswith("n1,n2,color")
 
 
 def test_cli_qcd(fixture_dir):
@@ -346,6 +347,20 @@ def test_cli_cauchy_domain_file(tmp_path):
     rc, out, _ = run_cli(["cauchy", "--seed", "3", "--window", "0", "12", "0", "12",
                           "--domain", str(dom_file)])
     assert rc == 0 and json.loads(out)["exact"]
+
+
+def test_cli_cauchy_names_the_least_vertex_outside_the_window(tmp_path):
+    # the domain's vertices span [-1, 8] on each axis; the window [0, 12]^2
+    # leaves out every vertex with a coordinate -1, the least being (-1, 0)
+    dom_file = tmp_path / "dom.ld"
+    dom_file.write_text("".join(f"d {k} {x} {y}\n" for x in range(0, 8)
+                                for y in range(0, 8) for k in "bw"))
+    for seed in ("0", "1", "987654"):
+        rc, out, err = run_cli(["cauchy", "--seed", "3", "--window", "0", "12", "0", "12",
+                                "--domain", str(dom_file)], env={"PYTHONHASHSEED": seed})
+        assert rc == 1 and "Traceback" not in err
+        assert json.loads(out) == {"error": "TriholoError",
+                                   "message": "domain vertex (-1, 0) outside the window"}
 
 
 def test_cli_holonomy_noncanonical_connection(fixture_dir, tmp_path):

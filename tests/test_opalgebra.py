@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from triholo import io as tio
 from triholo import opalgebra as OA
 from triholo.errors import (
     ConditionViolated,
@@ -377,3 +378,341 @@ def test_from_operator_roundtrip():
     lop = OA.random_factorizable(random.Random(3), "white")
     back = OA.SchrodingerOperator.from_operator(lop.to_operator())
     same_coefficients(back, lop, Window(0, 4, 0, 4))
+
+
+# --- closure-path oracles: the pointwise bodies the coefficient tables replaced,
+# kept verbatim apart from names (module functions prefixed with OA.)
+
+def closure_coefficient_rows(a, b, window):
+    """The window shrunk by the reach of both stencils, and for each point n
+    of it (n, [(a_alpha(n), b_alpha(n)) for every shift alpha of A or B])."""
+    la, ra, ba, ta = a.margins()
+    lb, rb, bb, tb = b.margins()
+    inner = window.shrink(left=max(la, lb), right=max(ra, rb),
+                          bottom=max(ba, bb), top=max(ta, tb))
+    coeffs = [(a.coefficient(alpha), b.coefficient(alpha))
+              for alpha in sorted(set(a.shifts) | set(b.shifts))]
+    return inner, ((n, [(ca(n), cb(n)) for ca, cb in coeffs]) for n in inner.points())
+
+
+def closure_equal_on_window(a, b, window, tol=None):
+    try:
+        _, rows = closure_coefficient_rows(a, b, window)
+    except InsufficientWindow:
+        raise WindowMismatch("window too small for both stencils")
+    for _, pairs in rows:
+        for va, vb in pairs:
+            if tol is None:
+                if va != vb:
+                    return False
+            elif abs(va - vb) > tol * max(abs(va), abs(vb), 1.0):
+                return False
+    return True
+
+
+def closure_apply(op, f):
+    """(A f)(n) = sum_alpha c_alpha(n) f(n + alpha), on a windowed f."""
+    left, right, bottom, top = op.margins()
+    w = f.window.shrink(left=left, right=right, bottom=bottom, top=top)
+    vals = {}
+    for p in w.points():
+        acc = 0
+        for alpha, c in op.terms.items():
+            acc = acc + c(p) * f[(p[0] + alpha[0], p[1] + alpha[1])]
+        vals[p] = acc
+    return LatticeFunction(vals, w)
+
+
+def closure_check_self_adjoint(lop, window):
+    inner = window.shrink(left=1, right=1, bottom=1, top=1)
+    for n in inner.points():
+        x, y = n
+        if lop.e(n) != lop.b((x - 1, y)):
+            raise NotSelfAdjoint(f"e({n}) != b({(x - 1, y)})")
+        if lop.f(n) != lop.c((x, y - 1)):
+            raise NotSelfAdjoint(f"f({n}) != c({(x, y - 1)})")
+        if lop.g(n) != lop.d((x + 1, y - 1)):
+            raise NotSelfAdjoint(f"g({n}) != d({(x + 1, y - 1)})")
+        for name in "abcdefg":
+            if getattr(lop, name)(n) <= 0:
+                raise NotSelfAdjoint(f"coefficient {name}({n}) not positive")
+
+
+def closure_factorize(lop, color, window, mode="rational"):
+    names, s, (dx, dy) = OA._color(color)
+    closure_check_self_adjoint(lop, window)
+    sqrt = OA._sqrt_exact if mode == "rational" else math.sqrt
+    probe = window.shrink(left=1, right=1, bottom=1, top=1)
+    op = lop.to_operator()
+    l1, l2 = op.coefficient((s, 0)), op.coefficient((0, s))
+
+    @OA._memo
+    def q0(n):
+        ratio = OA.frac(l1(n)) * OA.frac(l2(n)) / OA.frac(lop.d((n[0] + dx, n[1] + dy)))
+        return sqrt(ratio)
+
+    @OA._memo
+    def q1(n):
+        return l1(n) / q0(n)
+
+    @OA._memo
+    def q2(n):
+        return l2(n) / q0(n)
+
+    def potential(n):
+        x, y = n
+        return (lop.a(n) - q0(n) ** 2
+                - q1((x - s, y)) ** 2 - q2((x, y - s)) ** 2)
+
+    for n in probe.points():  # eager: positivity/squareness errors surface now
+        q0(n)
+    return OA.Factorization(color, dict(zip(names, (q0, q1, q2))), potential)
+
+
+def closure_f_criterion(qw, qb, window):
+    one = OA.identity_op()
+    a = OA.compose(qw - one, qb - one) - one
+    b = OA.compose(qb - one, qw - one) - one
+    inner, rows = closure_coefficient_rows(a, b, window)
+    fvals = {}
+    for n, pairs in rows:
+        ratio = None
+        for va, vb in pairs:
+            if vb == 0:
+                if va != 0:
+                    return None
+                continue
+            r = OA.frac(va) / OA.frac(vb) if not isinstance(va, float) else va / vb
+            if ratio is None:
+                ratio = r
+            elif ratio != r:
+                return None
+        if ratio is None or ratio == 0:
+            if ratio == 0:
+                return None
+            ratio = Fraction(1)
+        fvals[n] = ratio
+    return LatticeFunction(fvals, inner)
+
+
+def outcome(fn, *args, **kwargs):
+    """('ok', result) or (exception type, message)."""
+    try:
+        return "ok", fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_window(rng, lo=3, hi=8):
+    x0, y0 = rng.randint(-6, 4), rng.randint(-6, 4)
+    return Window(x0, x0 + rng.randint(lo, hi), y0, y0 + rng.randint(lo, hi))
+
+
+def test_table_comparison_matches_closure_path():
+    rng = random.Random(47)
+    outcomes = set()
+    for _ in range(200):
+        a, b = random_pair(rng)
+        win = random_window(rng, 1, 7)
+        want = outcome(closure_equal_on_window, a, b, win)
+        assert outcome(OA.equal_on_window, a, b, win) == want
+        outcomes.add(want[1] if want[0] == "ok" else want[0])
+    assert outcomes == {True, False, WindowMismatch}
+
+
+def float_op(rng, nterms=3):
+    """Float coefficients of a few bits, so every sum and product is exact
+    in floats and agrees with the exact value whatever the order."""
+    terms = {}
+    for _ in range(nterms):
+        alpha = (rng.randint(-1, 1), rng.randint(-1, 1))
+        k1, k2, k3 = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 4)
+        terms[alpha] = (lambda n, k1=k1, k2=k2, k3=k3: (k1 * n[0] + k2 * n[1] + k3) / 4.0)
+    return OA.DifferenceOperator(terms)
+
+
+def test_table_comparison_matches_closure_path_in_float_mode():
+    rng = random.Random(53)
+    outcomes = set()
+    for _ in range(80):
+        a, b = float_op(rng, rng.randint(1, 3)), rand_op(rng, rng.randint(1, 3))
+        lhs = OA.compose(OA.adjoint(a), b) + a.scale(0.5) + b.scale(0.5)
+        rhs = OA.adjoint(OA.compose(OA.adjoint(b), a)) + a - a.scale(0.5) \
+            + b.scale(Fraction(1, 2))
+        rhs = rhs.scale(rng.choice((1.0, 1.0 + 1e-9, 1.0 + 1e-15, 2)))
+        win = random_window(rng, 4, 8)
+        for tol in (None, 1e-12, 1e-6):
+            want = closure_equal_on_window(lhs, rhs, win, tol=tol)
+            assert OA.equal_on_window(lhs, rhs, win, tol=tol) is want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+
+
+def random_lattice_function(rng, window):
+    return LatticeFunction({p: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                            for p in window.points()}, window)
+
+
+def test_apply_matches_closure_path():
+    """Exact operators give the same function; an operator with a float
+    coefficient is computed in floats throughout, so its values agree with
+    the closure sum (which stays exact until the first float term) to
+    rounding."""
+    rng = random.Random(59)
+    floats = 0
+    for k in range(60):
+        op = random_pair(rng)[k % 2]
+        if k % 5 == 0:
+            op = op + float_op(rng).scale(0.25)
+        f = random_lattice_function(rng, random_window(rng, 5, 8))
+        want = outcome(closure_apply, op, f)
+        got = outcome(op.apply, f)
+        assert got[0] == want[0]
+        if got[0] != "ok":
+            continue
+        assert got[1].window == want[1].window
+        if k % 5:
+            assert got[1] == want[1]
+        else:
+            floats += 1
+            for p in want[1].window.points():
+                assert math.isclose(got[1][p], want[1][p], rel_tol=1e-12, abs_tol=1e-12)
+    assert floats
+
+
+def same_factors(got, want, window):
+    """Every coefficient and the potential, type and value, on the window
+    grown by two (points no table covers included)."""
+    for n in Window(window.x0 - 2, window.x1 + 2, window.y0 - 2, window.y1 + 2).points():
+        for g, w in [(got.coeffs[k], want.coeffs[k]) for k in want.coeffs] + [
+                (got.potential, want.potential)]:
+            gv, wv = outcome(g, n), outcome(w, n)
+            assert gv[0] == wv[0], n
+            if gv[0] == "ok":
+                assert (type(gv[1]), gv[1]) == (type(wv[1]), wv[1]), n
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_factorize_matches_closure_path(mode):
+    rng = random.Random(61)
+    cases = [(OA.random_factorizable(random.Random(seed), color), color)
+             for seed in range(6) for color in ("black", "white")]
+    cases += [(OA.exponential_both_colors(), color) for color in ("black", "white")]
+    for lop, color in cases:
+        win = random_window(rng, 2, 7)
+        fac = OA.factorize(lop, color, win, mode=mode)
+        same_factors(fac, closure_factorize(lop, color, win, mode=mode), win)
+        assert OA.equal_on_window(fac.recompose(), lop.to_operator(), win,
+                                  tol=None if mode == "rational" else 1e-12)
+
+
+def test_factorize_reads_tables_for_built_operators():
+    for lop in (OA.random_factorizable(random.Random(2), "white"),
+                OA.exponential_both_colors(), OA.SchrodingerOperator(3, 1, 1, 1, 1, 1, 1)):
+        assert OA._lop_table(lop, Window(0, 6, 0, 6)) is not None
+
+
+def test_f_criterion_matches_closure_path():
+    rng = random.Random(67)
+    s = Fraction(3, 2)
+    qw = OA.DifferenceOperator({(0, 0): 1, (1, 0): lambda n: s ** n[1],
+                                (0, 1): lambda n: s ** (-n[0])})
+    cases = [(qw, OA.adjoint(qw)),
+             (OA.DifferenceOperator({(0, 0): 1, (1, 0): 1, (0, 1): 1}),
+              OA.DifferenceOperator({(0, 0): 1, (-1, 0): 1, (0, -1): 1}))]
+    for _ in range(20):
+        a = rand_op(rng)
+        cases.append((a, OA.adjoint(a)) if rng.random() < 0.5 else (a, rand_op(rng)))
+    outcomes = set()
+    for qw, qb in cases:
+        win = random_window(rng, 4, 7)
+        want = closure_f_criterion(qw, qb, win)
+        got = OA.zero_curvature_f_criterion(qw, qb, win)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.window == want.window and got == want
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+
+
+def grid_operator(lop, grid):
+    """The op-file form of lop: each coefficient a table on `grid` that
+    raises ValueError off it, as `io.parse_operator` builds it."""
+    lines = []
+    for name, alpha in OA.SCHRODINGER_SHIFTS.items():
+        lines.append(f"op {alpha[0]} {alpha[1]}")
+        lines += [f"c {p[0]} {p[1]} {getattr(lop, name)(p)}" for p in grid.points()]
+    return OA.SchrodingerOperator.from_operator(tio.parse_operator("\n".join(lines)))
+
+
+def perturbed(lop, name, at, by):
+    fn = getattr(lop, name)
+    kw = {k: getattr(lop, k) for k in "abcdefg"}
+    kw[name] = lambda n: fn(n) + by if n == at else fn(n)
+    return OA.SchrodingerOperator(**kw)
+
+
+def test_errors_match_closure_path():
+    rng = random.Random(71)
+    cases = [(OA.SchrodingerOperator(3, 2, 1, 1, 1, 1, 1), "black", Window(0, 5, 0, 5)),
+             (OA.SchrodingerOperator(9, 2, 1, 1, 2, 1, 1), "black", Window(0, 5, 0, 5))]
+    for _ in range(40):
+        color = rng.choice(("black", "white"))
+        lop = OA.random_factorizable(random.Random(rng.randrange(100)), color)
+        win = random_window(rng, 3, 6)
+        at = (rng.randint(win.x0, win.x1), rng.randint(win.y0, win.y1))
+        kind = rng.randrange(4)
+        if kind == 0:       # no longer self-adjoint, or not positive
+            lop = perturbed(lop, rng.choice("abcdefg"), at, rng.choice((-100, Fraction(1, 3))))
+        elif kind == 1:     # self-adjoint, but an irrational root
+            lop = perturbed(lop, "a", at, 1)
+            lop = perturbed(lop, "d", at, Fraction(1, 7))
+        elif kind == 2:     # coefficients missing off a grid the window overhangs
+            grid = Window(win.x0 + rng.randint(0, 2), win.x1 - rng.randint(0, 2),
+                          win.y0 + rng.randint(0, 2), win.y1 - rng.randint(0, 2))
+            lop = grid_operator(lop, grid)
+        cases.append((lop, color, win))
+    kinds = set()
+    for lop, color, win in cases:
+        for mode in ("rational", "float"):
+            want = outcome(closure_factorize, lop, color, win, mode=mode)
+            got = outcome(OA.factorize, lop, color, win, mode=mode)
+            assert got[0] == want[0]
+            if want[0] == "ok":
+                same_factors(got[1], want[1], win)
+            else:
+                assert got[1] == want[1]
+                kinds.add(want[0])
+        assert (outcome(lop.check_self_adjoint, win)
+                == outcome(closure_check_self_adjoint, lop, win))
+    assert kinds == {NotSelfAdjoint, NotFactorizable, ValueError}
+
+
+def counted(fn, calls):
+    def f(n):
+        calls[(id(f), n)] = calls.get((id(f), n), 0) + 1
+        return fn(n)
+    return f
+
+
+def test_each_leaf_coefficient_is_evaluated_once_per_point():
+    rng = random.Random(73)
+    for _ in range(10):
+        calls: dict = {}
+        a = OA.DifferenceOperator({alpha: counted(c, calls) for alpha, c in rand_op(rng).terms.items()})
+        b = OA.DifferenceOperator({alpha: counted(c, calls) for alpha, c in rand_op(rng).terms.items()})
+        lhs = OA.compose(OA.adjoint(a), a) - OA.identity_op()
+        OA.equal_on_window(lhs, b, random_window(rng, 4, 8))
+        assert calls and max(calls.values()) == 1
+    # factorize and the recomposition check read each coefficient of L once
+    # per point
+    for color in ("black", "white"):
+        calls = {}
+        built = OA.random_factorizable(random.Random(5), color)
+        lop = OA.SchrodingerOperator(**{k: counted(getattr(built, k), calls) for k in "abcdefg"})
+        win = Window(0, 6, 0, 6)
+        fac = OA.factorize(lop, color, win)
+        assert calls and max(calls.values()) == 1
+        calls.clear()
+        assert OA.equal_on_window(fac.recompose(), lop.to_operator(), win)
+        assert calls and max(calls.values()) == 1
