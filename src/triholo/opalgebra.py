@@ -12,15 +12,19 @@ t_j+ = t_j^{-1}.  Coefficients are arbitrary callables n -> value; exact
 when they return Fractions, float otherwise.
 
 Closures for points, tables for windows.  Every operator keeps its
-coefficient callables, so `coefficient(alpha)(n)` answers at any single
-point.  On a window an operator is a coefficient table: one set of rows
-per shift, rows[y - y0][x - x0], integers over one denominator, or floats
-when a coefficient is float.  `compose`, `adjoint`, `+` and `scale` record
-their operands, and a table is built bottom up from the operands' tables:
-each leaf coefficient is evaluated once per point of the hull of the
-windows its parents need, and compose and adjoint sum products of shifted
-row slices.  `equal_on_window`, `apply` on a windowed function,
-`factorize` and the zero-curvature criterion work on tables.
+coefficient callables, so `coefficient(alpha)(n)` and `apply` answer point
+by point.  On a window an operator is a coefficient table: per shift, rows
+rows[y - y0][x - x0] of integers over one denominator, or of floats where
+the closures compute in floats.  `compose`, `adjoint`, `+` and `scale`
+record their operands, and a table is built bottom up from the operands'
+tables: each leaf coefficient is evaluated once per point of the hull of
+the windows its parents need, and compose and adjoint sum products of
+shifted row slices.  A shift's rows are exact exactly where its closure's
+values are, and floats are combined in the closures' order, so a table
+holds the closures' values.  `equal_on_window`, `factorize` and the
+zero-curvature criterion work on tables; when a table cannot be built (a
+coefficient raises somewhere on the hull, or returns floats at some points
+and exact values at others) they read the closures point by point.
 
 Both colours of the factorization L = Q+ Q + U are one construction,
 read from the table `COLORS`: Q = q0 + q1 t1^s + q2 t2^s with s = -1
@@ -95,19 +99,13 @@ class DifferenceOperator:
             return LatticeFunction({p: v for p, v in out.items() if v != 0})
         left, right, bottom, top = self.margins()
         w = f.window.shrink(left=left, right=right, bottom=bottom, top=top)
-        tab = _tabulate([(self, w)])[0]
-        # a float table sums the floats of f's values, term by term as the
-        # closures do, and the function keeps each sum exactly
-        rows = f.rows if tab.den is not None else [[v / f.den for v in r] for r in f.rows]
-        width, height = w.size
-        acc = [[0] * width] * height
-        for alpha in self.terms:
-            acc = [list(map(add, r, map(mul, cr, fr))) for r, cr, fr in
-                   zip(acc, tab.part(alpha, w), _slice(rows, f.window, w, alpha))]
-        if tab.den is None:
-            return LatticeFunction({(x, y): v for y, r in enumerate(acc, w.y0)
-                                    for x, v in enumerate(r, w.x0)}, w)
-        return LatticeFunction.from_rows(acc, tab.den * f.den, w)
+        vals = {}
+        for p in w.points():
+            acc = 0
+            for alpha, c in self.terms.items():
+                acc = acc + c(p) * f[(p[0] + alpha[0], p[1] + alpha[1])]
+            vals[p] = acc
+        return LatticeFunction(vals, w)
 
     def __add__(self, other: "DifferenceOperator") -> "DifferenceOperator":
         terms = dict(self.terms)
@@ -177,35 +175,33 @@ def adjoint(a: DifferenceOperator) -> DifferenceOperator:
 
 
 # --- coefficient tables -------------------------------------------------------
+#
+# A part is (rows, den): rows[y - y0][x - x0] integers over den > 0, or
+# floats when den is None.  A part is float exactly where the closure's
+# values are float; the closures turn a Fraction into a float (correctly
+# rounded, as v / den is) only when it meets a float operand, and so do
+# `_sum` and `_product`.
 
 class _Table:
-    """An operator's coefficients on `window`: rows[alpha][y - y0][x - x0],
-    integers over `den` > 0, or floats when `den` is None."""
+    """An operator's coefficients on `window`: parts[alpha] = (rows, den)."""
 
-    __slots__ = ("window", "rows", "den")
+    __slots__ = ("window", "parts")
 
-    def __init__(self, window: Window, rows: dict, den: int | None):
-        self.window, self.rows, self.den = window, rows, den
+    def __init__(self, window: Window, parts: dict):
+        self.window, self.parts = window, parts
 
-    def part(self, alpha: Point, window: Window, dx: int = 0, dy: int = 0) -> list:
-        """The rows at shift alpha on `window` moved by (dx, dy); zeros for
-        a shift the operator does not have."""
-        rows = self.rows.get(alpha)
-        if rows is None:
+    def part(self, alpha: Point, window: Window, dx: int = 0, dy: int = 0) -> tuple:
+        """The part at shift alpha on `window` moved by (dx, dy); exact
+        zeros for a shift the operator does not have."""
+        got = self.parts.get(alpha)
+        if got is None:
             width, height = window.size
-            return [[0] * width] * height
-        return _slice(rows, self.window, window, (dx, dy))
-
-    def floats(self) -> "_Table":
-        den = self.den
-        if den is None:
-            return self
-        return _Table(self.window, {alpha: [[v / den for v in r] for r in rows]
-                                    for alpha, rows in self.rows.items()}, None)
+            return [[0] * width] * height, 1
+        return _slice(got[0], self.window, window, (dx, dy)), got[1]
 
     def values(self, alpha: Point, window: Window) -> list:
         """Rows of values at alpha on `window`: Fractions, or floats."""
-        rows, den = self.part(alpha, window), self.den
+        rows, den = self.part(alpha, window)
         return rows if den is None else [[Fraction(v, den) for v in r] for r in rows]
 
 
@@ -219,6 +215,29 @@ def _slice(rows: list, window: Window, w: Window, shift: Point = (0, 0)) -> list
 
 def _scaled(rows: list, k) -> list:
     return rows if k == 1 else [[v * k for v in r] for r in rows]
+
+
+def _floats(part: tuple) -> list:
+    rows, den = part
+    return rows if den is None else [[v / den for v in r] for r in rows]
+
+
+def _sum(p: tuple, q: tuple) -> tuple:
+    """p + q: exact over the lcm of the denominators, or floats once either
+    part is float."""
+    if p[1] is None or q[1] is None:
+        return [list(map(add, x, y)) for x, y in zip(_floats(p), _floats(q))], None
+    den = math.lcm(p[1], q[1])
+    return [list(map(add, x, y)) for x, y in
+            zip(_scaled(p[0], den // p[1]), _scaled(q[0], den // q[1]))], den
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """p * q pointwise: exact over the product of the denominators, or floats
+    once either part is float."""
+    if p[1] is None or q[1] is None:
+        return [list(map(mul, x, y)) for x, y in zip(_floats(p), _floats(q))], None
+    return [list(map(mul, x, y)) for x, y in zip(p[0], q[0])], p[1] * q[1]
 
 
 def _grow(w: Window, left: int, right: int, bottom: int, top: int) -> Window:
@@ -283,72 +302,59 @@ def _tabulate(pairs: list) -> list:
 
 
 def _build(op: DifferenceOperator, w: Window, tabs: dict) -> _Table:
-    """The table of `op` on `w` from its operands' tables in `tabs`."""
+    """The table of `op` on `w` from its operands' tables in `tabs`, each
+    part combined in the order its closure combines its terms."""
     node = op._node
     if node is None:
-        return _leaf_table(op, w)
+        return _Table(w, {alpha: _leaf_part(fn, w) for alpha, fn in op.terms.items()})
     kind, a = node[0], node[1]
     ta = tabs[id(a)]
     if kind == "adjoint":
-        return _Table(w, {(-x, -y): ta.part((x, y), w, -x, -y) for x, y in a.terms}, ta.den)
+        return _Table(w, {(-x, -y): ta.part((x, y), w, -x, -y) for x, y in a.terms})
     if kind == "scale":
         s = node[2]
-        if ta.den is None or isinstance(s, float):
-            ta, s = ta.floats(), float(s)
-            return _Table(w, {alpha: [[v * s for v in r] for r in ta.part(alpha, w)]
-                              for alpha in a.terms}, None)
-        return _Table(w, {alpha: _scaled(ta.part(alpha, w), s.numerator) for alpha in a.terms},
-                      ta.den * s.denominator)
+        parts = {}
+        for alpha in a.terms:
+            rows, den = ta.part(alpha, w)
+            if den is None or isinstance(s, float):
+                parts[alpha] = [[v * float(s) for v in r] for r in _floats((rows, den))], None
+            else:
+                parts[alpha] = _scaled(rows, s.numerator), den * s.denominator
+        return _Table(w, parts)
     b = node[2]
     tb = tabs[id(b)]
-    if ta.den is None or tb.den is None:
-        ta, tb = ta.floats(), tb.floats()
+    parts = {}
     if kind == "compose":
-        rows: dict = {}
         for alpha in a.terms:
-            ra = ta.part(alpha, w)
+            pa = ta.part(alpha, w)
             for beta in b.terms:
-                part = [list(map(mul, x, y)) for x, y in zip(ra, tb.part(beta, w, *alpha))]
                 gamma = (alpha[0] + beta[0], alpha[1] + beta[1])
-                acc = rows.get(gamma)
-                rows[gamma] = part if acc is None else [list(map(add, x, y))
-                                                        for x, y in zip(acc, part)]
-        return _Table(w, rows, None if ta.den is None else ta.den * tb.den)
-    # add: the operands' rows over their common denominator
-    den, ka, kb = None, 1, 1
-    if ta.den is not None:
-        den = math.lcm(ta.den, tb.den)
-        ka, kb = den // ta.den, den // tb.den
-    rows = {alpha: _scaled(ta.part(alpha, w), ka) for alpha in a.terms}
+                term = _product(pa, tb.part(beta, w, *alpha))
+                parts[gamma] = _sum(parts[gamma], term) if gamma in parts else term
+        return _Table(w, parts)
+    parts = {alpha: ta.part(alpha, w) for alpha in a.terms}      # add
     for alpha in b.terms:
-        rb = _scaled(tb.part(alpha, w), kb)
-        rows[alpha] = [list(map(add, x, y)) for x, y in zip(rows[alpha], rb)] \
-            if alpha in rows else rb
-    return _Table(w, rows, den)
+        pb = tb.part(alpha, w)
+        parts[alpha] = _sum(parts[alpha], pb) if alpha in parts else pb
+    return _Table(w, parts)
 
 
-def _leaf_table(op: DifferenceOperator, w: Window) -> _Table:
-    """Each coefficient evaluated once per point of `w`, row by row, unless
-    it hands out its own rows (a `_rows_on` attribute)."""
-    grids = {}
-    for alpha, fn in op.terms.items():
-        own = getattr(fn, "_rows_on", None)
-        got = own(w) if own is not None else None
-        grids[alpha] = got if got is not None else _evaluate(fn, w)
-    if any(den is None for _, den in grids.values()):
-        return _Table(w, {alpha: rows if den is None else [[v / den for v in r] for r in rows]
-                          for alpha, (rows, den) in grids.items()}, None)
-    den = math.lcm(*(d for _, d in grids.values()))
-    return _Table(w, {alpha: _scaled(rows, den // d) for alpha, (rows, d) in grids.items()},
-                  den)
-
-
-def _evaluate(fn, w: Window) -> tuple:
-    """(rows, den) of fn on `w`; floats and den None when a value is float."""
+def _leaf_part(fn, w: Window) -> tuple:
+    """fn on `w` as a part, evaluated once per point row by row, unless fn
+    hands out its own rows (a `_rows_on` attribute).  TypeError when fn
+    returns floats at some points and exact values at others: no part
+    holds both."""
+    own = getattr(fn, "_rows_on", None)
+    got = own(w) if own is not None else None
+    if got is not None:
+        return got
     xs = range(w.x0, w.x1 + 1)
     vals = [[fn((x, y)) for x in xs] for y in range(w.y0, w.y1 + 1)]
-    if any(isinstance(v, float) for r in vals for v in r):
-        return [[float(v) for v in r] for r in vals], None
+    floats = sum(isinstance(v, float) for r in vals for v in r)
+    if floats:
+        if floats < len(xs) * len(vals):
+            raise TypeError("coefficient mixes float and exact values")
+        return vals, None
     den = math.lcm(*{v.denominator for r in vals for v in r})
     return [[v.numerator * (den // v.denominator) for v in r] for r in vals], den
 
@@ -361,36 +367,73 @@ def _inner(window: Window, a: DifferenceOperator, b: DifferenceOperator) -> Wind
                          bottom=max(ba, bb), top=max(ta, tb))
 
 
+def _tables(a: DifferenceOperator, b: DifferenceOperator, inner: Window) -> list | None:
+    """The tables of A and B on `inner`, or None when they cannot be built.
+    Any exception is caught because the caller then reads the closures in
+    the pointwise order: that raises what the pointwise path raises, or
+    nothing when the failing point is one it never reads."""
+    try:
+        return _tabulate([(a, inner), (b, inner)])
+    except Exception:
+        return None
+
+
+def _closure_pairs(a: DifferenceOperator, b: DifferenceOperator, inner: Window):
+    """For each point n of `inner`, lazily from the closures,
+    (n, [(a_alpha(n), b_alpha(n)) for every shift alpha of A or B])."""
+    coeffs = [(a.coefficient(alpha), b.coefficient(alpha))
+              for alpha in sorted(set(a.terms) | set(b.terms))]
+    return ((n, [(ca(n), cb(n)) for ca, cb in coeffs]) for n in inner.points())
+
+
+def _table_pairs(ta: _Table, tb: _Table, shifts: list, inner: Window):
+    """_closure_pairs read off the tables."""
+    cols = [(ta.values(alpha, inner), tb.values(alpha, inner)) for alpha in shifts]
+    for j, y in enumerate(range(inner.y0, inner.y1 + 1)):
+        for i, x in enumerate(range(inner.x0, inner.x1 + 1)):
+            yield (x, y), [(ra[j][i], rb[j][i]) for ra, rb in cols]
+
+
+def _same(p: tuple, q: tuple) -> bool:
+    """Exact parts with equal values."""
+    (ra, da), (rb, db) = p, q
+    if da == db:
+        return ra == rb
+    return all([v * db for v in x] == [v * da for v in y] for x, y in zip(ra, rb))
+
+
+def _differ(va, vb, tol: float | None) -> bool:
+    """Two coefficient values disagree: exactly, or beyond tol relative to
+    max(|a|, |b|, 1)."""
+    if tol is None:
+        return va != vb
+    return abs(va - vb) > tol * max(abs(va), abs(vb), 1.0)
+
+
 def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
                     window: Window, tol: float | None = None) -> bool:
     """Test A = B on the window: a_alpha(n) == b_alpha(n) for every shift
     alpha and every point n where both stencils fit.  With `tol`, values
     agree within tol relative to max(|a|, |b|, 1).  WindowMismatch when
-    no point fits.  Both tables are built first, so a coefficient that
-    raises anywhere on the window raises here."""
+    no point fits."""
     try:
         inner = _inner(window, a, b)
     except InsufficientWindow:
         raise WindowMismatch("window too small for both stencils")
-    ta, tb = _tabulate([(a, inner), (b, inner)])
-    shifts = sorted(set(a.terms) | set(b.terms))
-    da, db = ta.den, tb.den
-    if tol is None and da is not None and db is not None:
-        for alpha in shifts:
-            for ra, rb in zip(ta.part(alpha, inner), tb.part(alpha, inner)):
-                if da != db:
-                    ra, rb = [v * db for v in ra], [v * da for v in rb]
-                if ra != rb:
-                    return False
-        return True
-    for alpha in shifts:
-        for ra, rb in zip(ta.values(alpha, inner), tb.values(alpha, inner)):
-            for va, vb in zip(ra, rb):
-                if tol is None:
-                    if va != vb:
-                        return False
-                elif abs(va - vb) > tol * max(abs(va), abs(vb), 1.0):
-                    return False
+    tabs = _tables(a, b, inner)
+    if tabs is None:
+        return not any(_differ(va, vb, tol) for _, pairs in _closure_pairs(a, b, inner)
+                       for va, vb in pairs)
+    ta, tb = tabs
+    for alpha in sorted(set(a.terms) | set(b.terms)):
+        pa, pb = ta.part(alpha, inner), tb.part(alpha, inner)
+        if tol is None and pa[1] is not None and pb[1] is not None:
+            if not _same(pa, pb):
+                return False
+        elif any(_differ(va, vb, tol) for ra, rb in zip(ta.values(alpha, inner),
+                                                        tb.values(alpha, inner))
+                 for va, vb in zip(ra, rb)):
+            return False
     return True
 
 
@@ -439,17 +482,8 @@ class SchrodingerOperator:
 
     def check_self_adjoint(self, window: Window) -> None:
         """e(n) = b(n - e1), f(n) = c(n - e2), g(n) = d(n + e1 - e2) on the
-        window interior; positivity of the diagonal and edge coefficients.
-        Checked on the coefficient table; the error names the first
-        failing point in the pointwise order."""
+        window interior; positivity of the diagonal and edge coefficients."""
         inner = window.shrink(left=1, right=1, bottom=1, top=1)
-        tab = _lop_table(self, window)
-        if tab is None or not _self_adjoint(tab, inner):
-            self._check_pointwise(inner)
-
-    def _check_pointwise(self, inner: Window) -> None:
-        """The check point by point on the closures, raising at the first
-        failure: the reference order of every error the check reports."""
         for n in inner.points():
             x, y = n
             if self.e(n) != self.b((x - 1, y)):
@@ -463,26 +497,33 @@ class SchrodingerOperator:
                     raise NotSelfAdjoint(f"coefficient {name}({n}) not positive")
 
 
-def _lop_table(lop: SchrodingerOperator, window: Window) -> _Table | None:
-    """L's seven coefficients on `window` as an exact table, or None when a
-    coefficient raises somewhere on the window or is not rational.  Any
-    exception is caught because the caller then reads the closures in the
-    pointwise order: that raises what the pointwise path raises, or
-    nothing when the failing point is one the pointwise path never reads."""
+def _lop_table(lop: SchrodingerOperator, window: Window) -> tuple | None:
+    """L's seven coefficients on `window` as (table, den), every part exact
+    over the one denominator den, or None when a coefficient raises
+    somewhere on the window or is not rational.  Any exception is caught
+    because the caller then reads the closures in the pointwise order: that
+    raises what the pointwise path raises, or nothing when the failing
+    point is one the pointwise path never reads."""
     try:
         tab = _tabulate([(lop.to_operator(), window)])[0]
     except Exception:
         return None
-    return tab if tab.den is not None else None
+    dens = [den for _, den in tab.parts.values()]
+    if None in dens:
+        return None
+    den = math.lcm(*dens)
+    tab.parts = {alpha: (_scaled(rows, den // d), den) for alpha, (rows, d) in tab.parts.items()}
+    return tab, den
 
 
 def _self_adjoint(tab: _Table, inner: Window) -> bool:
-    """check_self_adjoint on the table: shifted row slices and signs."""
+    """check_self_adjoint on a table over one denominator: shifted row
+    slices and signs."""
     shifts = SCHRODINGER_SHIFTS
     for name, partner, (dx, dy) in _PARTNERS:
         if tab.part(shifts[name], inner) != tab.part(shifts[partner], inner, dx, dy):
             return False
-    return all(v > 0 for alpha in shifts.values() for r in tab.part(alpha, inner) for v in r)
+    return all(v > 0 for alpha in shifts.values() for r in tab.part(alpha, inner)[0] for v in r)
 
 
 # colour -> (names of Q's coefficients at (0, 0), (s, 0) and (0, s), the step
@@ -569,17 +610,16 @@ def _pointwise_factors(lop: SchrodingerOperator, s: int, offset: Point, sqrt) ->
     return q0, q1, q2, potential
 
 
-def _tabled(window: Window, rows: list, den: int | None, pointwise):
-    """The callable that reads rows[y - y0][x - x0] (over `den`, or floats)
-    on `window` and calls `pointwise` elsewhere.  Its `_rows_on` hands a
-    table builder the rows on any window inside `window`."""
+def _tabled(window: Window, rows: list, den: int, pointwise):
+    """The callable that reads rows[y - y0][x - x0] over `den` on `window`
+    and calls `pointwise` elsewhere.  Its `_rows_on` hands a table builder
+    the part on any window inside `window`."""
     x0, x1, y0, y1 = window.x0, window.x1, window.y0, window.y1
 
     def f(n):
         x, y = n
         if x0 <= x <= x1 and y0 <= y <= y1:
-            v = rows[y - y0][x - x0]
-            return v if den is None else Fraction(v, den)
+            return Fraction(rows[y - y0][x - x0], den)
         return pointwise(n)
 
     def rows_on(w):
@@ -591,25 +631,18 @@ def _tabled(window: Window, rows: list, den: int | None, pointwise):
     return f
 
 
-def _root_cell(l1: int, l2: int, d: int, den: int, mode: str):
+def _root_cell(l1: int, l2: int, d: int, den: int):
     """q0 = sqrt(l1 l2 / d) for values over `den`: (p, q) with p / q the
-    exact root in lowest terms, or the float root; None where the pointwise
-    path raises (or, in float mode, returns 0)."""
+    exact root in lowest terms, or None where the pointwise path raises."""
     num, rden = l1 * l2, den * d
-    if mode == "rational":
-        if rden < 0:
-            num, rden = -num, -rden
-        if num <= 0 or rden == 0:
-            return None
-        g = math.gcd(num, rden)
-        num, rden = num // g, rden // g
-        p, q = math.isqrt(num), math.isqrt(rden)
-        return (p, q) if p * p == num and q * q == rden else None
-    try:
-        root = math.sqrt(num / rden)
-    except (ArithmeticError, ValueError):
+    if rden < 0:
+        num, rden = -num, -rden
+    if num <= 0 or rden == 0:
         return None
-    return root or None
+    g = math.gcd(num, rden)
+    num, rden = num // g, rden // g
+    p, q = math.isqrt(num), math.isqrt(rden)
+    return (p, q) if p * p == num and q * q == rden else None
 
 
 def factorize(lop: SchrodingerOperator, color: str, window: Window,
@@ -624,65 +657,58 @@ def factorize(lop: SchrodingerOperator, color: str, window: Window,
     q0 q1 and q0 q2, and d = q1 q2 read at the colour's offset, so
     q0 = sqrt(l1 l2 / d).
 
-    L is tabulated once on the window.  q0, q1 and q2 are tables where
-    their inputs lie in it, the potential where its q's do, and the
-    returned callables read those tables there and L's closures elsewhere.
-    Errors name the point the pointwise order meets first.
+    L is tabulated once on the window for the self-adjointness check.  In
+    rational mode q0, q1 and q2 are tables where their inputs lie in it,
+    the potential where its q's do, and the returned callables read those
+    tables there and L's closures elsewhere.  Float mode, and an L with no
+    exact table, factor on the closures.  Errors name the point the
+    pointwise order meets first.
     """
     names, s, offset = _color(color)
     inner = window.shrink(left=1, right=1, bottom=1, top=1)
     sqrt = _sqrt_exact if mode == "rational" else math.sqrt
     pointwise = _pointwise_factors(lop, s, offset, sqrt)
-    tab = _lop_table(lop, window)
-    if tab is None or not _self_adjoint(tab, inner):
-        lop._check_pointwise(inner)
+    got = _lop_table(lop, window)
+    if got is None or not _self_adjoint(got[0], inner):
+        lop.check_self_adjoint(window)
         return _eager(color, names, pointwise, inner)
+    if mode != "rational":
+        return _eager(color, names, pointwise, inner)
+    tab, den = got
     dx, dy = offset
     # q0 reads l1, l2 at n and d at n + offset, all inside the window on qwin
     qwin = Window(window.x0 - min(dx, 0), window.x1 - max(dx, 0),
                   window.y0 - min(dy, 0), window.y1 - max(dy, 0))
-    den = tab.den
-    l1 = tab.part((s, 0), qwin)
-    l2 = tab.part((0, s), qwin)
-    d = tab.part(SCHRODINGER_SHIFTS["d"], qwin, dx, dy)
-    roots = [[_root_cell(*cell, den, mode) for cell in zip(r1, r2, rd)]
+    l1 = tab.part((s, 0), qwin)[0]
+    l2 = tab.part((0, s), qwin)[0]
+    d = tab.part(SCHRODINGER_SHIFTS["d"], qwin, dx, dy)[0]
+    roots = [[_root_cell(*cell, den) for cell in zip(r1, r2, rd)]
              for r1, r2, rd in zip(l1, l2, d)]
     for x, y in inner.points():     # eager: positivity/squareness errors surface now
         if roots[y - qwin.y0][x - qwin.x0] is None:
             pointwise[0]((x, y))
     if any(None in r for r in roots):
         return _eager(color, names, pointwise, inner)
-    q, dens = _q_rows(roots, l1, l2, den, mode)
+    q, dens = _q_rows(roots, l1, l2, den)
     # the potential reads a and q0 at n, q1 at n - s e1 and q2 at n - s e2
     lo, hi = max(s, 0), min(s, 0)
     pwin = Window(qwin.x0 + lo, qwin.x1 + hi, qwin.y0 + lo, qwin.y1 + hi)
-    reads = zip(tab.part((0, 0), pwin), _slice(q[0], qwin, pwin),
+    reads = zip(tab.part((0, 0), pwin)[0], _slice(q[0], qwin, pwin),
                 _slice(q[1], qwin, pwin, (-s, 0)), _slice(q[2], qwin, pwin, (0, -s)))
-    if mode == "rational":
-        d0, d12 = dens[0], dens[1]
-        pden = math.lcm(den, d0 * d0, d12 * d12)
-        ka, k0, k12 = pden // den, pden // (d0 * d0), pden // (d12 * d12)
-        pot = [[va * ka - v0 * v0 * k0 - (v1 * v1 + v2 * v2) * k12
-                for va, v0, v1, v2 in zip(*rows)] for rows in reads]
-    else:
-        # the pointwise expression, its Fraction operand read as a float
-        pden = None
-        pot = [[va / den - v0 ** 2 - v1 ** 2 - v2 ** 2 for va, v0, v1, v2 in zip(*rows)]
-               for rows in reads]
+    d0, d12 = dens[0], dens[1]
+    pden = math.lcm(den, d0 * d0, d12 * d12)
+    ka, k0, k12 = pden // den, pden // (d0 * d0), pden // (d12 * d12)
+    pot = [[va * ka - v0 * v0 * k0 - (v1 * v1 + v2 * v2) * k12
+            for va, v0, v1, v2 in zip(*rows)] for rows in reads]
     coeffs = {k: _tabled(qwin, rows, dn, fn)
               for k, rows, dn, fn in zip(names, q, dens, pointwise)}
     return Factorization(color, coeffs, _tabled(pwin, pot, pden, pointwise[3]))
 
 
-def _q_rows(roots: list, l1: list, l2: list, den: int, mode: str) -> tuple:
+def _q_rows(roots: list, l1: list, l2: list, den: int) -> tuple:
     """q0 = root, q1 = l1 / q0 and q2 = l2 / q0 as rows, with their
     denominators: the lcm of the roots' denominators for q0, and den times
-    the lcm of their numerators for q1 and q2.  Float mode evaluates the
-    pointwise expressions, Fraction operands read as floats."""
-    if mode != "rational":
-        q12 = [[[v / den / root for v, root in zip(rv, r)] for rv, r in zip(lv, roots)]
-               for lv in (l1, l2)]
-        return [roots, *q12], (None, None, None)
+    the lcm of their numerators for q1 and q2."""
     r0 = math.lcm(*{q for r in roots for _, q in r})
     m = math.lcm(*{p for r in roots for p, _ in r})
     q0 = [[p * (r0 // q) for p, q in r] for r in roots]
@@ -816,29 +842,29 @@ def zero_curvature_f_criterion(qw: DifferenceOperator, qb: DifferenceOperator,
     a = compose(qw - one, qb - one) - one
     b = compose(qb - one, qw - one) - one
     inner = _inner(window, a, b)
-    ta, tb = _tabulate([(a, inner), (b, inner)])
-    shifts = sorted(set(a.terms) | set(b.terms))
-    cols = [(ta.values(alpha, inner), tb.values(alpha, inner)) for alpha in shifts]
+    tabs = _tables(a, b, inner)
+    if tabs is None:
+        rows = _closure_pairs(a, b, inner)
+    else:
+        rows = _table_pairs(*tabs, sorted(set(a.terms) | set(b.terms)), inner)
     fvals = {}
-    for j, y in enumerate(range(inner.y0, inner.y1 + 1)):
-        for i, x in enumerate(range(inner.x0, inner.x1 + 1)):
-            ratio = None
-            for ra, rb in cols:
-                va, vb = ra[j][i], rb[j][i]
-                if vb == 0:
-                    if va != 0:
-                        return None
-                    continue
-                r = frac(va) / frac(vb) if not isinstance(va, float) else va / vb
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
+    for n, pairs in rows:
+        ratio = None
+        for va, vb in pairs:
+            if vb == 0:
+                if va != 0:
                     return None
-            if ratio is None or ratio == 0:
-                # all terms vanish: any nonzero value works; fail the
-                # "everywhere nonzero" requirement only when forced to 0
-                if ratio == 0:
-                    return None
-                ratio = Fraction(1)
-            fvals[(x, y)] = ratio
+                continue
+            r = frac(va) / frac(vb) if not isinstance(va, float) else va / vb
+            if ratio is None:
+                ratio = r
+            elif ratio != r:
+                return None
+        if ratio is None or ratio == 0:
+            # all terms vanish: any nonzero value works; fail the
+            # "everywhere nonzero" requirement only when forced to 0
+            if ratio == 0:
+                return None
+            ratio = Fraction(1)
+        fvals[n] = ratio
     return LatticeFunction(fvals, inner)

@@ -410,19 +410,6 @@ def closure_equal_on_window(a, b, window, tol=None):
     return True
 
 
-def closure_apply(op, f):
-    """(A f)(n) = sum_alpha c_alpha(n) f(n + alpha), on a windowed f."""
-    left, right, bottom, top = op.margins()
-    w = f.window.shrink(left=left, right=right, bottom=bottom, top=top)
-    vals = {}
-    for p in w.points():
-        acc = 0
-        for alpha, c in op.terms.items():
-            acc = acc + c(p) * f[(p[0] + alpha[0], p[1] + alpha[1])]
-        vals[p] = acc
-    return LatticeFunction(vals, w)
-
-
 def closure_check_self_adjoint(lop, window):
     inner = window.shrink(left=1, right=1, bottom=1, top=1)
     for n in inner.points():
@@ -521,21 +508,25 @@ def test_table_comparison_matches_closure_path():
 
 
 def float_op(rng, nterms=3):
-    """Float coefficients of a few bits, so every sum and product is exact
-    in floats and agrees with the exact value whatever the order."""
+    """Float coefficients that are not dyadic, so the order in which exact
+    and float values meet changes the rounding."""
     terms = {}
     for _ in range(nterms):
         alpha = (rng.randint(-1, 1), rng.randint(-1, 1))
         k1, k2, k3 = rng.randint(-4, 4), rng.randint(-4, 4), rng.randint(1, 4)
-        terms[alpha] = (lambda n, k1=k1, k2=k2, k3=k3: (k1 * n[0] + k2 * n[1] + k3) / 4.0)
+        terms[alpha] = (lambda n, k1=k1, k2=k2, k3=k3: (k1 * n[0] + k2 * n[1] + k3) / 10.0)
     return OA.DifferenceOperator(terms)
 
 
 def test_table_comparison_matches_closure_path_in_float_mode():
+    """Float operators beside exact ones with denominators 3 and 6: the
+    tables keep a shift exact where its closure is, so the comparison
+    agrees with the closure path at every tolerance, None included."""
     rng = random.Random(53)
     outcomes = set()
     for _ in range(80):
-        a, b = float_op(rng, rng.randint(1, 3)), rand_op(rng, rng.randint(1, 3))
+        a = float_op(rng, rng.randint(1, 3))
+        b = rand_op(rng, rng.randint(1, 3)).scale(Fraction(1, 3))
         lhs = OA.compose(OA.adjoint(a), b) + a.scale(0.5) + b.scale(0.5)
         rhs = OA.adjoint(OA.compose(OA.adjoint(b), a)) + a - a.scale(0.5) \
             + b.scale(Fraction(1, 2))
@@ -548,36 +539,68 @@ def test_table_comparison_matches_closure_path_in_float_mode():
     assert outcomes == {True, False}
 
 
-def random_lattice_function(rng, window):
-    return LatticeFunction({p: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
-                            for p in window.points()}, window)
+def test_mixed_exact_and_float_coefficients_keep_the_closure_values():
+    """1/3 + 1/2 is summed exactly before it meets 0.1, as the closures do:
+    float(5/6) + 0.1 = 0.9333333333333333, where floats throughout would
+    give 0.9333333333333332."""
+    third, half = OA.DifferenceOperator({(0, 0): Fraction(1, 3)}), OA.identity_op().scale(
+        Fraction(1, 2))
+    lhs = third + half + OA.DifferenceOperator({(0, 0): 0.1, (1, 0): Fraction(1, 3)})
+    rhs = OA.DifferenceOperator({(0, 0): 0.9333333333333333, (1, 0): Fraction(1, 3)})
+    assert (1 / 3 + 1 / 2) + 0.1 != 0.9333333333333333
+    assert OA.equal_on_window(lhs, rhs, W) is True
+    assert closure_equal_on_window(lhs, rhs, W) is True
+    # an exact shift beside a float one stays exact: 1/3 is not 0.333...
+    near = OA.DifferenceOperator({(0, 0): 0.9333333333333333, (1, 0): 1 / 3})
+    assert OA.equal_on_window(lhs, near, W) is closure_equal_on_window(lhs, near, W) is False
+    # compose: exact products sum exactly until the first float product
+    q = OA.DifferenceOperator({(0, 0): Fraction(1, 3), (1, 0): Fraction(1, 2), (-1, 0): 0.1})
+    qq = OA.compose(OA.adjoint(q), q)
+    want = OA.DifferenceOperator({alpha: qq.coefficient(alpha)((0, 0)) for alpha in qq.terms})
+    assert OA.equal_on_window(qq, want, W) is closure_equal_on_window(qq, want, W) is True
 
 
-def test_apply_matches_closure_path():
-    """Exact operators give the same function; an operator with a float
-    coefficient is computed in floats throughout, so its values agree with
-    the closure sum (which stays exact until the first float term) to
-    rounding."""
-    rng = random.Random(59)
-    floats = 0
-    for k in range(60):
-        op = random_pair(rng)[k % 2]
-        if k % 5 == 0:
-            op = op + float_op(rng).scale(0.25)
-        f = random_lattice_function(rng, random_window(rng, 5, 8))
-        want = outcome(closure_apply, op, f)
-        got = outcome(op.apply, f)
+def raising_at(fn, bad):
+    def f(n):
+        if n in bad:
+            raise ValueError(f"operator coefficient missing at {n}")
+        return fn(n)
+    return f
+
+
+def test_untabulable_coefficients_read_the_closures():
+    """A coefficient that raises where the closures never look, or returns
+    floats at some points and Fractions at others, gives the closure
+    path's answer, error included."""
+    win = Window(0, 5, 0, 5)
+    q = OA.DifferenceOperator({(0, 0): 1, (1, 0): 2, (0, 1): 3})
+    corner = OA.DifferenceOperator({(0, 0): raising_at(lambda n: Fraction(1), {(5, 5)})})
+    early = OA.DifferenceOperator({(0, 0): raising_at(lambda n: Fraction(1), {(3, 3)})})
+    mixed = OA.DifferenceOperator({(0, 0): lambda n: 0.5 if n[0] % 2 else Fraction(1, 2)})
+    cases = [
+        # the hull of `corner` in compose(q, corner) has (5, 5); no closure reads it
+        (OA.compose(q, corner), OA.compose(q, OA.identity_op())),
+        (OA.compose(q, corner), q.scale(2)),
+        # the closures return False at (1, 0), before they reach (3, 3)
+        (early + OA.shift_op((1, 0)).scale(2), OA.identity_op()),
+        # and raise at (3, 3) when nothing differs before it
+        (early + OA.shift_op((1, 0)), OA.identity_op() + OA.shift_op((1, 0))),
+        (mixed, OA.identity_op().scale(Fraction(1, 2))),
+        (mixed + q, OA.identity_op().scale(0.5) + q),
+    ]
+    for a, b in cases:
+        for tol in (None, 1e-9):
+            want = outcome(closure_equal_on_window, a, b, win, tol=tol)
+            assert outcome(OA.equal_on_window, a, b, win, tol=tol) == want
+    assert [outcome(OA.equal_on_window, a, b, win) for a, b in cases] == [
+        ("ok", True), ("ok", False), ("ok", False),
+        (ValueError, "operator coefficient missing at (3, 3)"), ("ok", True), ("ok", True)]
+    for qw in (q + corner, q + early, q + mixed):
+        qb = OA.adjoint(q)
+        want = outcome(closure_f_criterion, qw, qb, win)
+        got = outcome(OA.zero_curvature_f_criterion, qw, qb, win)
         assert got[0] == want[0]
-        if got[0] != "ok":
-            continue
-        assert got[1].window == want[1].window
-        if k % 5:
-            assert got[1] == want[1]
-        else:
-            floats += 1
-            for p in want[1].window.points():
-                assert math.isclose(got[1][p], want[1][p], rel_tol=1e-12, abs_tol=1e-12)
-    assert floats
+        assert got[1] == want[1]
 
 
 def same_factors(got, want, window):
