@@ -10,11 +10,16 @@ accepts only the options it reads (`COMMANDS`), and --out/--format.
 Domain errors exit 1 with a JSON error body; usage errors, an unread
 option among them, exit 2.  Rational-mode runs are byte-identical for
 identical inputs and seeds.
+
+`main` builds the argparse tree once per process, on its first call, and
+parses every later call with it; the tree is the only state kept between
+calls.  `build_parser()` returns a fresh tree each time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -331,8 +336,9 @@ def cmd_qcd_identity(args) -> dict:
 
 def cmd_ksimplicial(args) -> dict:
     x = io.parse_complex(_read(args.complex))
-    hol = simplicial.classify_holonomy_k(x)
-    rep = simplicial.bw_factorization_check(x)
+    read_out = simplicial.vertex_orbit_classes(x)   # one read-out serves both
+    hol = read_out[1]
+    rep = simplicial._bw_report(x, read_out)
     return {
         "k": x.k,
         "simplices": x.num_simplices,
@@ -402,8 +408,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree `main` parses with.  Parsing leaves it unchanged (argparse
+    keeps a call's values on its namespace, and makes a fresh help
+    formatter, which reads the terminal width, for each message)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     mode = getattr(args, "mode", None)
     if mode == "float" and args.tol is None:

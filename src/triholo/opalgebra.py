@@ -18,7 +18,8 @@ rows[y - y0][x - x0] of integers over one denominator, or of floats where
 the closures compute in floats.  `compose`, `adjoint`, `+` and `scale`
 record their operands, and a table is built bottom up from the operands'
 tables: each leaf coefficient is evaluated once per point of the hull of
-the windows its parents need, and compose and adjoint sum products of
+the windows its parents need (or hands out its rows there, as the
+exponential coefficients do), and compose and adjoint sum products of
 shifted row slices.  A shift's rows are exact exactly where its closure's
 values are, and floats are combined in the closures' order, so a table
 holds the closures' values.  `equal_on_window`, `factorize` and the
@@ -768,14 +769,42 @@ def build_exponential_Q(c, d, q, s) -> DifferenceOperator:
     c, d, q, s = frac(c), frac(d), frac(q), frac(s)
     if q == 0 or s == 0:
         raise ConditionViolated("q and s must be nonzero")
+    return DifferenceOperator({(0, 0): 1, (1, 0): _geometric(c, q, s),
+                               (0, 1): _geometric(d, q * q / s, q)})
 
-    def a1(n):
-        return c * q ** n[0] * s ** n[1]
 
-    def a2(n):
-        return d * (q * q / s) ** n[0] * q ** n[1]
+def _geometric(k: Fraction, u: Fraction, v: Fraction):
+    """The coefficient n -> k u^n1 v^n2 (u, v nonzero).  Its `_rows_on`
+    hands a table builder the part on a window: one power at the corner,
+    then products of integer runs, reduced to the lowest common denominator
+    as the pointwise part is."""
+    def f(n):
+        return k * u ** n[0] * v ** n[1]
 
-    return DifferenceOperator({(0, 0): 1, (1, 0): a1, (0, 1): a2})
+    def rows_on(w):
+        width, height = w.size
+        corner = k * u ** w.x0 * v ** w.y0
+        xs, xden = _run(u, width)
+        ys, yden = _run(v, height)
+        rows = [[a * b for b in xs] for a in (corner.numerator * y for y in ys)]
+        den = corner.denominator * xden * yden
+        g = math.gcd(den, *(x for r in rows for x in r))
+        if g > 1:
+            rows = [[x // g for x in r] for r in rows]
+        return rows, den // g
+
+    f._rows_on = rows_on
+    return f
+
+
+def _run(u: Fraction, m: int) -> tuple:
+    """u^0 .. u^(m-1) as integers over u.denominator^(m-1), by repeated
+    multiplication."""
+    nums, dens = [1], [1]
+    for _ in range(m - 1):
+        nums.append(nums[-1] * u.numerator)
+        dens.append(dens[-1] * u.denominator)
+    return [a * b for a, b in zip(nums, reversed(dens))], dens[-1]
 
 
 def build_exponential_Q_float(c, d, l) -> DifferenceOperator:

@@ -209,7 +209,10 @@ def vertex_orbit_classes(x: SimplicialComplexK) -> tuple[dict, KHolonomy]:
 def covariant_constants_k(x: SimplicialComplexK) -> list:
     """Basis of solutions of Q psi = 0: one vector per orbit beyond the
     weighted-sum relation sum_orbits |orbit| c_orbit = 0."""
-    classes, hol = vertex_orbit_classes(x)
+    return _orbit_basis(x, *vertex_orbit_classes(x))
+
+
+def _orbit_basis(x: SimplicialComplexK, classes: dict, hol: KHolonomy) -> list:
     q = hol.orbit_count
     sizes = [len(o) for o in hol.orbits]
     basis = []
@@ -306,17 +309,31 @@ def bw_factorization_check(x: SimplicialComplexK) -> KFactorizationReport:
 
     For k = 1 the black and white operators each see only their own edges,
     so only L = Qb+ Qb + Qw+ Qw holds; the doubled identity is reported as
-    out of range (None) with a note.
+    out of range (None) with a note.  Where the orbit read-out
+    (`vertex_orbit_classes`) raises, the comparison is reported as None.
     """
+    try:
+        read_out = vertex_orbit_classes(x)
+    except (LocalHolonomyNontrivial, NotAManifold):
+        read_out = None
+    return _bw_report(x, read_out)
+
+
+def _bw_report(x: SimplicialComplexK, read_out: tuple | None) -> KFactorizationReport:
+    """`bw_factorization_check` given the orbit read-out of x, or None where
+    it raised, so that a caller that needs the read-out as well makes it
+    once."""
     nv = x.num_vertices
     q = q_matrix(x.simplices, range(x.num_simplices))
     lmat = ratmat.gram(q, nv)
     kernel = ratmat.nullspace(q, nv)  # over the rationals ker L = ker Q
-    try:
-        matches = ratmat.span_equal([dict(enumerate(vec)) for vec in kernel],
-                                    covariant_constants_k(x), nv)
-    except (LocalHolonomyNontrivial, NotAManifold):
-        matches = None
+    matches = None
+    if read_out is not None:
+        try:
+            matches = ratmat.span_equal([dict(enumerate(vec)) for vec in kernel],
+                                        _orbit_basis(x, *read_out), nv)
+        except LocalHolonomyNontrivial:
+            pass
     colors = bw_simplex_coloring(x)
     if colors is None:
         return KFactorizationReport(False, len(kernel), matches, None)

@@ -5,11 +5,14 @@ Runs `cli.main` in-process with `SystemExit` caught."""
 
 import contextlib
 import io
+import random
 import re
 
 import pytest
 
-from triholo import cli
+from triholo import cli, fixtures, opalgebra
+from triholo import io as tio
+from triholo.lattice import Window
 
 # The contract, written out independently of `cli.COMMANDS`.
 EXPECTED = {
@@ -96,3 +99,83 @@ def test_key_error_inside_a_command_propagates(monkeypatch):
     monkeypatch.setattr(cli, "cmd_green", broken)
     with pytest.raises(KeyError, match="internal"):
         cli.main(["green"])
+
+
+def test_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
+    """`main` builds its parser once per process.  Good calls of every
+    subcommand, usage errors, --help at two terminal widths and domain
+    errors, interleaved, give the rc, stdout and stderr a fresh
+    `build_parser()` tree gives, and leave the --window defaults as they
+    were."""
+    from triholo import fixtures, io as tio, opalgebra
+    from triholo.lattice import Window
+
+    octa = tmp_path / "octa.tri"
+    octa.write_text(tio.write_mesh(fixtures.octahedron()))
+    hex3 = tmp_path / "hex3.tri"
+    hex3.write_text(tio.write_mesh(fixtures.hex_patch(3).surface))
+    cycle = tmp_path / "c6.cplx"
+    cycle.write_text("".join(f"s {i} {(i + 1) % 6}\n" for i in range(6)))
+    lop = opalgebra.random_factorizable(random.Random(3), "black")
+    op = tmp_path / "l.op"
+    op.write_text("".join(
+        f"op {a[0]} {a[1]}\n" + "".join(f"c {x} {y} {getattr(lop, k)((x, y))}\n"
+                                        for x, y in Window(0, 5, 0, 5).points())
+        for k, a in opalgebra.SCHRODINGER_SHIFTS.items()))
+    bad = tmp_path / "bad.conn"
+    bad.write_text("b 99 0 2\n")
+    calls = [
+        (["mesh-check", "--mesh", str(octa)], None),
+        (["green", "--window", "3"], None),
+        (["holonomy", "--mesh", str(octa)], None),
+        (["taylor", "--help"], "60"),
+        (["covariants", "--mesh", str(octa)], None),
+        (["mesh-check", "--mesh", str(tmp_path / "does-not-exist.tri")], None),
+        (["maxprinciple", "--mesh", str(hex3), "--seed", "4"], None),
+        (["qcd-identity", "--mode", "float", "--c", "1.0"], None),
+        (["taylor", "--order", "1", "--window", "-3", "3"], None),
+        (["covariants", "--mesh", str(octa), "--seed", "1"], None),
+        (["cauchy", "--seed", "2", "--window", "-4", "4"], None),
+        (["taylor", "--help"], "120"),
+        (["green", "--window", "-2", "3"], None),
+        (["green"], None),
+        (["holonomy", "--mesh", str(octa), "--conn", str(bad)], None),
+        (["factorize", "--op", str(op), "--window", "0", "5"], None),
+        (["--help"], "90"),
+        (["qcd-identity", "--window", "-2", "2"], None),
+        (["qcd-identity", "--window", "-2", "2", "--q", "1/0"], None),
+        (["ksimplicial", "--complex", str(cycle)], None),
+        (["green", "--window", "-2", "3"], None),
+    ]
+    assert {argv[0] for argv, _ in calls} >= set(cli.COMMANDS)
+
+    def run_all():
+        got = []
+        for argv, columns in calls:
+            with monkeypatch.context() as m:
+                if columns is not None:
+                    m.setenv("COLUMNS", columns)
+                got.append(run(argv))
+        return got
+
+    windows = {name: list(w) for name, (_, _, w) in cli.COMMANDS.items() if w}
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_all()
+    assert [rc for rc, _, _ in fresh] == [0, 2, 0, 0, 0, 1, 0, 2, 0, 2,
+                                          0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0]
+    assert fresh[3][1] != fresh[11][1]      # help wraps to the width at print
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert run_all() == fresh
+    assert run_all() == fresh
+    assert len(built) == 1
+    cli._parser.cache_clear()
+    assert {name: w for name, (_, _, w) in cli.COMMANDS.items() if w} == windows

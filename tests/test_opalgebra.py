@@ -739,3 +739,21 @@ def test_each_leaf_coefficient_is_evaluated_once_per_point():
         calls.clear()
         assert OA.equal_on_window(fac.recompose(), lop.to_operator(), win)
         assert calls and max(calls.values()) == 1
+
+
+def test_exponential_rows_match_the_closures():
+    """The a1/a2 leaves of build_exponential_Q hand out the part the
+    closures give point by point (same integers, same denominator), on
+    windows across the origin and for negative and fractional c, d, q, s."""
+    rng = random.Random(79)
+
+    def nonzero():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+
+    for _ in range(300):
+        c, d = Fraction(rng.randint(-9, 9), rng.randint(1, 5)), nonzero()
+        q = OA.build_exponential_Q(c, d, nonzero(), nonzero())
+        win = random_window(rng, 0, 7)
+        for alpha in ((1, 0), (0, 1)):
+            fn = q.terms[alpha]
+            assert fn._rows_on(win) == OA._leaf_part(lambda n, fn=fn: fn(n), win)

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +10,7 @@ from conftest import pinched_torus
 from test_holonomy_sweep import cross_polytope_3
 from test_ratmat import reference_rref, sparse
 from test_solver import KERNEL_SURFACES
+from triholo import cli
 from triholo import connection as C
 from triholo import fixtures, mesh, ratmat, simplicial as SK, solver
 from triholo.errors import LocalHolonomyNontrivial, NotAManifold
@@ -229,3 +233,39 @@ def test_tetrahedron_solid_k3():
     x = SK.SimplicialComplexK([(0, 1, 2, 3), (0, 1, 2, 4)])
     with pytest.raises(NotAManifold):
         SK.canonical_local_holonomy_ok(x)
+
+
+def test_ksimplicial_reads_the_orbits_once(monkeypatch, tmp_path):
+    """`ksimplicial` makes one orbit read-out per run and reports the
+    holonomy of that read-out; when the read-out raises, the command ends
+    in its error (exit 1, JSON body)."""
+    calls = []
+    read_out = SK.vertex_orbit_classes
+
+    def counted(x):
+        calls.append(x)
+        return read_out(x)
+
+    monkeypatch.setattr(SK, "vertex_orbit_classes", counted)
+
+    def ksimplicial(x):
+        path = tmp_path / "x.cplx"
+        path.write_text("".join("s " + " ".join(map(str, s)) + "\n" for s in x.simplices))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(["ksimplicial", "--complex", str(path)])
+        return rc, json.loads(out.getvalue())
+
+    for x in (SK.cycle_graph(5), SK.cycle_graph(6), pinched_torus(3),
+              SK.SimplicialComplexK(fixtures.torus_lattice(7).surface.triangles)):
+        calls.clear()
+        rc, body = ksimplicial(x)
+        assert rc == 0 and len(calls) == 1
+        hol = read_out(x)[1]
+        assert (body["group_order"], body["orbit_count"], body["covariant_dimension"]) \
+            == (len(hol.group), hol.orbit_count, hol.covariant_dimension)
+    calls.clear()
+    assert ksimplicial(pinched_torus(4)) == (1, {
+        "error": "NotAManifold", "message": "the star of vertex 0 is pinched"})
+    assert ksimplicial(SK.boundary_of_4_simplex())[1]["error"] == "LocalHolonomyNontrivial"
+    assert len(calls) == 2
