@@ -103,13 +103,10 @@ def test_key_error_inside_a_command_propagates(monkeypatch):
 
 def test_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
     """`main` builds its parser once per process.  Good calls of every
-    subcommand, usage errors, --help at two terminal widths and domain
+    subcommand, usage errors, --help at three terminal widths and domain
     errors, interleaved, give the rc, stdout and stderr a fresh
     `build_parser()` tree gives, and leave the --window defaults as they
     were."""
-    from triholo import fixtures, io as tio, opalgebra
-    from triholo.lattice import Window
-
     octa = tmp_path / "octa.tri"
     octa.write_text(tio.write_mesh(fixtures.octahedron()))
     hex3 = tmp_path / "hex3.tri"
