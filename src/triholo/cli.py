@@ -295,28 +295,27 @@ def cmd_factorize(args) -> dict:
     lop = opalgebra.SchrodingerOperator.from_operator(op)
     mode = args.mode
     inner = w.shrink(left=1, right=1, bottom=1, top=1)
-    rows = ["n1,n2,color,c0,c1,c2,potential"]
-    payload = {"window": [w.x0, w.x1, w.y0, w.y1], "mode": mode, "colors": {}}
-    done = 0
+    colors = {}
     for color, (names, _, _) in opalgebra.COLORS.items():
         try:
             fac = opalgebra.factorize(lop, color, w, mode=mode)
-            sample = {}
-            for n in inner.points():
-                cs = [fac.coeffs[k](n) for k in names]
-                rows.append(f"{n[0]},{n[1]},{color},"
-                            + ",".join(str(c) for c in cs) + f",{fac.potential(n)}")
-                sample[f"{n[0]},{n[1]}"] = ([str(c) for c in cs]
-                                            + [str(fac.potential(n))])
-            payload["colors"][color] = sample
-            done += 1
+            colors[color] = {f"{n[0]},{n[1]}": [str(fac.coeffs[k](n)) for k in names]
+                             + [str(fac.potential(n))] for n in inner.points()}
         except opalgebra.NotFactorizable as exc:
             # rational mode may hit irrational square roots for one color
-            payload["colors"][color] = {"not_factorizable": str(exc)}
-    if done == 0:
+            colors[color] = {"not_factorizable": str(exc)}
+    factored = {c: sample for c, sample in colors.items() if "not_factorizable" not in sample}
+    if not factored:
         raise TriholoError("neither color factorizes in this mode")
-    payload["ok"] = True
-    return payload, lambda: "\n".join(rows) + "\n", None
+
+    def csv():
+        rows = ["n1,n2,color,c0,c1,c2,potential"]
+        rows += [f"{n},{c}," + ",".join(vals)
+                 for c, sample in factored.items() for n, vals in sample.items()]
+        return "\n".join(rows) + "\n"
+
+    payload = {"window": [w.x0, w.x1, w.y0, w.y1], "mode": mode, "colors": colors, "ok": True}
+    return payload, csv, None
 
 
 def cmd_qcd_identity(args) -> dict:

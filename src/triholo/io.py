@@ -9,7 +9,6 @@ from fractions import Fraction
 from .lattice import LatticeFunction, Window
 from .mesh import SubComplexDomain, TriangulatedSurface, build_surface
 from .opalgebra import DifferenceOperator
-from .ratmat import frac
 from .simplicial import SimplicialComplexK
 
 MESH_HEADER = "tri-surface v1"
@@ -22,13 +21,29 @@ def _lines(text: str):
             yield line
 
 
+def _digits(s: str) -> bool:
+    return s.isascii() and s.isdigit()
+
+
+def _int(token: str, line: str) -> int:
+    """An integer field of `line`: ASCII digits after at most one `-`.  A
+    `+` sign, `_` separators, non-ASCII digits, decimals and exponents are
+    ValueErrors naming the line, like every other malformed entry."""
+    if not _digits(token.removeprefix("-")):
+        raise ValueError(f"bad integer {token!r}: {line!r}")
+    return int(token)
+
+
 def _rational(token: str, line: str) -> Fraction:
-    """A rational field of `line`; a zero denominator is a ValueError
-    naming the line, like every other malformed entry."""
-    try:
-        return frac(token)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator: {line!r}") from None
+    """A rational field of `line`: an integer field, optionally over ASCII
+    digits (`-3/4`).  Anything else, or a zero denominator, is a ValueError
+    naming the line."""
+    num, slash, den = token.partition("/")
+    if not _digits(num.removeprefix("-")) or slash and not _digits(den):
+        raise ValueError(f"bad rational {token!r}: {line!r}")
+    if slash and int(den) == 0:
+        raise ValueError(f"zero denominator: {line!r}")
+    return Fraction(int(num), int(den or 1))
 
 
 def _once(seen: dict, key, value, message: str) -> None:
@@ -52,11 +67,11 @@ def parse_mesh(text: str) -> TriangulatedSurface:
         if parts[0] == "v":
             if len(parts) != 2:
                 raise ValueError(f"bad vertex-count line: {line!r}")
-            _once(header, "v", int(parts[1]), f"second vertex-count line: {line!r}")
+            _once(header, "v", _int(parts[1], line), f"second vertex-count line: {line!r}")
         elif parts[0] == "t":
             if len(parts) != 4:
                 raise ValueError(f"bad triangle line: {line!r}")
-            t = tuple(int(p) for p in parts[1:])
+            t = tuple(_int(p, line) for p in parts[1:])
             _once(triples, tuple(sorted(t)), t, f"duplicate triangle: {line!r}")
         else:
             raise ValueError(f"unknown mesh line: {line!r}")
@@ -81,7 +96,7 @@ def parse_domain(text: str, surface: TriangulatedSurface) -> SubComplexDomain:
         parts = line.split()
         if parts[0] != "d" or len(parts) != 2:
             raise ValueError(f"bad domain line: {line!r}")
-        _once(tris, int(parts[1]), None, f"duplicate domain triangle: {line!r}")
+        _once(tris, _int(parts[1], line), None, f"duplicate domain triangle: {line!r}")
     return SubComplexDomain(surface, frozenset(tris))
 
 
@@ -100,7 +115,7 @@ def parse_connection(text: str, surface: TriangulatedSurface):
         parts = line.split()
         if parts[0] != "b" or len(parts) != 4:
             raise ValueError(f"bad connection line: {line!r}")
-        t, local = int(parts[1]), int(parts[2])
+        t, local = _int(parts[1], line), _int(parts[2], line)
         if not 0 <= t < surface.num_triangles:
             raise ValueError(f"triangle index must be 0..{surface.num_triangles - 1}: {line!r}")
         if local not in (0, 1, 2):
@@ -126,7 +141,7 @@ def parse_complex(text: str) -> SimplicialComplexK:
         parts = line.split()
         if parts[0] != "s":
             raise ValueError(f"bad complex line: {line!r}")
-        s = tuple(int(p) for p in parts[1:])
+        s = tuple(_int(p, line) for p in parts[1:])
         _once(simplices, tuple(sorted(s)), s, f"duplicate simplex: {line!r}")
     return SimplicialComplexK(list(simplices.values()))
 
@@ -139,7 +154,7 @@ def parse_representation(text: str) -> dict:
         parts = line.split()
         if parts[0] != "R" or len(parts) != 7:
             raise ValueError(f"bad representation line: {line!r}")
-        u, v = int(parts[1]), int(parts[2])
+        u, v = _int(parts[1], line), _int(parts[2], line)
         a, b, c, d = (_rational(p, line) for p in parts[3:])
         _once(out, (u, v), [[a, b], [c, d]], f"duplicate matrix for edge ({u}, {v}): {line!r}")
     return out
@@ -153,7 +168,7 @@ def parse_boundary_values(text: str, surface: TriangulatedSurface) -> dict:
         parts = line.split()
         if parts[0] != "psi" or len(parts) != 3:
             raise ValueError(f"bad boundary line: {line!r}")
-        v = int(parts[1])
+        v = _int(parts[1], line)
         if not 0 <= v < surface.num_vertices:
             raise ValueError(f"vertex index must be 0..{surface.num_vertices - 1}: {line!r}")
         _once(out, v, _rational(parts[2], line),
@@ -169,7 +184,7 @@ def parse_lattice_function(text: str) -> LatticeFunction:
         parts = line.split()
         if parts[0] != "f" or len(parts) != 4:
             raise ValueError(f"bad lattice line: {line!r}")
-        _once(vals, (int(parts[1]), int(parts[2])), _rational(parts[3], line),
+        _once(vals, (_int(parts[1], line), _int(parts[2], line)), _rational(parts[3], line),
               f"duplicate lattice point: {line!r}")
     if not vals:
         raise ValueError("lattice function file has no points")
@@ -192,7 +207,7 @@ def parse_lattice_domain_points(text: str):
         parts = line.split()
         if parts[0] != "d" or len(parts) != 4 or parts[1] not in ("b", "w"):
             raise ValueError(f"bad lattice domain line: {line!r}")
-        _once(tris, (parts[1], (int(parts[2]), int(parts[3]))), None,
+        _once(tris, (parts[1], (_int(parts[2], line), _int(parts[3], line))), None,
               f"duplicate lattice domain triangle: {line!r}")
     return LatticeDomain(frozenset(tris))
 
@@ -210,14 +225,15 @@ def parse_operator(text: str) -> DifferenceOperator:
             if len(parts) != 3:
                 raise ValueError(f"bad operator term line: {line!r}")
             current = {}
-            _once(grids, (int(parts[1]), int(parts[2])), current,
+            _once(grids, (_int(parts[1], line), _int(parts[2], line)), current,
                   f"repeated operator term: {line!r}")
         elif parts[0] == "c":
             if current is None:
                 raise ValueError("coefficient line before any `op` header")
             if len(parts) != 4:
                 raise ValueError(f"bad coefficient line: {line!r}")
-            _once(current, (int(parts[1]), int(parts[2])), _rational(parts[3], line),
+            _once(current, (_int(parts[1], line), _int(parts[2], line)),
+                  _rational(parts[3], line),
                   f"duplicate operator coefficient: {line!r}")
         else:
             raise ValueError(f"unknown operator line: {line!r}")

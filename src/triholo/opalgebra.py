@@ -23,9 +23,11 @@ exponential coefficients do), and compose and adjoint sum products of
 shifted row slices.  A shift's rows are exact exactly where its closure's
 values are, and floats are combined in the closures' order, so a table
 holds the closures' values.  `equal_on_window`, `factorize` and the
-zero-curvature criterion work on tables; when a table cannot be built (a
-coefficient raises somewhere on the hull, or returns floats at some points
-and exact values at others) they read the closures point by point.
+zero-curvature criterion work on tables.  `_tabulate` is the one place where
+a table can fail to be built (a coefficient raises somewhere on the hull, or
+returns floats at some points and exact values at others): it returns None,
+and the callers read the closures point by point instead.  `_pairs` is the
+one reader of coefficient pairs, off the tables or off the closures.
 
 Both colours of the factorization L = Q+ Q + U are one construction,
 read from the table `COLORS`: Q = q0 + q1 t1^s + q2 t2^s with s = -1
@@ -200,11 +202,6 @@ class _Table:
             return [[0] * width] * height, 1
         return _slice(got[0], self.window, window, (dx, dy)), got[1]
 
-    def values(self, alpha: Point, window: Window) -> list:
-        """Rows of values at alpha on `window`: Fractions, or floats."""
-        rows, den = self.part(alpha, window)
-        return rows if den is None else [[Fraction(v, den) for v in r] for r in rows]
-
 
 def _slice(rows: list, window: Window, w: Window, shift: Point = (0, 0)) -> list:
     """The rows on `w` moved by `shift`, of `rows` laid out on `window`."""
@@ -256,12 +253,16 @@ def _operands(op: DifferenceOperator) -> list:
     return [] if node is None else [x for x in node[1:] if isinstance(x, DifferenceOperator)]
 
 
-def _tabulate(pairs: list) -> list:
-    """The tables of (operator, window) pairs, built together.
+def _tabulate(pairs: list) -> list | None:
+    """The tables of (operator, window) pairs, built together, or None when
+    they cannot be built.
 
     Every operator reachable from the pairs gets one table, on the hull of
     the windows its parents (or the pairs) need, so a shared operand is
-    tabulated once.  Tables are built children first.
+    tabulated once.  Tables are built children first.  Any exception is
+    caught because the caller then reads the closures in the pointwise
+    order: that raises what the pointwise path raises, or nothing when the
+    failing point is one it never reads.
     """
     order, seen = [], set()
     stack = [(op, False) for op, _ in reversed(pairs)]
@@ -297,8 +298,11 @@ def _tabulate(pairs: list) -> list:
         else:                           # scale
             demand(a, w)
     tabs: dict = {}
-    for op in order:
-        tabs[id(op)] = _build(op, need[id(op)], tabs)
+    try:
+        for op in order:
+            tabs[id(op)] = _build(op, need[id(op)], tabs)
+    except Exception:
+        return None
     return [tabs[id(op)] for op, _ in pairs]
 
 
@@ -368,31 +372,22 @@ def _inner(window: Window, a: DifferenceOperator, b: DifferenceOperator) -> Wind
                          bottom=max(ba, bb), top=max(ta, tb))
 
 
-def _tables(a: DifferenceOperator, b: DifferenceOperator, inner: Window) -> list | None:
-    """The tables of A and B on `inner`, or None when they cannot be built.
-    Any exception is caught because the caller then reads the closures in
-    the pointwise order: that raises what the pointwise path raises, or
-    nothing when the failing point is one it never reads."""
-    try:
-        return _tabulate([(a, inner), (b, inner)])
-    except Exception:
-        return None
-
-
-def _closure_pairs(a: DifferenceOperator, b: DifferenceOperator, inner: Window):
-    """For each point n of `inner`, lazily from the closures,
-    (n, [(a_alpha(n), b_alpha(n)) for every shift alpha of A or B])."""
-    coeffs = [(a.coefficient(alpha), b.coefficient(alpha))
-              for alpha in sorted(set(a.terms) | set(b.terms))]
-    return ((n, [(ca(n), cb(n)) for ca, cb in coeffs]) for n in inner.points())
-
-
-def _table_pairs(ta: _Table, tb: _Table, shifts: list, inner: Window):
-    """_closure_pairs read off the tables."""
-    cols = [(ta.values(alpha, inner), tb.values(alpha, inner)) for alpha in shifts]
+def _pairs(a: DifferenceOperator, b: DifferenceOperator, inner: Window, tabs: list | None):
+    """For each point n of `inner`, (n, [(a_alpha(n), b_alpha(n)) for every
+    shift alpha of A or B]): read off the tables `tabs` of A and B, or
+    lazily from the closures, point by point, when `tabs` is None."""
+    shifts = sorted(set(a.terms) | set(b.terms))
+    if tabs is None:
+        coeffs = [(a.coefficient(alpha), b.coefficient(alpha)) for alpha in shifts]
+        for n in inner.points():
+            yield n, [(ca(n), cb(n)) for ca, cb in coeffs]
+        return
+    cols = [[rows if den is None else [[Fraction(v, den) for v in r] for r in rows]
+             for rows, den in (t.part(alpha, inner) for t in tabs)] for alpha in shifts]
+    xs = range(inner.x0, inner.x1 + 1)
     for j, y in enumerate(range(inner.y0, inner.y1 + 1)):
-        for i, x in enumerate(range(inner.x0, inner.x1 + 1)):
-            yield (x, y), [(ra[j][i], rb[j][i]) for ra, rb in cols]
+        for x, *pairs in zip(xs, *[zip(ra[j], rb[j]) for ra, rb in cols]):
+            yield (x, y), pairs
 
 
 def _same(p: tuple, q: tuple) -> bool:
@@ -421,21 +416,14 @@ def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
         inner = _inner(window, a, b)
     except InsufficientWindow:
         raise WindowMismatch("window too small for both stencils")
-    tabs = _tables(a, b, inner)
-    if tabs is None:
-        return not any(_differ(va, vb, tol) for _, pairs in _closure_pairs(a, b, inner)
-                       for va, vb in pairs)
-    ta, tb = tabs
-    for alpha in sorted(set(a.terms) | set(b.terms)):
-        pa, pb = ta.part(alpha, inner), tb.part(alpha, inner)
-        if tol is None and pa[1] is not None and pb[1] is not None:
-            if not _same(pa, pb):
-                return False
-        elif any(_differ(va, vb, tol) for ra, rb in zip(ta.values(alpha, inner),
-                                                        tb.values(alpha, inner))
-                 for va, vb in zip(ra, rb)):
-            return False
-    return True
+    tabs = _tabulate([(a, inner), (b, inner)])
+    if tabs is not None and tol is None:
+        parts = [[t.part(alpha, inner) for t in tabs]
+                 for alpha in sorted(set(a.terms) | set(b.terms))]
+        if all(pa[1] is not None and pb[1] is not None for pa, pb in parts):
+            return all(_same(pa, pb) for pa, pb in parts)
+    return not any(_differ(va, vb, tol) for _, pairs in _pairs(a, b, inner, tabs)
+                   for va, vb in pairs)
 
 
 # --- Schrodinger operators and their factorizations -------------------------
@@ -486,13 +474,10 @@ class SchrodingerOperator:
         window interior; positivity of the diagonal and edge coefficients."""
         inner = window.shrink(left=1, right=1, bottom=1, top=1)
         for n in inner.points():
-            x, y = n
-            if self.e(n) != self.b((x - 1, y)):
-                raise NotSelfAdjoint(f"e({n}) != b({(x - 1, y)})")
-            if self.f(n) != self.c((x, y - 1)):
-                raise NotSelfAdjoint(f"f({n}) != c({(x, y - 1)})")
-            if self.g(n) != self.d((x + 1, y - 1)):
-                raise NotSelfAdjoint(f"g({n}) != d({(x + 1, y - 1)})")
+            for name, partner, (dx, dy) in _PARTNERS:
+                m = (n[0] + dx, n[1] + dy)
+                if getattr(self, name)(n) != getattr(self, partner)(m):
+                    raise NotSelfAdjoint(f"{name}({n}) != {partner}({m})")
             for name in "abcdefg":
                 if getattr(self, name)(n) <= 0:
                     raise NotSelfAdjoint(f"coefficient {name}({n}) not positive")
@@ -500,19 +485,13 @@ class SchrodingerOperator:
 
 def _lop_table(lop: SchrodingerOperator, window: Window) -> tuple | None:
     """L's seven coefficients on `window` as (table, den), every part exact
-    over the one denominator den, or None when a coefficient raises
-    somewhere on the window or is not rational.  Any exception is caught
-    because the caller then reads the closures in the pointwise order: that
-    raises what the pointwise path raises, or nothing when the failing
-    point is one the pointwise path never reads."""
-    try:
-        tab = _tabulate([(lop.to_operator(), window)])[0]
-    except Exception:
+    over the one denominator den, or None when L cannot be tabulated there
+    or a coefficient is not rational."""
+    tabs = _tabulate([(lop.to_operator(), window)])
+    if tabs is None or any(d is None for _, d in tabs[0].parts.values()):
         return None
-    dens = [den for _, den in tab.parts.values()]
-    if None in dens:
-        return None
-    den = math.lcm(*dens)
+    tab = tabs[0]
+    den = math.lcm(*(d for _, d in tab.parts.values()))
     tab.parts = {alpha: (_scaled(rows, den // d), den) for alpha, (rows, d) in tab.parts.items()}
     return tab, den
 
@@ -672,38 +651,36 @@ def factorize(lop: SchrodingerOperator, color: str, window: Window,
     got = _lop_table(lop, window)
     if got is None or not _self_adjoint(got[0], inner):
         lop.check_self_adjoint(window)
-        return _eager(color, names, pointwise, inner)
-    if mode != "rational":
-        return _eager(color, names, pointwise, inner)
-    tab, den = got
-    dx, dy = offset
-    # q0 reads l1, l2 at n and d at n + offset, all inside the window on qwin
-    qwin = Window(window.x0 - min(dx, 0), window.x1 - max(dx, 0),
-                  window.y0 - min(dy, 0), window.y1 - max(dy, 0))
-    l1 = tab.part((s, 0), qwin)[0]
-    l2 = tab.part((0, s), qwin)[0]
-    d = tab.part(SCHRODINGER_SHIFTS["d"], qwin, dx, dy)[0]
-    roots = [[_root_cell(*cell, den) for cell in zip(r1, r2, rd)]
-             for r1, r2, rd in zip(l1, l2, d)]
-    for x, y in inner.points():     # eager: positivity/squareness errors surface now
-        if roots[y - qwin.y0][x - qwin.x0] is None:
-            pointwise[0]((x, y))
-    if any(None in r for r in roots):
-        return _eager(color, names, pointwise, inner)
-    q, dens = _q_rows(roots, l1, l2, den)
-    # the potential reads a and q0 at n, q1 at n - s e1 and q2 at n - s e2
-    lo, hi = max(s, 0), min(s, 0)
-    pwin = Window(qwin.x0 + lo, qwin.x1 + hi, qwin.y0 + lo, qwin.y1 + hi)
-    reads = zip(tab.part((0, 0), pwin)[0], _slice(q[0], qwin, pwin),
-                _slice(q[1], qwin, pwin, (-s, 0)), _slice(q[2], qwin, pwin, (0, -s)))
-    d0, d12 = dens[0], dens[1]
-    pden = math.lcm(den, d0 * d0, d12 * d12)
-    ka, k0, k12 = pden // den, pden // (d0 * d0), pden // (d12 * d12)
-    pot = [[va * ka - v0 * v0 * k0 - (v1 * v1 + v2 * v2) * k12
-            for va, v0, v1, v2 in zip(*rows)] for rows in reads]
-    coeffs = {k: _tabled(qwin, rows, dn, fn)
-              for k, rows, dn, fn in zip(names, q, dens, pointwise)}
-    return Factorization(color, coeffs, _tabled(pwin, pot, pden, pointwise[3]))
+    elif mode == "rational":
+        tab, den = got
+        dx, dy = offset
+        # q0 reads l1, l2 at n and d at n + offset, all inside the window on qwin
+        qwin = Window(window.x0 - min(dx, 0), window.x1 - max(dx, 0),
+                      window.y0 - min(dy, 0), window.y1 - max(dy, 0))
+        l1 = tab.part((s, 0), qwin)[0]
+        l2 = tab.part((0, s), qwin)[0]
+        d = tab.part(SCHRODINGER_SHIFTS["d"], qwin, dx, dy)[0]
+        roots = [[_root_cell(*cell, den) for cell in zip(r1, r2, rd)]
+                 for r1, r2, rd in zip(l1, l2, d)]
+        if all(None not in r for r in roots):
+            q, dens = _q_rows(roots, l1, l2, den)
+            # the potential a - q0^2 - q1^2 - q2^2 reads a and q0 at n, q1 at
+            # n - s e1 and q2 at n - s e2
+            lo, hi = max(s, 0), min(s, 0)
+            pwin = Window(qwin.x0 + lo, qwin.x1 + hi, qwin.y0 + lo, qwin.y1 + hi)
+            pot = tab.part((0, 0), pwin)
+            for rows, dn, shift in zip(q, dens, ((0, 0), (-s, 0), (0, -s))):
+                rows = _slice(rows, qwin, pwin, shift)
+                pot = _sum(pot, _product((_scaled(rows, -1), dn), (rows, dn)))
+            coeffs = {k: _tabled(qwin, rows, dn, fn)
+                      for k, rows, dn, fn in zip(names, q, dens, pointwise)}
+            return Factorization(color, coeffs, _tabled(pwin, *pot, pointwise[3]))
+    # the closures alone; q0 is evaluated on the window interior first so that
+    # positivity and squareness errors surface now, at the first point in the
+    # pointwise order (a root cell the table left None raises here)
+    for n in inner.points():
+        pointwise[0](n)
+    return Factorization(color, dict(zip(names, pointwise[:3])), pointwise[3])
 
 
 def _q_rows(roots: list, l1: list, l2: list, den: int) -> tuple:
@@ -716,14 +693,6 @@ def _q_rows(roots: list, l1: list, l2: list, den: int) -> tuple:
     q12 = [[[v * q * (m // p) for v, (p, q) in zip(rv, r)] for rv, r in zip(lv, roots)]
            for lv in (l1, l2)]
     return [q0, *q12], (r0, den * m, den * m)
-
-
-def _eager(color: str, names: tuple, pointwise: tuple, inner: Window) -> Factorization:
-    """The factorization on the closures alone, q0 evaluated on the window
-    interior first so that positivity and squareness errors surface now."""
-    for n in inner.points():
-        pointwise[0](n)
-    return Factorization(color, dict(zip(names, pointwise[:3])), pointwise[3])
 
 
 def random_factorizable(rng: random.Random, color: str = "black") -> SchrodingerOperator:
@@ -786,12 +755,10 @@ def _geometric(k: Fraction, u: Fraction, v: Fraction):
         corner = k * u ** w.x0 * v ** w.y0
         xs, xden = _run(u, width)
         ys, yden = _run(v, height)
-        rows = [[a * b for b in xs] for a in (corner.numerator * y for y in ys)]
-        den = corner.denominator * xden * yden
-        g = math.gcd(den, *(x for r in rows for x in r))
-        if g > 1:
-            rows = [[x // g for x in r] for r in rows]
-        return rows, den // g
+        part = LatticeFunction.from_rows(
+            [[a * b for b in xs] for a in (corner.numerator * y for y in ys)],
+            corner.denominator * xden * yden, w)
+        return part.rows, part.den
 
     f._rows_on = rows_on
     return f
@@ -871,13 +838,8 @@ def zero_curvature_f_criterion(qw: DifferenceOperator, qb: DifferenceOperator,
     a = compose(qw - one, qb - one) - one
     b = compose(qb - one, qw - one) - one
     inner = _inner(window, a, b)
-    tabs = _tables(a, b, inner)
-    if tabs is None:
-        rows = _closure_pairs(a, b, inner)
-    else:
-        rows = _table_pairs(*tabs, sorted(set(a.terms) | set(b.terms)), inner)
     fvals = {}
-    for n, pairs in rows:
+    for n, pairs in _pairs(a, b, inner, _tabulate([(a, inner), (b, inner)])):
         ratio = None
         for va, vb in pairs:
             if vb == 0:

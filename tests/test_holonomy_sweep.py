@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from conftest import klein_bottle
 from test_connection import torus_rep_matrices
 from triholo import connection as C
-from triholo import fixtures, mesh, simplicial as SK, solver
+from triholo import fixtures, mesh, ratmat, simplicial as SK, solver
 from triholo.connection import (
     GROUP_TAGS,
     HolonomyClassification,
@@ -430,3 +430,24 @@ def test_relabelling_keeps_holonomy_invariants(tag, seed):
                 solver.covariant_constants(conn).dimension, len(solver.zero_modes(conn)))
 
     assert invariants(other) == invariants(surf)
+
+
+@pytest.mark.parametrize("n, shear", [(4, 1), (6, 3), (7, 2)])
+def test_thick_path_moves_and_concatenation_keep_the_holonomy(n, shear):
+    """Every backtrack and star-rotation move at every step of a generator
+    loop leaves R unchanged, and R(concat_loops(a, b)) = R(a) R(b) for
+    every pair, with the canonical and a gauged connection; on about eight
+    generator loops spread over the cotree."""
+    surf = fixtures.torus_lattice(n, shear).surface
+    loops = generator_loops(surf)
+    loops = loops[::len(loops) // 8]
+    for conn in (C.canonical_connection(surf), gauged(surf, n)):
+        hol = [holonomy_matrix(conn, loop) for loop in loops]
+        for loop, r in zip(loops, hol):
+            for i, t in enumerate(loop.triangles):
+                for nbr in surf.dual_neighbours(t):
+                    assert holonomy_matrix(conn, mesh.backtrack_move(loop, i, nbr)) == r
+                for v in loop.shared_edges[i]:
+                    assert holonomy_matrix(conn, mesh.star_rotation_move(loop, i, v)) == r
+        for (a, ra), (b, rb) in product(zip(loops, hol), repeat=2):
+            assert holonomy_matrix(conn, mesh.concat_loops(a, b)) == ratmat.mat_mul(ra, rb)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -109,6 +110,43 @@ def test_boundary_values_rejected(octa, text, match):
 def test_zero_denominator_is_value_error(parse, text):
     with pytest.raises(ValueError, match="zero denominator"):
         parse(text)
+
+
+@pytest.mark.parametrize("parse, text, line", [
+    (io.parse_mesh, "tri-surface v1\nt 0 2 +1\n", "t 0 2 +1"),
+    (io.parse_mesh, "tri-surface v1\nt 0 2 0_1\n", "t 0 2 0_1"),
+    (io.parse_mesh, "tri-surface v1\nt 0 2 \u0661\n", "t 0 2 \u0661"),
+    (io.parse_mesh, "tri-surface v1\nt 0 1 x\n", "t 0 1 x"),
+    (io.parse_mesh, "tri-surface v1\nv +3\nt 0 1 2\n", "v +3"),
+    (io.parse_operator, "op 1_0 0\n", "op 1_0 0"),
+    (io.parse_operator, "op 0 0\nc 0 0 1.5e0\n", "c 0 0 1.5e0"),
+    (io.parse_operator, "op 0 0\nc 0 0 \u0661/\u0662\n", "c 0 0 \u0661/\u0662"),
+    (io.parse_operator, "op 0 0\nc 0 0 +3\n", "c 0 0 +3"),
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 0 1.5\n", "b 0 0 1.5"),
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 0 1/-2\n", "b 0 0 1/-2"),
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 +0 2\n", "b 0 +0 2"),
+    (lambda t: io.parse_domain(t, fixtures.octahedron()), "d \u0661\n", "d \u0661"),
+    (lambda t: io.parse_boundary_values(t, fixtures.octahedron()), "psi 1 2e3\n", "psi 1 2e3"),
+    (io.parse_representation, "R 0 1 1 0 0 1.0\n", "R 0 1 1 0 0 1.0"),
+    (io.parse_lattice_function, "f 0 0 1_000\n", "f 0 0 1_000"),
+    (io.parse_lattice_function, "f 0 0 1/2/3\n", "f 0 0 1/2/3"),
+    (io.parse_lattice_domain_points, "d b 0 +1\n", "d b 0 +1"),
+    (io.parse_complex, "s 0 \u0661\n", "s 0 \u0661"),
+])
+def test_numeric_fields_are_ascii_integers_and_rationals(parse, text, line):
+    """Integer fields are ASCII digits after at most one `-`, rational
+    fields such an integer optionally over ASCII digits; anything else is a
+    ValueError naming the line."""
+    with pytest.raises(ValueError, match=re.escape(repr(line))):
+        parse(text)
+
+
+def test_numeric_fields_keep_the_plain_forms():
+    assert [io._int(t, "") for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
+    assert ([io._rational(t, "") for t in ("3", "-3/4", "06/08", "-0/5")]
+            == [3, Fraction(-3, 4), Fraction(3, 4), 0])
+    op = io.parse_operator("op -1 0\nc -2 3 -5/6\n")
+    assert op.coefficient((-1, 0))((-2, 3)) == Fraction(-5, 6)
 
 
 def test_mesh_vertex_count_arity():
@@ -460,6 +498,29 @@ def test_cli_connection_zero_denominator(fixture_dir, tmp_path):
     conn_file.write_text("b 0 0 1/0\n")
     assert_typed_error(*run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                                  "--conn", str(conn_file)]))
+
+
+@pytest.mark.parametrize("args, line", [
+    (["mesh-check", "--mesh", "x.tri"], "t 0 1 x"),
+    (["qcd-identity", "--c", "1.5"], "--c 1.5"),
+])
+def test_cli_numeric_field_errors_name_the_line(tmp_path, args, line):
+    (tmp_path / "x.tri").write_text("tri-surface v1\nt 0 1 x\n")
+    rc, out, err = run_cli([str(tmp_path / a) if a == "x.tri" else a for a in args])
+    assert_typed_error(rc, out, err)
+    assert repr(line) in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("cmd", ["holonomy", "covariants"])
+def test_cli_zero_connection_coefficient(fixture_dir, tmp_path, cmd):
+    conn_file = tmp_path / "zero.conn"
+    conn_file.write_text("b 0 0 0\n")
+    with pytest.raises(C.ZeroDivisor, match=r"b\[0,0\] must be nonzero"):
+        io.parse_connection(conn_file.read_text(), fixtures.octahedron())
+    rc, out, err = run_cli([cmd, "--mesh", str(fixture_dir / "octahedron.tri"),
+                            "--conn", str(conn_file)])
+    assert rc == 1 and "Traceback" not in err
+    assert json.loads(out)["error"] == "ZeroDivisor"
 
 
 def test_cli_factorize_window_past_the_grid_names_the_point(fixture_dir):
