@@ -88,14 +88,19 @@ def _window(values) -> lattice.Window:
     return lattice.Window(*values)
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _nonnegative(read, kind: str):
+    """The argparse type of a `kind` option read by `read`, which raises
+    ValueError on a malformed value; a negative value is a usage error."""
+    def parse(text: str):
+        try:
+            value = read(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+        return value
+
+    return parse
 
 
 def _load_mesh(args) -> mesh.TriangulatedSurface:
@@ -327,9 +332,9 @@ def cmd_qcd_identity(args) -> dict:
     else:
         if args.l is None:
             raise ValueError("float mode needs --l l11,l12,l21,l22")
-        l11, l12, l21, l22 = (float(v) for v in args.l.split(","))
-        rep = opalgebra.verify_qcd_identity(float(args.c), float(args.d), w,
-                                            l=[[l11, l12], [l21, l22]], tol=args.tol)
+        c, d = (io._float(getattr(args, k), f"--{k} {getattr(args, k)}") for k in "cd")
+        l11, l12, l21, l22 = (io._float(v, f"--l {args.l}") for v in args.l.split(","))
+        rep = opalgebra.verify_qcd_identity(c, d, w, l=[[l11, l12], [l21, l22]], tol=args.tol)
     return {"holds": rep.holds, "q": str(rep.q), "mode": rep.mode, "ok": rep.holds}
 
 
@@ -360,7 +365,7 @@ OPTIONS = {
     "conn": dict(default=None),
     "domain": dict(default=None, help="triangle-subset (.dom) or lattice (.ld) domain file"),
     "psi": dict(default=None),
-    "order": dict(type=_nonnegative_int, default=5),
+    "order": dict(type=_nonnegative(int, "int"), default=5),
     "op": dict(required=True),
     "c": dict(default="1"),
     "d": dict(default="1"),
@@ -370,7 +375,8 @@ OPTIONS = {
     "complex": dict(required=True),
     "seed": dict(type=int, default=0),
     "mode": dict(choices=("rational", "float"), default="rational"),
-    "tol": dict(type=float, default=None),
+    "tol": dict(type=_nonnegative(lambda text: io._float(text, text), "finite float"),
+                default=None),
     "out": dict(default=None),
     "format": dict(choices=("json", "csv", "svg"), default=None),
     "window": dict(type=int, nargs="+"),

@@ -77,22 +77,8 @@ def torus_lattice(n: int, shear: int = 0) -> LatticeSurface:
     def vid(p: Point) -> int:
         return vertex_of[wrap(p)]
 
-    triples = []
-    apex_of = {}
-    black, white = set(), set()
-    for j in range(n):
-        for i in range(n):
-            t = len(triples)
-            triples.append((vid((i, j)), vid((i + 1, j)), vid((i, j + 1))))
-            apex_of[t] = ("w", (i, j))
-            white.add(t)
-            t = len(triples)
-            triples.append((vid((i, j)), vid((i - 1, j)), vid((i, j - 1))))
-            apex_of[t] = ("b", (i, j))
-            black.add(t)
-    surface = build_surface(triples)
-    return LatticeSurface(surface, tuple(points), vertex_of,
-                          frozenset(black), frozenset(white), apex_of)
+    tris = [(kind, (i, j)) for j in range(n) for i in range(n) for kind in ("w", "b")]
+    return _lattice_surface(tris, points, vertex_of, vid)
 
 
 def hex_distance(p: Point) -> int:
@@ -118,17 +104,17 @@ def hex_patch(radius: int) -> LatticeSurface:
                     tris.append(tri)
     points = sorted({p for tri in tris for p in triangle_vertices(tri)})
     vertex_of = {p: k for k, p in enumerate(points)}
-    triples = []
-    apex_of = {}
-    black, white = set(), set()
-    for tri in tris:
-        t = len(triples)
-        triples.append(tuple(vertex_of[p] for p in triangle_vertices(tri)))
-        apex_of[t] = tri
-        (black if tri[0] == "b" else white).add(t)
-    surface = build_surface(triples)
-    return LatticeSurface(surface, tuple(points), vertex_of,
-                          frozenset(black), frozenset(white), apex_of)
+    return _lattice_surface(tris, points, vertex_of, vertex_of.__getitem__)
+
+
+def _lattice_surface(tris: list, points: list, vertex_of: dict, vid) -> LatticeSurface:
+    """The surface of the lattice triangles `tris`, ('b'|'w', apex) pairs
+    in triangle-index order, whose vertex at lattice point p is vid(p)."""
+    surface = build_surface([tuple(map(vid, triangle_vertices(tri))) for tri in tris])
+    # copied from sets: a frozenset built from a generator iterates in another order
+    black = frozenset({t for t, tri in enumerate(tris) if tri[0] == "b"})
+    white = frozenset({t for t, tri in enumerate(tris) if tri[0] == "w"})
+    return LatticeSurface(surface, tuple(points), vertex_of, black, white, dict(enumerate(tris)))
 
 
 def lattice_vertex_coloring(ls: LatticeSurface) -> dict:

@@ -4,6 +4,7 @@ k-complexes.  `#` starts a comment anywhere; blank lines are skipped."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .lattice import LatticeFunction, Window
@@ -44,6 +45,18 @@ def _rational(token: str, line: str) -> Fraction:
     if slash and int(den) == 0:
         raise ValueError(f"zero denominator: {line!r}")
     return Fraction(int(num), int(den or 1))
+
+
+def _float(token: str, line: str) -> float:
+    """A finite float field of `line` in ASCII, without `_` separators: `nan`,
+    `inf` (or an overflow to it) and `1_0` are ValueErrors naming the line."""
+    try:
+        value = float(token) if token.isascii() and "_" not in token else math.nan
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"bad float {token!r}: {line!r}")
+    return value
 
 
 def _once(seen: dict, key, value, message: str) -> None:

@@ -12,6 +12,12 @@ is windowed and exact: polynomials P_k = ker Q+ \\cap ker Q^{k+1}, the
 trefoil parametrization of H, Taylor expansions along admissible
 sequences of big black triangles, the Pascal-triangle Green's function
 and the Cauchy reconstruction formula.
+
+A windowed function is a part, integer rows over one denominator.  The
+parts section holds the one copy of the row operations on that format
+(slice, scale, sum, product, compare): the stencils, the covariant and
+Taylor sums and the affine check here, and the operator coefficient tables
+of `opalgebra`, are built from them.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
-from operator import add
+from operator import add, mul
 
 from .errors import (
     DomainUnbounded,
@@ -211,9 +218,56 @@ def _rows_on(f: LatticeFunction, window: Window) -> tuple[list, int]:
     if not (fw.x0 <= window.x0 and window.x1 <= fw.x1
             and fw.y0 <= window.y0 and window.y1 <= fw.y1):
         raise OutOfWindow(f"{window} outside {fw}")
-    i, j = window.x0 - fw.x0, window.y0 - fw.y0
-    width, height = window.size
-    return [r[i:i + width] for r in f.rows[j:j + height]], f.den
+    return _slice(f.rows, fw, window), f.den
+
+
+# --- parts: rows over one denominator ---------------------------------------
+#
+# A part is (rows, den): rows[y - y0][x - x0] integers over den > 0, or
+# floats when den is None.  Rows are never modified in place, so a part may
+# share rows with its operands.
+
+def _slice(rows: list, window: Window, w: Window, shift: Point = (0, 0)) -> list:
+    """The rows on `w` moved by `shift`, of `rows` laid out on `window`."""
+    width, height = w.size
+    i = w.x0 + shift[0] - window.x0
+    j = w.y0 + shift[1] - window.y0
+    return [r[i:i + width] for r in rows[j:j + height]]
+
+
+def _scaled(rows: list, k) -> list:
+    return rows if k == 1 else [[v * k for v in r] for r in rows]
+
+
+def _floats(part: tuple) -> list:
+    rows, den = part
+    return rows if den is None else [[v / den for v in r] for r in rows]
+
+
+def _sum(p: tuple, q: tuple) -> tuple:
+    """p + q: exact over the lcm of the denominators, or floats once either
+    part is float."""
+    if p[1] is None or q[1] is None:
+        return [list(map(add, x, y)) for x, y in zip(_floats(p), _floats(q))], None
+    den = math.lcm(p[1], q[1])
+    return [list(map(add, x, y)) for x, y in
+            zip(_scaled(p[0], den // p[1]), _scaled(q[0], den // q[1]))], den
+
+
+def _product(p: tuple, q: tuple) -> tuple:
+    """p * q pointwise: exact over the product of the denominators, or floats
+    once either part is float."""
+    if p[1] is None or q[1] is None:
+        return [list(map(mul, x, y)) for x, y in zip(_floats(p), _floats(q))], None
+    return [list(map(mul, x, y)) for x, y in zip(p[0], q[0])], p[1] * q[1]
+
+
+def _same(p: tuple, q: tuple) -> bool:
+    """Exact parts with equal values."""
+    (ra, da), (rb, db) = p, q
+    if da == db:
+        return ra == rb
+    return all([v * db for v in x] == [v * da for v in y] for x, y in zip(ra, rb))
 
 
 def delta() -> LatticeFunction:
@@ -253,18 +307,9 @@ def _apply_stencil(f, offsets, shrink):
 
 def _stencil_rows(rows: list, window: Window, offsets, out: Window) -> list:
     """The rows on `out` of n -> sum over `offsets` of f(n + offset), where
-    `rows` are f's integer rows on `window`: each output row is a sum of
-    shifted row slices.  Every shifted point must lie in `window`."""
-    width = out.x1 - out.x0 + 1
-    result = []
-    for j in range(out.y0 - window.y0, out.y1 - window.y0 + 1):
-        acc = None
-        for dx, dy in offsets:
-            i = out.x0 - window.x0 + dx
-            part = rows[j + dy][i:i + width]
-            acc = part if acc is None else list(map(add, acc, part))
-        result.append(acc)
-    return result
+    `rows` are f's integer rows on `window`: a sum of shifted slices.  Every
+    shifted point must lie in `window`."""
+    return reduce(_sum, [(_slice(rows, window, out, off), 1) for off in offsets])[0]
 
 
 def is_holomorphic(f: LatticeFunction) -> bool:
@@ -286,19 +331,15 @@ def _add_covariant(psi: LatticeFunction | None, c, window: Window) -> LatticeFun
     if sum(c) != 0:
         raise ValueError("covariant constant values must sum to zero")
     c = [frac(x) for x in c]
-    width, height = window.size
-    rows, den = ([[0] * width] * height, 1) if psi is None else _rows_on(psi, window)
-    out_den = math.lcm(den, *(x.denominator for x in c))
-    scale = out_den // den
-    cn = [x.numerator * (out_den // x.denominator) for x in c]
-    out = []
-    for y, row in enumerate(rows, window.y0):
-        r0 = (window.x0 - y) % 3
-        pattern = (cn[r0:] + cn[:r0]) * (width // 3 + 1)   # c[(x - y) mod 3] from x0 on
-        if scale != 1:
-            row = [v * scale for v in row]
-        out.append(list(map(add, row, pattern)))
-    return LatticeFunction.from_rows(out, out_den, window)
+    den = math.lcm(*(x.denominator for x in c))
+    cn = [x.numerator * (den // x.denominator) for x in c]
+    width = window.size[0]
+    pattern = []
+    for y in range(window.y0, window.y1 + 1):
+        r0 = (window.x0 - y) % 3                      # c[(x - y) mod 3] from x0 on
+        pattern.append(((cn[r0:] + cn[:r0]) * (width // 3 + 1))[:width])
+    part = (pattern, den) if psi is None else _sum(_rows_on(psi, window), (pattern, den))
+    return LatticeFunction.from_rows(*part, window)
 
 
 def covariant_value(c: tuple, p: Point) -> Fraction:
@@ -495,13 +536,9 @@ def solve_q_affine(phi: LatticeFunction, window: Window) -> LatticeFunction:
 def _check_affine(psi, phi, w):
     """Q psi = phi and Q+ psi = 0 wherever the stencils fit in `w`."""
     inner = Window(w.x0, w.x1 - 1, w.y0, w.y1 - 1)
-    phi_rows, phi_den = _rows_on(phi, inner)
+    phi_part = _rows_on(phi, inner)
     rows, den = _rows_on(psi, w)
-    q_rows = _stencil_rows(rows, w, Q_OFFSETS, inner)
-    if den != phi_den:
-        q_rows = [[v * phi_den for v in r] for r in q_rows]
-        phi_rows = [[v * den for v in r] for r in phi_rows]
-    if q_rows != phi_rows:
+    if not _same((_stencil_rows(rows, w, Q_OFFSETS, inner), den), phi_part):
         raise NotHolomorphic("affine system inconsistent: Q+ phi != 0")
     for row in _stencil_rows(rows, w, QPLUS_OFFSETS, Window(w.x0 + 1, w.x1, w.y0 + 1, w.y1)):
         if any(row):
@@ -689,14 +726,12 @@ def taylor_partial_sum(seq: AdmissibleSequence, coeffs: list, window: Window,
         for a, f in ((a1, basis[2 * k]), (a2, basis[2 * k + 1])):
             rows, den = _rows_on(f, window)
             if a != 0:
-                terms.append((frac(a), rows, den))
-    out_den = math.lcm(*(a.denominator * den for a, _, den in terms))
-    width, height = window.size
-    acc = [[0] * width] * height
-    for a, rows, den in terms:
-        s = a.numerator * (out_den // (a.denominator * den))
-        acc = [list(map(add, r_acc, [s * v for v in r])) for r_acc, r in zip(acc, rows)]
-    return LatticeFunction.from_rows(acc, out_den, window)
+                a = frac(a)
+                terms.append((_scaled(rows, a.numerator), a.denominator * den))
+    if not terms:
+        width, height = window.size
+        terms.append(([[0] * width] * height, 1))
+    return LatticeFunction.from_rows(*reduce(_sum, terms), window)
 
 
 def interpolate_polynomial(psi: LatticeFunction, tri: BigBlackTriangle) -> LatticeFunction:

@@ -13,9 +13,10 @@ when they return Fractions, float otherwise.
 
 Closures for points, tables for windows.  Every operator keeps its
 coefficient callables, so `coefficient(alpha)(n)` and `apply` answer point
-by point.  On a window an operator is a coefficient table: per shift, rows
-rows[y - y0][x - x0] of integers over one denominator, or of floats where
-the closures compute in floats.  `compose`, `adjoint`, `+` and `scale`
+by point.  On a window an operator is a coefficient table: per shift one
+lattice part (see `lattice`), rows[y - y0][x - x0] of integers over one
+denominator, or of floats where the closures compute in floats, combined
+with the row operations of `lattice`.  `compose`, `adjoint`, `+` and `scale`
 record their operands, and a table is built bottom up from the operands'
 tables: each leaf coefficient is evaluated once per point of the hull of
 the windows its parents need (or hands out its rows there, as the
@@ -40,7 +41,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
 
 from .errors import (
     ConditionViolated,
@@ -49,7 +49,7 @@ from .errors import (
     NotSelfAdjoint,
     WindowMismatch,
 )
-from .lattice import LatticeFunction, Window
+from .lattice import LatticeFunction, Window, _floats, _product, _same, _scaled, _slice, _sum
 from .ratmat import frac
 
 Point = tuple[int, int]
@@ -179,11 +179,11 @@ def adjoint(a: DifferenceOperator) -> DifferenceOperator:
 
 # --- coefficient tables -------------------------------------------------------
 #
-# A part is (rows, den): rows[y - y0][x - x0] integers over den > 0, or
-# floats when den is None.  A part is float exactly where the closure's
-# values are float; the closures turn a Fraction into a float (correctly
-# rounded, as v / den is) only when it meets a float operand, and so do
-# `_sum` and `_product`.
+# A table holds one lattice part per shift (see the parts section of
+# `lattice`): integer rows over one denominator, or floats.  A part is float
+# exactly where the closure's values are float; the closures turn a Fraction
+# into a float (correctly rounded, as v / den is) only when it meets a float
+# operand, and so do `_sum` and `_product`.
 
 class _Table:
     """An operator's coefficients on `window`: parts[alpha] = (rows, den)."""
@@ -201,41 +201,6 @@ class _Table:
             width, height = window.size
             return [[0] * width] * height, 1
         return _slice(got[0], self.window, window, (dx, dy)), got[1]
-
-
-def _slice(rows: list, window: Window, w: Window, shift: Point = (0, 0)) -> list:
-    """The rows on `w` moved by `shift`, of `rows` laid out on `window`."""
-    width, height = w.size
-    i = w.x0 + shift[0] - window.x0
-    j = w.y0 + shift[1] - window.y0
-    return [r[i:i + width] for r in rows[j:j + height]]
-
-
-def _scaled(rows: list, k) -> list:
-    return rows if k == 1 else [[v * k for v in r] for r in rows]
-
-
-def _floats(part: tuple) -> list:
-    rows, den = part
-    return rows if den is None else [[v / den for v in r] for r in rows]
-
-
-def _sum(p: tuple, q: tuple) -> tuple:
-    """p + q: exact over the lcm of the denominators, or floats once either
-    part is float."""
-    if p[1] is None or q[1] is None:
-        return [list(map(add, x, y)) for x, y in zip(_floats(p), _floats(q))], None
-    den = math.lcm(p[1], q[1])
-    return [list(map(add, x, y)) for x, y in
-            zip(_scaled(p[0], den // p[1]), _scaled(q[0], den // q[1]))], den
-
-
-def _product(p: tuple, q: tuple) -> tuple:
-    """p * q pointwise: exact over the product of the denominators, or floats
-    once either part is float."""
-    if p[1] is None or q[1] is None:
-        return [list(map(mul, x, y)) for x, y in zip(_floats(p), _floats(q))], None
-    return [list(map(mul, x, y)) for x, y in zip(p[0], q[0])], p[1] * q[1]
 
 
 def _grow(w: Window, left: int, right: int, bottom: int, top: int) -> Window:
@@ -390,20 +355,12 @@ def _pairs(a: DifferenceOperator, b: DifferenceOperator, inner: Window, tabs: li
             yield (x, y), pairs
 
 
-def _same(p: tuple, q: tuple) -> bool:
-    """Exact parts with equal values."""
-    (ra, da), (rb, db) = p, q
-    if da == db:
-        return ra == rb
-    return all([v * db for v in x] == [v * da for v in y] for x, y in zip(ra, rb))
-
-
 def _differ(va, vb, tol: float | None) -> bool:
     """Two coefficient values disagree: exactly, or beyond tol relative to
-    max(|a|, |b|, 1)."""
+    max(|a|, |b|, 1).  A NaN value or tol is a disagreement."""
     if tol is None:
         return va != vb
-    return abs(va - vb) > tol * max(abs(va), abs(vb), 1.0)
+    return not abs(va - vb) <= tol * max(abs(va), abs(vb), 1.0)
 
 
 def equal_on_window(a: DifferenceOperator, b: DifferenceOperator,
@@ -542,14 +499,22 @@ class Factorization:
         return compose(adjoint(q), q) + DifferenceOperator({(0, 0): self.potential})
 
 
+def _root(num: int, den: int) -> tuple | None:
+    """The exact square root of num / den > 0 as (p, q) in lowest terms, or None."""
+    if num * den <= 0:
+        return None
+    g = math.gcd(num, den)
+    num, den = abs(num) // g, abs(den) // g
+    p, q = math.isqrt(num), math.isqrt(den)
+    return (p, q) if p * p == num and q * q == den else None
+
+
 def _sqrt_exact(x: Fraction) -> Fraction:
-    if x <= 0:
-        raise NotFactorizable("coefficient ratio is not positive")
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        raise NotFactorizable(f"{x} has no exact rational square root")
-    return Fraction(rn, rd)
+    root = _root(x.numerator, x.denominator)
+    if root is None:
+        raise NotFactorizable("coefficient ratio is not positive" if x <= 0
+                              else f"{x} has no exact rational square root")
+    return Fraction(*root)
 
 
 def _memo(fn):
@@ -611,20 +576,6 @@ def _tabled(window: Window, rows: list, den: int, pointwise):
     return f
 
 
-def _root_cell(l1: int, l2: int, d: int, den: int):
-    """q0 = sqrt(l1 l2 / d) for values over `den`: (p, q) with p / q the
-    exact root in lowest terms, or None where the pointwise path raises."""
-    num, rden = l1 * l2, den * d
-    if rden < 0:
-        num, rden = -num, -rden
-    if num <= 0 or rden == 0:
-        return None
-    g = math.gcd(num, rden)
-    num, rden = num // g, rden // g
-    p, q = math.isqrt(num), math.isqrt(rden)
-    return (p, q) if p * p == num and q * q == rden else None
-
-
 def factorize(lop: SchrodingerOperator, color: str, window: Window,
               mode: str = "rational") -> Factorization:
     """Unique positive factorization L = Q+ Q + potential on the window.
@@ -660,8 +611,7 @@ def factorize(lop: SchrodingerOperator, color: str, window: Window,
         l1 = tab.part((s, 0), qwin)[0]
         l2 = tab.part((0, s), qwin)[0]
         d = tab.part(SCHRODINGER_SHIFTS["d"], qwin, dx, dy)[0]
-        roots = [[_root_cell(*cell, den) for cell in zip(r1, r2, rd)]
-                 for r1, r2, rd in zip(l1, l2, d)]
+        roots = [[_root(a * b, den * c) for a, b, c in zip(*cells)] for cells in zip(l1, l2, d)]
         if all(None not in r for r in roots):
             q, dens = _q_rows(roots, l1, l2, den)
             # the potential a - q0^2 - q1^2 - q2^2 reads a and q0 at n, q1 at

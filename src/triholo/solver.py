@@ -8,7 +8,9 @@ entry.  The null space of Q comes from one sweep down the dual tree, with
 no elimination: two values on triangle 0 fix a solution, and each cotree
 edge adds a condition on them (`zero_modes`).  Boundary solves go through
 the sparse exact elimination `ratmat.rref`.  The maximum-principle check
-runs on integers: psi scaled by the lcm of its denominators.
+and the self-check of the covariant constants run on psi scaled by the lcm
+of its denominators: integers, and for the canonical connection integer
+products.
 """
 
 from __future__ import annotations
@@ -85,6 +87,10 @@ def _first_values(frames) -> dict:
 
 
 def _assert_solves(conn, psi):
+    """Q psi = 0 on every triangle, checked on psi times the lcm of its
+    denominators (in ints for the canonical connection, whose entries are 1)."""
+    den = lcm(*{x.denominator for x in psi.values()})
+    psi = {v: x.numerator * (den // x.denominator) for v, x in psi.items()}
     for eq in _q_rows(conn):
         if sum(x * psi[v] for v, x in eq.items()) != 0:
             raise NonzeroCurvature("propagated seed fails a triangle equation")

@@ -500,15 +500,41 @@ def test_cli_connection_zero_denominator(fixture_dir, tmp_path):
                                  "--conn", str(conn_file)]))
 
 
+QCD_FLOAT = ["qcd-identity", "--mode", "float", "--tol", "1e-12", "--c", "1.0", "--d", "1.5",
+             "--l", "0.25,0.1,0.4,0.25"]
+
+
+# float-mode flags: a `nan` or `inf` value would reach the comparison and read as agreement
 @pytest.mark.parametrize("args, line", [
     (["mesh-check", "--mesh", "x.tri"], "t 0 1 x"),
     (["qcd-identity", "--c", "1.5"], "--c 1.5"),
+    *((QCD_FLOAT + [f"{flag}={value}"], f"{flag} {value}") for flag, value in [
+        ("--c", "nan"), ("--c", "inf"), ("--d", "-inf"), ("--c", "1e400"), ("--d", "1_5"),
+        ("--c", "\u0661"), ("--l", "nan,0.1,0.4,0.25"), ("--l", "0.25,inf,0.4,0.25"),
+        ("--l", "0.25,0.1,0_4,0.25")]),
 ])
 def test_cli_numeric_field_errors_name_the_line(tmp_path, args, line):
     (tmp_path / "x.tri").write_text("tri-surface v1\nt 0 1 x\n")
     rc, out, err = run_cli([str(tmp_path / a) if a == "x.tri" else a for a in args])
     assert_typed_error(rc, out, err)
     assert repr(line) in json.loads(out)["message"]
+
+
+@pytest.mark.parametrize("tol, message", [
+    ("nan", "invalid finite float value: 'nan'"), ("inf", "invalid finite float value"),
+    ("1_0", "invalid finite float value"), ("x", "invalid finite float value"),
+    ("-1", "must be >= 0, got -1.0"), ("-0.5", "must be >= 0"),
+])
+def test_cli_tol_is_finite_and_nonnegative(tol, message):
+    rc, out, err = run_cli(QCD_FLOAT + [f"--tol={tol}"])
+    assert rc == 2 and out == ""
+    assert f"argument --tol: {message}" in err
+
+
+def test_cli_float_flags_keep_the_plain_forms():
+    rc, out, _ = run_cli(QCD_FLOAT + ["--c=-1.5e0", "--d=.5", "--tol=0.001",
+                                      "--l=0.25,1e-1,0.4,0.25"])
+    assert rc == 0 and json.loads(out)["holds"]
 
 
 @pytest.mark.parametrize("cmd", ["holonomy", "covariants"])

@@ -151,6 +151,10 @@ def test_qcd_identity_float_and_condition():
     assert rep.holds and rep.mode == "float"
     with pytest.raises(ConditionViolated):
         OA.verify_qcd_identity(1.0, 1.0, win, l=[[0.25, 0.1], [0.1, 0.25]])
+    # a NaN tolerance or value is a disagreement (abs(a - b) > nan is False)
+    rep = OA.verify_qcd_identity(1.0, 1.5, win, l=[[0.25, 0.1], [0.4, 0.25]], tol=float("nan"))
+    assert rep.holds is False
+    assert OA.verify_qcd_identity(math.nan, 1.5, win, l=[[0.25, 0.1], [0.4, 0.25]]).holds is False
 
 
 def test_qcd_identity_fails_off_identity():
@@ -186,6 +190,26 @@ def test_f_criterion():
                                  (-1, 0): lambda n: Fraction(n[1] + 9),
                                  (0, -1): 1})
     assert OA.zero_curvature_f_criterion(qw3, qb3, win) is None
+
+
+def test_f_criterion_reads_a_over_b():
+    """f(n) = (a(n) b(n+e1) - 1) / (b(n) a(n-e1) - 1) for Qw = 1 + a t1 and
+    Qb = 1 + b t1^-1: A over B, nowhere 1, so A and B cannot be swapped."""
+    win = Window(0, 5, 0, 5)
+
+    def a(n):
+        return Fraction(n[0] + 2 * n[1] + 30, 7)
+
+    def b(n):
+        return Fraction(1, n[0] - n[1] + 11)
+
+    qw = OA.DifferenceOperator({(0, 0): 1, (1, 0): a})
+    qb = OA.DifferenceOperator({(0, 0): 1, (-1, 0): b})
+    f = OA.zero_curvature_f_criterion(qw, qb, win)
+    assert f.window == Window(1, 4, 0, 5)
+    for (x, y), v in f.values.items():
+        assert v == (a((x, y)) * b((x + 1, y)) - 1) / (b((x, y)) * a((x - 1, y)) - 1) != 1
+    assert len(f.values) == 24
 
 
 def test_f_criterion_certifies_identity():
@@ -558,6 +582,11 @@ def test_mixed_exact_and_float_coefficients_keep_the_closure_values():
     qq = OA.compose(OA.adjoint(q), q)
     want = OA.DifferenceOperator({alpha: qq.coefficient(alpha)((0, 0)) for alpha in qq.terms})
     assert OA.equal_on_window(qq, want, W) is closure_equal_on_window(qq, want, W) is True
+    # each shift exact on one side only: the values are compared (1/2 == 0.5),
+    # never the integer rows
+    lhs = OA.DifferenceOperator({(0, 0): Fraction(1, 2), (1, 0): 0.25})
+    rhs = OA.DifferenceOperator({(0, 0): 0.5, (1, 0): Fraction(1, 4)})
+    assert OA.equal_on_window(lhs, rhs, W, tol=None) is closure_equal_on_window(lhs, rhs, W) is True
 
 
 def raising_at(fn, bad):

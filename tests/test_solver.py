@@ -55,6 +55,49 @@ def test_covariant_dimensions(torus3, torus4, torus6):
     assert solver.covariant_constants(C.canonical_connection(torus6.surface)).dimension == 2
 
 
+def fraction_assert_solves(conn, psi):
+    """The Fraction form of `solver._assert_solves`: each row of Q summed
+    over psi's values as they are."""
+    for eq in solver._q_rows(conn):
+        if sum(x * psi[v] for v, x in eq.items()) != 0:
+            raise solver.NonzeroCurvature("propagated seed fails a triangle equation")
+
+
+def solves(check, conn, psi) -> bool:
+    try:
+        check(conn, psi)
+    except solver.NonzeroCurvature:
+        return False
+    return True
+
+
+def test_integer_self_check_matches_the_fraction_sums():
+    """psi scaled to ints decides as the Fraction sums do, on the canonical
+    connection and under a vertex gauge with triangle scalings, for the
+    covariant basis, a rescaled basis vector and one with a bumped value."""
+    rng = random.Random(1707)
+    verdicts = set()
+    for n, shear in ((3, 0), (6, 0), (6, 3), (9, 3), (9, 6)):
+        surf = fixtures.torus_lattice(n, shear).surface
+        g = [rand_frac(rng, 1, 9, 5) * rng.choice((-1, 1)) for _ in range(surf.num_vertices)]
+        gauged = {}
+        for t, tri in enumerate(surf.triangles):
+            lam = Fraction(rng.randint(1, 7), rng.randint(1, 3))
+            gauged.update({(t, v): lam * g[v] for v in tri})
+        for conn in (C.canonical_connection(surf), C.DiscreteConnection(surf, gauged)):
+            basis = solver.covariant_constants(conn).basis
+            assert basis
+            for psi in basis:
+                k = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                bumped = dict(psi)
+                bumped[rng.randrange(surf.num_vertices)] += Fraction(1, rng.randint(1, 9))
+                for cand in (psi, {v: k * x for v, x in psi.items()}, bumped):
+                    want = solves(fraction_assert_solves, conn, cand)
+                    assert solves(solver._assert_solves, conn, cand) is want
+                    verdicts.add(want)
+    assert verdicts == {True, False}
+
+
 def test_L_assembly_and_identities(octa, torus4, torus6):
     conn = C.canonical_connection(octa)
     lmat = solver.assemble_L(conn)
