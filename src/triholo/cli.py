@@ -103,6 +103,15 @@ def _nonnegative(read, kind: str):
     return parse
 
 
+def _integer(text: str) -> int:
+    """The argparse type of an integer option, read like an integer file
+    field: ASCII digits after at most one `-`."""
+    try:
+        return io._int(text, text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _load_mesh(args) -> mesh.TriangulatedSurface:
     return io.parse_mesh(_read(args.mesh))
 
@@ -275,11 +284,12 @@ def cmd_cauchy(args) -> dict:
         "exact": exact,
         "ok": exact,
     }
-    grid = lattice.LatticeFunction(
-        {p: rec[p] for p in verts},
-        lattice.Window(min(p[0] for p in rec), max(p[0] for p in rec),
-                       min(p[1] for p in rec), max(p[1] for p in rec)))
-    return payload, lambda: io.lattice_csv(grid), lambda: lattice_heatmap_svg(grid)
+
+    def grid():
+        xs, ys = [x for x, _ in rec], [y for _, y in rec]
+        return lattice.LatticeFunction(rec, lattice.Window(min(xs), max(xs), min(ys), max(ys)))
+
+    return payload, lambda: io.lattice_csv(grid()), lambda: lattice_heatmap_svg(grid())
 
 
 def cmd_green(args) -> dict:
@@ -365,7 +375,7 @@ OPTIONS = {
     "conn": dict(default=None),
     "domain": dict(default=None, help="triangle-subset (.dom) or lattice (.ld) domain file"),
     "psi": dict(default=None),
-    "order": dict(type=_nonnegative(int, "int"), default=5),
+    "order": dict(type=_nonnegative(_integer, "int"), default=5),
     "op": dict(required=True),
     "c": dict(default="1"),
     "d": dict(default="1"),
@@ -373,13 +383,13 @@ OPTIONS = {
     "s": dict(default="3"),
     "l": dict(default=None, help="l11,l12,l21,l22 for float mode"),
     "complex": dict(required=True),
-    "seed": dict(type=int, default=0),
+    "seed": dict(type=_integer, default=0),
     "mode": dict(choices=("rational", "float"), default="rational"),
     "tol": dict(type=_nonnegative(lambda text: io._float(text, text), "finite float"),
                 default=None),
     "out": dict(default=None),
     "format": dict(choices=("json", "csv", "svg"), default=None),
-    "window": dict(type=int, nargs="+"),
+    "window": dict(type=_integer, nargs="+"),
 }
 
 # subcommand -> (function, the options it reads, --window default or None)

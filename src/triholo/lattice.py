@@ -16,8 +16,9 @@ and the Cauchy reconstruction formula.
 A windowed function is a part, integer rows over one denominator.  The
 parts section holds the one copy of the row operations on that format
 (slice, scale, sum, product, compare): the stencils, the covariant and
-Taylor sums and the affine check here, and the operator coefficient tables
-of `opalgebra`, are built from them.
+Taylor sums, the affine check and the Cauchy charges (the Q+ stencil of
+psi * 1_D) here, and the operator coefficient tables of `opalgebra`, are
+built from them.
 """
 
 from __future__ import annotations
@@ -814,64 +815,44 @@ def cauchy_reconstruct(domain: LatticeDomain, psi: dict, kernel=green) -> dict:
 
     with psi extended by zero outside D; returns {n: Fraction} over the
     vertices of D in sorted order.  `kernel` may be any function with
-    Q+ kernel = delta; any kernel other than `green` itself is summed term
-    by term over every (vertex, charge) pair.
+    Q+ kernel = delta.
 
-    For `green` the sum is not formed.  G vanishes off the forward quadrant
-    and Q+ G = delta, so u = sum_m q_m G(. - m) is the unique solution of
+    The charges are one part: the Q+ stencil of psi * 1_D on the box of
+    black apexes that touch D, one step past D's vertices to the right and
+    above, with the apexes of D's own black triangles set to 0.  A kernel
+    other than `green` is summed term by term over its nonzero cells.  For
+    `green` the sum is not formed: G vanishes off the forward quadrant and
+    Q+ G = delta, so u = sum_m q_m G(. - m) is the unique solution of
 
         u(n) = q(n) - u(n - e1) - u(n - e2)
 
-    that is zero to the left of and below every charge q.  One sweep of
-    Python ints over the lcm of the charge denominators computes it, row by
-    row across the box from the lowest charge to the highest vertex; a
-    vertex left of or below every charge reads 0.
+    that is zero to the left of and below the box, one sweep of the charge
+    rows over the part's denominator.
     """
     verts = domain.vertices()
-
-    def val(p) -> Fraction:
-        return frac(psi.get(p, 0)) if p in verts else Fraction(0)
-
-    charges = []
-    for m in domain.boundary_plus_black():
-        q = val(m) + val(_sub(m, E1)) + val(_sub(m, E2))
-        if q != 0:
-            charges.append((m, q))
+    xs, ys = [x for x, _ in verts], [y for _, y in verts]
+    box = Window(min(xs), max(xs) + 1, min(ys), max(ys) + 1)
+    grown = Window(box.x0 - 1, box.x1, box.y0 - 1, box.y1)
+    rows, den = _dense({v: frac(psi.get(v, 0)) for v in verts}, grown)
+    charges = _stencil_rows(rows, grown, QPLUS_OFFSETS, box)
+    for kind, (x, y) in domain.tris:
+        if kind == "b":
+            charges[y - box.y0][x - box.x0] = 0
     if kernel is not green:
-        out = {}
-        for n in sorted(verts):
-            acc = Fraction(0)
-            for m, q in charges:
-                acc += q * frac(kernel(_sub(n, m)))
-            out[n] = acc
-        return out
-    x1 = max(n[0] for n in verts)
-    y1 = max(n[1] for n in verts)
-    charges = [(m, q) for m, q in charges if m[0] <= x1 and m[1] <= y1]
-    if not charges:
-        return {n: Fraction(0) for n in sorted(verts)}
-    x0 = min(m[0] for m, _ in charges)
-    y0 = min(m[1] for m, _ in charges)
-    den = math.lcm(*(q.denominator for _, q in charges))
-    width = x1 - x0 + 1
+        terms = [((box.x0 + i, box.y0 + j), q) for j, r in enumerate(charges)
+                 for i, q in enumerate(r) if q]
+        return {n: sum((q * frac(kernel(_sub(n, m))) for m, q in terms), Fraction(0)) / den
+                for n in sorted(verts)}
     # w = (-1)^(i+j) u on box offsets (i, j) turns the recurrence into
     # Pascal's rule w(i, j) = w(i-1, j) + w(i, j-1) + (-1)^(i+j) q(i, j)
-    source = {}
-    for (x, y), q in charges:
-        i, j = x - x0, y - y0
-        scaled = q.numerator * (den // q.denominator)
-        source.setdefault(j, [0] * width)[i] = (-1) ** (i + j) * scaled
-    rows = []
-    row = [0] * width
-    for j in range(y1 - y0 + 1):
-        src = source.get(j)
-        row = list(accumulate(map(add, row, src) if src else row))
-        rows.append(row)
+    sweep, row = [], [0] * len(charges[0])
+    for j, r in enumerate(charges):
+        row = list(accumulate(map(add, row, [-q if (i + j) % 2 else q for i, q in enumerate(r)])))
+        sweep.append(row)
     out = {}
     for x, y in sorted(verts):
-        i, j = x - x0, y - y0
-        u = (-1) ** (i + j) * rows[j][i] if i >= 0 and j >= 0 else 0
-        out[x, y] = Fraction(u, den)
+        i, j = x - box.x0, y - box.y0
+        out[x, y] = Fraction(-sweep[j][i] if (i + j) % 2 else sweep[j][i], den)
     return out
 
 

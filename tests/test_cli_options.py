@@ -5,6 +5,7 @@ Runs `cli.main` in-process with `SystemExit` caught."""
 
 import contextlib
 import io
+import json
 import random
 import re
 
@@ -89,6 +90,34 @@ def test_factorize_float_mode_and_tol_go_together(extra):
     rc, out, err = run(argv)
     assert rc == 2 and out == ""
     assert "--tol" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["taylor", "--order", "1_0", "--window", "0", "3"], "--order", "1_0"),
+    (["taylor", "--order", "\u0662"], "--order", "\u0662"),
+    (["taylor", "--order", "+2"], "--order", "+2"),
+    (["taylor", "--order", "2.0"], "--order", "2.0"),
+    (["taylor", "--seed", " 3"], "--seed", " 3"),
+    (["green", "--window", "\u0661", "3"], "--window", "\u0661"),
+    (["green", "--window", "0", "5", "0", "5_0"], "--window", "5_0"),
+    (["cauchy", "--seed", "1_2"], "--seed", "1_2"),
+    (["maxprinciple", "--mesh", "m.tri", "--seed", "x"], "--seed", "x"),
+    (["qcd-identity", "--window", "-2", "+2"], "--window", "+2"),
+])
+def test_integer_options_take_ascii_digits_only(argv, flag, value):
+    rc, out, err = run(argv)
+    assert rc == 2 and out == ""
+    assert f"argument {flag}: invalid int value: {value!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["green", "--window", "-16", "10", "-16", "10"],
+    ["cauchy", "--seed", "-5", "--window", "-6", "6"],
+    ["taylor", "--order", "02", "--seed", "-5", "--window", "-8", "4"],
+])
+def test_integer_options_keep_negative_and_plain_values(argv):
+    rc, out, err = run(argv)
+    assert rc == 0 and err == "" and json.loads(out)["ok"]
 
 
 def test_key_error_inside_a_command_propagates(monkeypatch):

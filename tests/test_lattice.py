@@ -1035,7 +1035,15 @@ def cauchy_data(rng, dom, kind) -> dict:
     return {p: as_input(x) for p, x in vals.items()}
 
 
-def check_cauchy(rng, shape, width, kind):
+# a kernel other than G: G plus a covariant constant, still Q+ kernel = delta
+CAUCHY_COVARIANT = (Fraction(3, 2), Fraction(-5), Fraction(7, 2))
+
+
+def covariant_green(n):
+    return L.green(n) + L.covariant_value(CAUCHY_COVARIANT, n)
+
+
+def check_cauchy(rng, shape, width, kind, other_kernel=False):
     dom = cauchy_domain(rng, shape, width)
     data = cauchy_data(rng, dom, kind)
     got = L.cauchy_reconstruct(dom, data)
@@ -1045,12 +1053,17 @@ def check_cauchy(rng, shape, width, kind):
         assert all(got[v] == frac(data[v]) for v in dom.vertices())
     if kind == "zero":
         assert not any(got.values())
+    if other_kernel:
+        # every charge counts here, those past the top-right of D among them
+        want = ref_cauchy_reconstruct(dom, data, covariant_green)
+        assert list(L.cauchy_reconstruct(dom, data, covariant_green).items()) == list(want.items())
 
 
 @pytest.mark.parametrize("shape", CAUCHY_SHAPES)
 def test_cauchy_sweep_matches_term_sum_seeded(shape):
     # the oracle costs O(V x charges): a filled square has charges on every
-    # vertex under arbitrary data, so those stop at 16 wide
+    # vertex under arbitrary data, so those stop at 16 wide, and the other
+    # kernel, whose oracle runs on top, too
     if shape == "square":
         cases = [(w, kind) for w in (1, 2, 3, 5, 8, 12, 16) for kind in CAUCHY_DATA]
         cases += [(33, "holomorphic"), (60, "holomorphic")]
@@ -1058,7 +1071,7 @@ def test_cauchy_sweep_matches_term_sum_seeded(shape):
         cases = [(w, kind) for w in (1, 2, 3, 5, 8, 13, 21, 34, 45, 60) for kind in CAUCHY_DATA]
     rng = random.Random(9000 + CAUCHY_SHAPES.index(shape))
     for width, kind in cases:
-        check_cauchy(rng, shape, width, kind)
+        check_cauchy(rng, shape, width, kind, other_kernel=width <= 16 or shape != "square")
 
 
 @settings(max_examples=40, deadline=None)
