@@ -255,19 +255,16 @@ def generator_loops(surface: TriangulatedSurface) -> list[ThickPath]:
             for walk in cotree_walks(parent, cotree)]
 
 
+_SLOT_VALUES = ((1, 0, -1), (0, 1, -1))
+
+
 def permutation_matrix(sigma: tuple[int, int, int]) -> Mat2:
     """Matrix of a color permutation on (psi_a, psi_b), psi_c = -psi_a-psi_b.
 
     After a loop whose color tracking yields sigma, the transported
     solution satisfies new psi_x = old psi_{sigma(x)}.
     """
-    cols = []
-    rep = {0: (Fraction(1), Fraction(0)),
-           1: (Fraction(0), Fraction(1)),
-           2: (Fraction(-1), Fraction(-1))}
-    for x in (0, 1):
-        cols.append(rep[sigma[x]])
-    return [[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]]
+    return [[Fraction(v[sigma[0]]), Fraction(v[sigma[1]])] for v in _SLOT_VALUES]
 
 
 def color_permutation(surface: TriangulatedSurface, loop: ThickPath) -> tuple[int, int, int]:
@@ -333,9 +330,6 @@ def holonomy_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:
     if conn.is_canonical:
         return _slot_frames(conn.surface)
     return _gl2_frames(conn)
-
-
-_SLOT_VALUES = ((1, 0, -1), (0, 1, -1))
 
 
 def _slot_frames(surf: TriangulatedSurface) -> tuple[dict, list[Mat2]]:

@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lattice import LatticeFunction, Window
+from .connection import DiscreteConnection
+from .lattice import LatticeDomain, LatticeFunction, Window
 from .mesh import SubComplexDomain, TriangulatedSurface, build_surface
 from .opalgebra import DifferenceOperator
 from .simplicial import SimplicialComplexK
@@ -121,8 +122,6 @@ def parse_connection(text: str, surface: TriangulatedSurface):
     """Connection file: `b <triangle> <local-vertex 0|1|2> <p/q>`, at most
     one line per incidence; entries absent from the file default to 1 (the
     canonical connection)."""
-    from .connection import DiscreteConnection
-
     coeffs = {}
     for line in _lines(text):
         parts = line.split()
@@ -213,8 +212,6 @@ def write_lattice_function(f: LatticeFunction) -> str:
 
 def parse_lattice_domain_points(text: str):
     """Lattice domain file: `d b|w <n1> <n2>`, one line per triangle."""
-    from .lattice import LatticeDomain
-
     tris = {}
     for line in _lines(text):
         parts = line.split()

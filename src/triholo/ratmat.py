@@ -9,15 +9,16 @@ so every matrix handed to the elimination is one format: sparse rows, one
 explicit column count, which an empty matrix needs to say how many
 unknowns it has.  `rref` returns only its pivot rows, in the same format,
 and its cost follows the nonzeros and the fill-in, not rows x columns x
-rank.  Kernel and particular vectors come back as dense lists, one entry
-per column, since every caller reads every coordinate.  The 2x2 holonomy
-algebra (`mat_mul`, `inv2`, `det2`, `identity`) stays on dense
-row-major lists of lists.
+rank.  It is the one elimination: `rank`, `nullspace`, `solve_affine`,
+`span_equal` and `nullspace_form` read its reduced rows.  Kernel and
+particular vectors come back as dense lists, one entry per column, since
+every caller reads every coordinate.  The 2x2 holonomy algebra
+(`mat_mul`, `inv2`, `det2`, `identity`) stays on dense row-major lists
+of lists.
 
 Entries may be ints (the canonical equation matrix is all 1s): `gram`
-and `combine` keep them as they are, while `rref` (behind `rank`,
-`nullspace`, `solve_affine` and `span_equal`) turns every entry into a
-Fraction, so no elimination divides an int by an int and every entry it
+and `combine` keep them as they are, while `rref` turns every entry into
+a Fraction, so no elimination divides an int by an int and every entry it
 returns is a Fraction.
 """
 
@@ -130,15 +131,20 @@ def rref(rows: list, cols: int) -> tuple[list, list[int]]:
     3-nonzero rows of Q.  Back-substitution then clears each pivot column
     from the earlier pivot rows.
     """
+    return _reduce(rows, range(cols))
+
+
+def _reduce(rows: list, order: range) -> tuple[list, list[int]]:
+    """`rref` eliminating the columns in `order`, a permutation of them."""
     rows = [{j: frac(x) for j, x in row.items() if x} for row in rows]
-    incol: list[set] = [set() for _ in range(cols)]   # column -> rows with a nonzero
+    incol: list[set] = [set() for _ in order]   # column -> rows with a nonzero
     for i, row in enumerate(rows):
         for j in row:
             incol[j].add(i)
     live = set(range(len(rows)))
     pivots: list[int] = []
     prow: list[int] = []
-    for c in range(cols):
+    for c in order:
         if not live:
             break
         cand = incol[c] & live
@@ -211,28 +217,17 @@ def nullspace_form(basis: list[Vec]) -> list[Vec]:
     (linearly independent vectors of one length), found without the matrix.
 
     Column f of a reduced matrix is free exactly when some vector of its
-    null space has its last nonzero entry at f.  So reducing `basis` from
-    the last column down makes each vector's last nonzero a free column,
-    with 1 there and 0 at the other free columns, as in `nullspace`; the
-    vectors come out in free-column order, every entry a Fraction.
+    null space has its last nonzero entry at f.  So `rref`'s elimination of
+    `basis` from the last column down puts each pivot on a free column, with
+    1 there and 0 at the other free columns, as in `nullspace`: read back
+    last pivot first, the vectors come out in free-column order.
     """
-    red: list = []   # (free column, vector)
-    for vec in basis:
-        vec = [frac(x) for x in vec]
-        for f, row in red:
-            if vec[f]:
-                c = vec[f]
-                vec = [x - c * y for x, y in zip(vec, row)]
-        f = max(j for j, x in enumerate(vec) if x)
-        if vec[f] != 1:
-            c = vec[f]
-            vec = [x / c for x in vec]
-        for i, (g, row) in enumerate(red):
-            if row[f]:
-                c = row[f]
-                red[i] = (g, [x - c * y for x, y in zip(row, vec)])
-        red.append((f, vec))
-    return [vec for _, vec in sorted(red, key=lambda fr: fr[0])]
+    if not basis:
+        return []
+    n = len(basis[0])
+    zero = Fraction(0)
+    red, _ = _reduce([{j: x for j, x in enumerate(vec) if x} for vec in basis], range(n)[::-1])
+    return [[row.get(j, zero) for j in range(n)] for row in reversed(red)]
 
 
 def solve_affine(rows: list, b: Vec, cols: int) -> tuple[Vec | None, list[Vec]]:
@@ -256,7 +251,6 @@ def solve_affine(rows: list, b: Vec, cols: int) -> tuple[Vec | None, list[Vec]]:
 
 
 def span_equal(b1: list, b2: list, cols: int) -> bool:
-    """Exact equality of the subspaces spanned by two collections of
-    sparse rows over `cols` columns."""
-    r1 = rank(b1, cols)
-    return r1 == rank(b2, cols) and rank(b1 + b2, cols) == r1
+    """Exact equality of the spaces spanned by sparse rows b1 and b2 over
+    `cols` columns: the reduced row echelon form is unique to the space."""
+    return rref(b1, cols)[0] == rref(b2, cols)[0]

@@ -10,7 +10,7 @@ the zero modes of L = Q+ Q.
 
 One sweep of slot labels over the dual tree (`mesh.label_sweep`) gives
 the holonomy generators, each vertex's orbit class and the zero modes
-(`plain_kernel`, with no elimination); surfaces use it at k = 2, where it
+(`plain_kernel`, with no elimination of Q); surfaces use it at k = 2, where it
 gives colour permutations.  `slot_classes` is the one union-find over
 slots: the orbits are the classes of the generators' pairs (s, g[s]), so q
 is their count, and `plain_kernel` ties each vertex's slots the same way.
@@ -247,8 +247,9 @@ def assemble_Lk(x: SimplicialComplexK) -> list:
 
 
 def zero_modes_k(x: SimplicialComplexK) -> list:
-    """Null space of L = Q+Q on a facet-connected complex, read off one label
-    sweep (`plain_kernel`): over the rationals ker L = ker Q."""
+    """Null space of L = Q+Q on a facet-connected complex (over the
+    rationals ker L = ker Q), read off one label sweep by `plain_kernel`:
+    nothing of Q is eliminated, `nullspace_form` reduces its class vectors."""
     return plain_kernel(x.simplices, x.adjacency().__getitem__, x.num_vertices)
 
 
@@ -265,11 +266,10 @@ def plain_kernel(simplices, neighbours, num_vertices: int) -> list:
     `slot_classes` of the pairs each vertex ties together (across a cotree edge
     these are the orbits of its slot permutation; an odd-valence fan just
     ties one more pair, and no curvature check is needed).  The kernel is
-    {x per class : sum of size_i x_i = 0}, size_i the slots in class i.
-    Column f of the reduced Q is free exactly when a kernel vector has its
-    last nonzero at f: that is the last vertex of each class but the class
-    whose last vertex comes first (the base), and the basis vector of class
-    i is 1 on i, -size_i / size_base on the base and 0 elsewhere.
+    {x per class : sum of size_i x_i = 0}, size_i the slots in class i,
+    spanned by size_0 on class i and -size_i on class 0 for each i >= 1;
+    nothing of Q is eliminated, `ratmat.nullspace_form` reduces these k or
+    fewer vectors.
     """
     labels, _ = label_sweep(simplices, neighbours, len(simplices))
     slot_of: dict = {}
@@ -278,14 +278,9 @@ def plain_kernel(simplices, neighbours, num_vertices: int) -> list:
     class_of = {s: i for i, c in enumerate(classes) for s in c}
     cls = [class_of[slot_of[v]] for v in range(num_vertices)]
     size = [len(c) for c in classes]
-    last = {c: v for v, c in enumerate(cls)}
-    base, *free = sorted(last, key=last.get)
-    zero = Fraction(0)
-    out = []
-    for i in free:
-        x = {i: Fraction(1), base: Fraction(-size[i], size[base])}
-        out.append({v: x.get(c, zero) for v, c in enumerate(cls)})
-    return out
+    basis = [[size[0] if c == i else -size[i] if c == 0 else 0 for c in cls]
+             for i in range(1, len(classes))]
+    return [dict(enumerate(v)) for v in ratmat.nullspace_form(basis)]
 
 
 def bw_simplex_coloring(x: SimplicialComplexK) -> dict | None:

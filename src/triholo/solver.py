@@ -192,7 +192,8 @@ def zero_modes(conn: DiscreteConnection) -> list:
     ker Q is read off one sweep down the dual tree, with no curvature check
     and no elimination of Q: two values on triangle 0 fix a solution on
     every triangle.  The canonical connection takes the slot classes of
-    `simplicial.plain_kernel`.  Any other connection carries the GL(2)
+    `simplicial.plain_kernel`, whose at most two class vectors
+    `ratmat.nullspace_form` reduces.  Any other connection carries the GL(2)
     frames of `connection.frame_sweep`; a seed pair (c0, c1) is a zero mode
     exactly when the frame crossed over each cotree edge equals the tree
     frame there (rows in two unknowns), and `ratmat.nullspace_form` puts
@@ -425,10 +426,7 @@ def convex_hull(points) -> list:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 2:  # all points collinear: keep the two extremes
-        return [pts[0], pts[-1]]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 def point_in_hull(p, hull) -> bool:

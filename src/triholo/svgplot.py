@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 SIZE = 480   # side of the scatter plot and the heatmap's target side, in px
 
 
@@ -42,8 +44,6 @@ def scatter_hull_svg(points, hull) -> str:
 
 def lattice_heatmap_svg(f) -> str:
     """Signed heatmap of a windowed lattice function (red/blue, log scale)."""
-    import math
-
     w = f.window
     nx = w.x1 - w.x0 + 1
     ny = w.y1 - w.y0 + 1

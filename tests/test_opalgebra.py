@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from triholo import io as tio
+from triholo import lattice
 from triholo import opalgebra as OA
 from triholo.errors import (
     ConditionViolated,
@@ -68,6 +69,39 @@ def test_adjoint_is_inner_product_adjoint():
         di = LatticeFunction({i: 1})
         dj = LatticeFunction({j: 1})
         assert a.apply(di)[j] == ap.apply(dj)[i]
+
+
+def test_windowed_apply_matches_the_finite_support_apply():
+    """`apply` on a windowed function reads it on the window shrunk by the
+    stencil's reach; there it equals `apply` on the finite-support copy."""
+    rng = random.Random(31)
+    for case in range(75):
+        x0, y0 = rng.randint(-5, 2), rng.randint(-5, 2)
+        window = Window(x0, x0 + rng.randint(4, 7), y0, y0 + rng.randint(4, 7))
+        f = LatticeFunction({p: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                             for p in window.points()}, window)
+        copy = LatticeFunction(dict(f.values))
+        a, b = rand_op(rng), rand_op(rng)
+        for op in (a, OA.compose(a, b), OA.adjoint(a), a + b):
+            left, right, bottom, top = op.margins()
+            got = op.apply(f)
+            assert got.window == window.shrink(left, right, bottom, top)
+            want = op.apply(copy)
+            assert all(got[p] == want[p] for p in got.window.points()), case
+
+
+def test_windowed_apply_of_the_q_stencils():
+    rng = random.Random(37)
+    window = Window(-3, 4, -2, 5)
+    f = LatticeFunction({p: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                         for p in window.points()}, window)
+    q = OA.DifferenceOperator({(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    qplus = OA.DifferenceOperator({(0, 0): 1, (-1, 0): 1, (0, -1): 1})
+    assert q.apply(f) == lattice.apply_Q(f)
+    assert qplus.apply(f) == lattice.apply_Qplus(f)
+    narrow = Window(0, 0, -2, 5)
+    with pytest.raises(InsufficientWindow):
+        q.apply(LatticeFunction({}, narrow))
 
 
 def test_equal_on_window_rejects_tiny_window():

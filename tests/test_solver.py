@@ -733,3 +733,21 @@ def test_convex_hull_exact():
     assert solver.point_in_hull((Fraction(1), Fraction(1)), hull)
     assert solver.point_in_hull((Fraction(1), Fraction(0)), hull)  # on edge
     assert not solver.point_in_hull((Fraction(3), Fraction(0)), hull)
+
+
+@pytest.mark.parametrize("line", ["horizontal", "vertical", "diagonal"])
+@pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["int", "Fraction"])
+def test_convex_hull_of_collinear_points_keeps_the_two_extremes(line, scale):
+    """Collinear input, repeats included: the lower and upper chains each
+    run from one extreme to the other, so the hull is those two points."""
+    step = {"horizontal": (1, 0), "vertical": (0, 1), "diagonal": (2, -3)}[line]
+    rng = random.Random(11)
+    for count in range(3, 12):
+        ts = [rng.randint(-5, 5) for _ in range(count)]
+        ts += ts[:2]   # repeated points
+        pts = [(scale * (7 + t * step[0]), scale * (-4 + t * step[1])) for t in ts]
+        assert all(type(x) is type(scale) for p in pts for x in p)
+        hull = solver.convex_hull(pts)
+        assert hull == ref_convex_hull(pts)
+        want = sorted(set(pts))
+        assert hull == (want if len(want) <= 2 else [want[0], want[-1]])
