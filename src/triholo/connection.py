@@ -106,40 +106,23 @@ def local_holonomy(conn: DiscreteConnection, v: int) -> tuple[Fraction, Fraction
               / prod_{j>=n-m} b[T_j, P_{j+1}]
         k'' = (-1)^n prod_j b[T_j, P_j] / prod_j b[T_j, P_{j+1}]
 
+    Evaluated in one pass, j = n down to 1, with the running ratio
+    r = prod_{i>j} b[T_i, P_i] / b[T_i, P_{i+1}]: term m = n - j of k' is
+    (-1)^{m+1} b[T_j, P] / b[T_j, P_{j+1}] r, and k'' = (-1)^n r at the end.
     Equals the step-by-step propagation exactly (`local_holonomy_by_steps`).
     """
     star = conn.surface.stars[v]
     if not star.closed:
         raise BoundaryVertex(f"vertex {v} lies on the boundary")
     n = star.valence
-    tris, rim = star.triangles, star.rim
-
-    def b_center(j):  # b[T_j, P], 1-based j
-        return conn.b(tris[j - 1], v)
-
-    def b_rim(j):  # b[T_j, P_j]
-        return conn.b(tris[j - 1], rim[j - 1])
-
-    def b_next(j):  # b[T_j, P_{j+1}]
-        return conn.b(tris[j - 1], rim[j % n])
-
-    kpp = Fraction(1)
-    for j in range(1, n + 1):
-        kpp *= b_rim(j) / b_next(j)
-    if n % 2:
-        kpp = -kpp
-
-    kp = Fraction(0)
-    for m in range(n):
-        num = b_center(n - m)
-        den = Fraction(1)
-        for j in range(n - m, n + 1):
-            den *= b_next(j)
-        for j in range(n - m + 1, n + 1):
-            num *= b_rim(j)
-        term = num / den
-        kp += term if (m + 1) % 2 == 0 else -term
-    return kp, kpp
+    kp, r = Fraction(0), Fraction(1)
+    for j in range(n - 1, -1, -1):   # T_{j+1}, 0-based j; m = n - 1 - j
+        t = star.triangles[j]
+        b_next = conn.b(t, star.rim[(j + 1) % n])
+        term = conn.b(t, v) / b_next * r
+        kp += term if (n - 1 - j) % 2 else -term
+        r *= conn.b(t, star.rim[j]) / b_next
+    return kp, -r if n % 2 else r
 
 
 def local_holonomy_by_steps(conn: DiscreteConnection, v: int) -> Mat2:
@@ -236,13 +219,17 @@ def holonomy_matrix(conn: DiscreteConnection, loop: ThickPath) -> Mat2:
     if not loop.closed:
         raise NotALoop("holonomy is defined for closed thick paths")
     t0 = loop.triangles[0]
-    v0, v1, v2 = sorted(conn.surface.triangles[t0])
-    rows = []
-    for seedpair in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
-        seed = _solve_third(conn, t0, {v0: seedpair[0], v1: seedpair[1]})
-        res = transport(conn, loop, seed)
-        rows.append([res.final[v0], res.final[v1]])
-    return rows
+    v0, v1, _ = sorted(conn.surface.triangles[t0])
+    finals = (transport(conn, loop, seed).final for seed in _seed_frame(conn, t0))
+    return [[f[v0], f[v1]] for f in finals]
+
+
+def _seed_frame(conn: DiscreteConnection, t: int) -> tuple[dict, dict]:
+    """The two solutions on triangle t seeded (1, 0) and (0, 1) on its two
+    lowest vertices."""
+    v0, v1, _ = sorted(conn.surface.triangles[t])
+    return tuple(_solve_third(conn, t, {v0: x, v1: y})
+                 for x, y in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
 
 
 # --- pi_1 generators and classification ------------------------------------
@@ -353,15 +340,12 @@ def frame_sweep(conn: DiscreteConnection) -> tuple[dict, list]:
     frame of every triangle and, per cotree edge (a, b), the pair
     (b, frame of a crossed into b)."""
     surf = conn.surface
-    v0, v1, _ = sorted(surf.triangles[0])
-    seeds = tuple(_solve_third(conn, 0, {v0: x, v1: y})
-                  for x, y in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
 
     def cross(frame, a, b):
         return tuple(_solve_third(conn, b, {u: f[u] for u in surf.triangles[b] if u in f})
                      for f in frame)
 
-    return tree_sweep(surf.dual_neighbours, surf.num_triangles, seeds, cross)
+    return tree_sweep(surf.dual_neighbours, surf.num_triangles, _seed_frame(conn, 0), cross)
 
 
 def _gl2_frames(conn: DiscreteConnection) -> tuple[dict, list[Mat2]]:

@@ -1,6 +1,7 @@
 """Line-oriented file formats for meshes, domains, connections,
 representations, boundary values, lattice functions, operators and
-k-complexes.  `#` starts a comment anywhere; blank lines are skipped."""
+k-complexes.  `#` starts a comment anywhere; blank lines are skipped.
+The one-tag formats (all but mesh and operator files) share `_records`."""
 
 from __future__ import annotations
 
@@ -21,6 +22,17 @@ def _lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield line
+
+
+def _records(text: str, tag: str, arity: int | None, what: str):
+    """(fields, line) for each line of a one-tag format: the fields after
+    `tag`, `arity` of them (any number when None).  A line with another tag
+    or field count is a ValueError `bad {what} line`."""
+    for line in _lines(text):
+        head, *fields = line.split()
+        if head != tag or arity is not None and len(fields) != arity:
+            raise ValueError(f"bad {what} line: {line!r}")
+        yield fields, line
 
 
 def _digits(s: str) -> bool:
@@ -106,11 +118,8 @@ def parse_domain(text: str, surface: TriangulatedSurface) -> SubComplexDomain:
     """Domain file: `d <triangle-index>` lines referencing a mesh file, at
     most one per triangle."""
     tris = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "d" or len(parts) != 2:
-            raise ValueError(f"bad domain line: {line!r}")
-        _once(tris, _int(parts[1], line), None, f"duplicate domain triangle: {line!r}")
+    for (t,), line in _records(text, "d", 1, "domain"):
+        _once(tris, _int(t, line), None, f"duplicate domain triangle: {line!r}")
     return SubComplexDomain(surface, frozenset(tris))
 
 
@@ -123,16 +132,13 @@ def parse_connection(text: str, surface: TriangulatedSurface):
     one line per incidence; entries absent from the file default to 1 (the
     canonical connection)."""
     coeffs = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "b" or len(parts) != 4:
-            raise ValueError(f"bad connection line: {line!r}")
-        t, local = _int(parts[1], line), _int(parts[2], line)
+    for (t, local, val), line in _records(text, "b", 3, "connection"):
+        t, local = _int(t, line), _int(local, line)
         if not 0 <= t < surface.num_triangles:
             raise ValueError(f"triangle index must be 0..{surface.num_triangles - 1}: {line!r}")
         if local not in (0, 1, 2):
             raise ValueError(f"local vertex must be 0|1|2: {line!r}")
-        _once(coeffs, (t, surface.triangles[t][local]), _rational(parts[3], line),
+        _once(coeffs, (t, surface.triangles[t][local]), _rational(val, line),
               f"duplicate coefficient for triangle {t}, vertex {local}: {line!r}")
     return DiscreteConnection(surface, coeffs)
 
@@ -149,11 +155,8 @@ def parse_complex(text: str) -> SimplicialComplexK:
     """Complex file: `s <v0> ... <vk>` per top simplex, at most one line
     per vertex set."""
     simplices: dict = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "s":
-            raise ValueError(f"bad complex line: {line!r}")
-        s = tuple(_int(p, line) for p in parts[1:])
+    for fields, line in _records(text, "s", None, "complex"):
+        s = tuple(_int(p, line) for p in fields)
         _once(simplices, tuple(sorted(s)), s, f"duplicate simplex: {line!r}")
     return SimplicialComplexK(list(simplices.values()))
 
@@ -162,12 +165,9 @@ def parse_representation(text: str) -> dict:
     """Representation file: `R <v1> <v2> <4 rationals row-major>`, at most
     one line per oriented edge."""
     out = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "R" or len(parts) != 7:
-            raise ValueError(f"bad representation line: {line!r}")
-        u, v = _int(parts[1], line), _int(parts[2], line)
-        a, b, c, d = (_rational(p, line) for p in parts[3:])
+    for (u, v, *m), line in _records(text, "R", 6, "representation"):
+        u, v = _int(u, line), _int(v, line)
+        a, b, c, d = (_rational(p, line) for p in m)
         _once(out, (u, v), [[a, b], [c, d]], f"duplicate matrix for edge ({u}, {v}): {line!r}")
     return out
 
@@ -176,14 +176,11 @@ def parse_boundary_values(text: str, surface: TriangulatedSurface) -> dict:
     """Boundary-value file: `psi <vertex> <rational>`, at most one line per
     vertex of `surface`."""
     out = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "psi" or len(parts) != 3:
-            raise ValueError(f"bad boundary line: {line!r}")
-        v = _int(parts[1], line)
+    for (v, val), line in _records(text, "psi", 2, "boundary"):
+        v = _int(v, line)
         if not 0 <= v < surface.num_vertices:
             raise ValueError(f"vertex index must be 0..{surface.num_vertices - 1}: {line!r}")
-        _once(out, v, _rational(parts[2], line),
+        _once(out, v, _rational(val, line),
               f"duplicate boundary value for vertex {v}: {line!r}")
     return out
 
@@ -192,11 +189,8 @@ def parse_lattice_function(text: str) -> LatticeFunction:
     """Lattice function file: `f <n1> <n2> <rational>`, at most one line per
     point; the window is the bounding box of the points."""
     vals = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "f" or len(parts) != 4:
-            raise ValueError(f"bad lattice line: {line!r}")
-        _once(vals, (_int(parts[1], line), _int(parts[2], line)), _rational(parts[3], line),
+    for (n1, n2, val), line in _records(text, "f", 3, "lattice"):
+        _once(vals, (_int(n1, line), _int(n2, line)), _rational(val, line),
               f"duplicate lattice point: {line!r}")
     if not vals:
         raise ValueError("lattice function file has no points")
@@ -213,11 +207,10 @@ def write_lattice_function(f: LatticeFunction) -> str:
 def parse_lattice_domain_points(text: str):
     """Lattice domain file: `d b|w <n1> <n2>`, one line per triangle."""
     tris = {}
-    for line in _lines(text):
-        parts = line.split()
-        if parts[0] != "d" or len(parts) != 4 or parts[1] not in ("b", "w"):
+    for (color, n1, n2), line in _records(text, "d", 3, "lattice domain"):
+        if color not in ("b", "w"):
             raise ValueError(f"bad lattice domain line: {line!r}")
-        _once(tris, (parts[1], (_int(parts[2], line), _int(parts[3], line))), None,
+        _once(tris, (color, (_int(n1, line), _int(n2, line))), None,
               f"duplicate lattice domain triangle: {line!r}")
     return LatticeDomain(frozenset(tris))
 

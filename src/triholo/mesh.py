@@ -9,7 +9,8 @@ vertex, the cyclically ordered star
 
 which is the indexing contract the holonomy formulas rely on.  Interior
 vertices have a closed star cycle; boundary vertices an open path (with
-n + 1 rim vertices for n triangles).
+n + 1 rim vertices for n triangles).  Stars and domain boundaries read
+the one edge map, `edge_triangles`; the spoke v-r is the edge (v, r).
 
 The dual-graph traversal lives here for surfaces and k-complexes alike:
 `tree_sweep` carries a state once down the BFS dual tree and across each
@@ -112,12 +113,9 @@ class TriangulatedSurface:
         incident = self.vertex_triangles[v]
         if not incident:
             raise BrokenStar(f"vertex {v} has no incident triangle")
-        # Adjacency of incident triangles through edges that contain v.
-        spoke_tris: dict[int, list[int]] = {}
-        for ti in incident:
-            for r in self._rim_pair(ti, v):
-                spoke_tris.setdefault(r, []).append(ti)
-        boundary_spokes = [r for r, ts in spoke_tris.items() if len(ts) == 1]
+        spokes = self.edge_triangles     # the spoke v-r is the edge (v, r)
+        rims = {r for ti in incident for r in self._rim_pair(ti, v)}
+        boundary_spokes = [r for r in rims if len(spokes[_edge(v, r)]) == 1]
         closed = not boundary_spokes
         if closed:
             start = incident[0]
@@ -125,10 +123,10 @@ class TriangulatedSurface:
         else:
             if len(boundary_spokes) != 2:
                 raise BrokenStar(f"star of vertex {v} is not a single fan")
-            ends = sorted(spoke_tris[r][0] for r in boundary_spokes)
+            ends = sorted(spokes[_edge(v, r)][0] for r in boundary_spokes)
             start = ends[0]
             pair = self._rim_pair(start, v)
-            first_rim = pair[0] if len(spoke_tris[pair[0]]) == 1 else pair[1]
+            first_rim = pair[0] if len(spokes[_edge(v, pair[0])]) == 1 else pair[1]
         order = [start]
         rim = [first_rim]
         cur, prev_rim = start, first_rim
@@ -136,7 +134,7 @@ class TriangulatedSurface:
             pair = self._rim_pair(cur, v)
             nxt_rim = pair[1] if pair[0] == prev_rim else pair[0]
             rim.append(nxt_rim)
-            candidates = [t for t in spoke_tris[nxt_rim] if t != cur]
+            candidates = [t for t in spokes[_edge(v, nxt_rim)] if t != cur]
             if not candidates:
                 break
             cur = candidates[0]
@@ -337,13 +335,10 @@ class SubComplexDomain:
         return frozenset(v for t in self.tris for v in self.surface.triangles[t])
 
     def boundary_edges(self) -> frozenset[Edge]:
-        """Edges of M' lying in exactly one triangle of M'."""
-        count: dict[Edge, int] = {}
-        for t in self.tris:
-            a, b, c = self.surface.triangles[t]
-            for e in (_edge(a, b), _edge(b, c), _edge(a, c)):
-                count[e] = count.get(e, 0) + 1
-        return frozenset(e for e, k in count.items() if k == 1)
+        """Edges of M' lying in exactly one triangle of M': the edges of
+        `surface.edge_triangles` with exactly one triangle in M'."""
+        return frozenset(e for e, ts in self.surface.edge_triangles.items()
+                         if len(self.tris.intersection(ts)) == 1)
 
     def boundary_vertices(self) -> frozenset[int]:
         return frozenset(v for e in self.boundary_edges() for v in e)

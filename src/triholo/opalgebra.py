@@ -203,10 +203,6 @@ class _Table:
         return _slice(got[0], self.window, window, (dx, dy)), got[1]
 
 
-def _grow(w: Window, left: int, right: int, bottom: int, top: int) -> Window:
-    return Window(w.x0 - left, w.x1 + right, w.y0 - bottom, w.y1 + top)
-
-
 def _hull(w: Window | None, v: Window) -> Window:
     if w is None:
         return v
@@ -253,10 +249,10 @@ def _tabulate(pairs: list) -> list | None:
         kind, a = node[0], node[1]
         if kind == "compose":
             demand(a, w)
-            demand(node[2], _grow(w, *a.margins()))
+            demand(node[2], w.shrink(*(-m for m in a.margins())))
         elif kind == "adjoint":
             left, right, bottom, top = a.margins()
-            demand(a, _grow(w, right, left, top, bottom))
+            demand(a, w.shrink(-right, -left, -top, -bottom))
         elif kind == "add":
             demand(a, w)
             demand(node[2], w)

@@ -141,6 +141,29 @@ def test_numeric_fields_are_ascii_integers_and_rationals(parse, text, line):
         parse(text)
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (lambda t: io.parse_domain(t, fixtures.octahedron()), "x 0\n", "bad domain line: 'x 0'"),
+    (lambda t: io.parse_domain(t, fixtures.octahedron()), "d 0 1\n", "bad domain line: 'd 0 1'"),
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 0\n",
+     "bad connection line: 'b 0 0'"),
+    (lambda t: io.parse_connection(t, fixtures.octahedron()), "b 0 3 1/2\n",
+     "local vertex must be 0|1|2: 'b 0 3 1/2'"),
+    (io.parse_complex, "t 0 1\n", "bad complex line: 't 0 1'"),
+    (io.parse_representation, "R 0 1 1 0 0\n", "bad representation line: 'R 0 1 1 0 0'"),
+    (lambda t: io.parse_boundary_values(t, fixtures.octahedron()), "psi 1\n",
+     "bad boundary line: 'psi 1'"),
+    (io.parse_lattice_function, "f 0 0\n", "bad lattice line: 'f 0 0'"),
+    (io.parse_lattice_function, "# nothing\n\n", "lattice function file has no points"),
+    (io.parse_lattice_domain_points, "d x 0 0\n", "bad lattice domain line: 'd x 0 0'"),
+    (io.parse_lattice_domain_points, "d b 0\n", "bad lattice domain line: 'd b 0'"),
+], ids=["domain-tag", "domain-count", "connection-count", "connection-local", "complex-tag",
+        "representation-count", "boundary-count", "lattice-count", "lattice-empty",
+        "lattice-domain-colour", "lattice-domain-count"])
+def test_malformed_records_name_the_line(parse, text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(text)
+
+
 def test_numeric_fields_keep_the_plain_forms():
     assert [io._int(t, "") for t in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
     assert ([io._rational(t, "") for t in ("3", "-3/4", "06/08", "-0/5")]
@@ -511,7 +534,7 @@ QCD_FLOAT = ["qcd-identity", "--mode", "float", "--tol", "1e-12", "--c", "1.0", 
     *((QCD_FLOAT + [f"{flag}={value}"], f"{flag} {value}") for flag, value in [
         ("--c", "nan"), ("--c", "inf"), ("--d", "-inf"), ("--c", "1e400"), ("--d", "1_5"),
         ("--c", "\u0661"), ("--l", "nan,0.1,0.4,0.25"), ("--l", "0.25,inf,0.4,0.25"),
-        ("--l", "0.25,0.1,0_4,0.25")]),
+        ("--l", "0.25,0.1,0_4,0.25"), ("--c", "abc")]),
 ])
 def test_cli_numeric_field_errors_name_the_line(tmp_path, args, line):
     (tmp_path / "x.tri").write_text("tri-surface v1\nt 0 1 x\n")

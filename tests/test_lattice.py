@@ -38,6 +38,21 @@ def test_window_and_function_semantics():
         L.Window(1, 0, 0, 0)
 
 
+def test_function_equality():
+    """A finite-support function equals one with an explicit zero where the
+    other has no point; functions on different windows, and a function and
+    a non-function, are unequal."""
+    f = L.LatticeFunction({(0, 0): 1, (2, 1): Fraction(-1, 2)})
+    assert f == L.LatticeFunction({(0, 0): 1, (2, 1): Fraction(-1, 2), (5, 5): 0})
+    assert f != L.LatticeFunction({(0, 0): 1, (2, 1): Fraction(1, 2)})
+    w = L.Window(0, 2, 0, 1)
+    g = L.LatticeFunction(f.values, w)
+    assert g == L.LatticeFunction({(2, 1): Fraction(-1, 2), (0, 0): 1, (1, 1): 0}, w)
+    assert f != g and g != f
+    assert g != L.LatticeFunction(f.values, L.Window(0, 2, 0, 2))
+    assert f != 0 and g != "g"
+
+
 def test_stencils_on_delta():
     d = L.delta()
     qp = L.apply_Qplus(d)
@@ -224,6 +239,13 @@ def test_taylor_on_constants_and_basis():
     cb = L.taylor_coefficients(f, seq, 4)
     expect = [(0, 0), (0, 0), (0, 1), (0, 0), (0, 0)]
     assert [(a, b) for a, b in cb] == expect
+
+
+def test_taylor_partial_sum_of_zero_coefficients():
+    w = L.Window(-8, 6, -8, 6)
+    seq = L.default_admissible((0, 0), 2)
+    ps = L.taylor_partial_sum(seq, [(0, 0), (Fraction(0), 0), (0, 0)], w)
+    assert ps.window == w and ps.support() == set()
 
 
 def test_taylor_random_exactness():

@@ -242,3 +242,30 @@ def test_vertex_triangles_sorted_incidence(torus4):
     surf = torus4.surface
     for v, ts in enumerate(surf.vertex_triangles):
         assert ts == tuple(i for i, t in enumerate(surf.triangles) if v in t)
+
+
+def test_no_two_black_triangles_share_two_vertices():
+    """Two triangles on two common vertices share an edge, so a face
+    2-colouring gives them different colours: no black triangle appears
+    twice in the vertex ring of another (mesh-check's `coincident_ring_pairs`
+    is 0 on every valid surface)."""
+    surfaces = ([fixtures.torus_lattice(n, s).surface for n in range(3, 10) for s in range(n)]
+                + [fixtures.hex_patch(r).surface for r in range(1, 6)] + [fixtures.octahedron()])
+    assert len(surfaces) == 48
+    for surf in surfaces:
+        blacks = mesh.bw_face_coloring(surf).black_triangles()
+        for t in blacks:
+            for o in blacks - {t}:
+                assert len(set(surf.triangles[t]) & set(surf.triangles[o])) < 2
+
+
+def test_empty_domain_has_an_empty_vertex_coloring(octa):
+    col = mesh.three_vertex_coloring(mesh.SubComplexDomain(octa, frozenset()))
+    assert col.vertex_colors == {}
+
+
+def test_open_path_reversed(octa):
+    path = mesh.ThickPath(octa, (0, 1, 2))
+    back = path.reversed()
+    assert (back.triangles, back.closed) == ((2, 1, 0), False)
+    assert back.shared_edges == path.shared_edges[::-1]

@@ -246,6 +246,22 @@ def test_f_criterion_reads_a_over_b():
     assert len(f.values) == 24
 
 
+@pytest.mark.parametrize("a, want", [
+    (lambda n: 1, "ones"),                          # A = B = 0: every term vanishes
+    (lambda n: 1 if n[0] == 3 else 2, None),        # A = 0, B = 1 at n1 = 3: f forced to 0
+    (lambda n: 1 if n[0] <= 2 else 2, None),        # B = 0, A = 1 at n1 = 3
+], ids=["all-vanish", "forced-zero", "b-vanishes"])
+def test_f_criterion_on_vanishing_terms(a, want):
+    """Qw = 1 + a t1, Qb = 1 + t1^-1: A = a(n) - 1 and B = a(n - e1) - 1."""
+    qw = OA.DifferenceOperator({(0, 0): 1, (1, 0): lambda n: Fraction(a(n))})
+    qb = OA.DifferenceOperator({(0, 0): 1, (-1, 0): 1})
+    f = OA.zero_curvature_f_criterion(qw, qb, Window(0, 5, 0, 5))
+    if want is None:
+        assert f is None
+    else:
+        assert f.window == Window(1, 4, 0, 5) and set(f.values.values()) == {1}
+
+
 def test_f_criterion_certifies_identity():
     # when f exists, A - f.B vanishes as an operator on the window
     win = Window(-4, 4, -4, 4)

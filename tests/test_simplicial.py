@@ -108,7 +108,14 @@ def test_zero_modes_k_equal_elimination(tag, monkeypatch):
     def no_elimination(*args):
         raise AssertionError("zero_modes_k eliminated")
 
+    reduce = ratmat._reduce
+
+    def class_vectors_only(rows, order):  # at most k class vectors, never the rows of Q
+        assert len(rows) <= x.k
+        return reduce(rows, order)
+
     monkeypatch.setattr(ratmat, "rref", no_elimination)
+    monkeypatch.setattr(ratmat, "_reduce", class_vectors_only)
     got = SK.zero_modes_k(x)
     monkeypatch.undo()
     assert got == want
