@@ -115,12 +115,13 @@ class TriangulatedSurface:
             raise BrokenStar(f"vertex {v} has no incident triangle")
         spokes = self.edge_triangles     # the spoke v-r is the edge (v, r)
         rims = {r for ti in incident for r in self._rim_pair(ti, v)}
-        boundary_spokes = [r for r in rims if len(spokes[_edge(v, r)]) == 1]
-        closed = not boundary_spokes
+        # n triangles have 2n spoke ends, so every spoke has two iff there are n rims
+        closed = len(rims) == len(incident)
         if closed:
             start = incident[0]
             first_rim = self._rim_pair(start, v)[0]
         else:
+            boundary_spokes = [r for r in rims if len(spokes[_edge(v, r)]) == 1]
             if len(boundary_spokes) != 2:
                 raise BrokenStar(f"star of vertex {v} is not a single fan")
             ends = sorted(spokes[_edge(v, r)][0] for r in boundary_spokes)
