@@ -138,12 +138,25 @@ def cmd_mesh_check(args) -> dict:
                                  for v in range(surf.num_vertices)),
         "bw_colorable": bw is not None,
         "tri_vertex_colorable": tric is not None,
-        # Two triangles sharing two vertices share an edge, so they differ in
-        # colour: no black triangle repeats in another's vertex ring.
-        "coincident_ring_pairs": 0,
+        "coincident_ring_pairs": None if bw is None else _coincident_ring_pairs(surf, bw),
         "ok": True,
     }
     return report
+
+
+def _coincident_ring_pairs(surf, bw) -> int:
+    """Unordered pairs of distinct black triangles with two or more white
+    neighbours in common: the off-diagonal entries >= 2 of Qbw Qwb, read row
+    by row across `dual_neighbours` (a white triangle's neighbours are black)."""
+    pairs = 0
+    for t in bw.black_triangles():
+        shared: dict = {}
+        for w in surf.dual_neighbours(t):
+            for o in surf.dual_neighbours(w):
+                if o > t:
+                    shared[o] = shared.get(o, 0) + 1
+        pairs += sum(n >= 2 for n in shared.values())
+    return pairs
 
 
 def cmd_holonomy(args) -> dict:

@@ -17,9 +17,12 @@ every caller reads every coordinate.  The 2x2 holonomy algebra
 of lists.
 
 Entries may be ints (the canonical equation matrix is all 1s): `gram`
-and `combine` keep them as they are, while `rref` turns every entry into
-a Fraction, so no elimination divides an int by an int and every entry it
-returns is a Fraction.
+and `combine` keep them as they are, and so does the elimination until a
+pivot other than 1 divides them.  An exact quotient stays an int (a pivot
+of -1 negates the row), any other is `Fraction(x, pivot)`, and `/` never
+meets two ints.  Entries of any other type become Fractions on the way in,
+and every entry `rref` returns, like every value read off its rows, is a
+Fraction.
 """
 
 from __future__ import annotations
@@ -122,7 +125,9 @@ def inv2(a: Mat) -> Mat:
 def rref(rows: list, cols: int) -> tuple[list, list[int]]:
     """Reduced row echelon form of sparse `rows` over `cols` columns: the
     reduced pivot rows, as `{column: Fraction}` dicts in pivot order, and
-    the pivot columns.  `rows` is left untouched.
+    the pivot columns.  `rows` is left untouched.  Int entries stay ints
+    while they are eliminated, until a pivot other than 1 divides them
+    inexactly; the pivot rows become Fractions once, on the way out.
 
     Sparse Gauss-Jordan.  Columns are eliminated left to right, so the
     pivot columns and the reduced rows are the unique RREF; among the live
@@ -136,7 +141,8 @@ def rref(rows: list, cols: int) -> tuple[list, list[int]]:
 
 def _reduce(rows: list, order: range) -> tuple[list, list[int]]:
     """`rref` eliminating the columns in `order`, a permutation of them."""
-    rows = [{j: frac(x) for j, x in row.items() if x} for row in rows]
+    rows = [{j: x if type(x) is int else frac(x) for j, x in row.items() if x}
+            for row in rows]
     incol: list[set] = [set() for _ in order]   # column -> rows with a nonzero
     for i, row in enumerate(rows):
         for j in row:
@@ -155,7 +161,7 @@ def _reduce(rows: list, order: range) -> tuple[list, list[int]]:
         pr = rows[p]
         pv = pr[c]
         if pv != 1:
-            pr = rows[p] = {j: x / pv for j, x in pr.items()}
+            pr = rows[p] = {j: _divide(x, pv) for j, x in pr.items()}
         for i in cand:
             if i != p:
                 _eliminate(rows[i], i, pr, c, incol)
@@ -168,7 +174,15 @@ def _reduce(rows: list, order: range) -> tuple[list, list[int]]:
         c, p = pivots[k], prow[k]
         for i in incol[c] - {p}:
             _eliminate(rows[i], i, rows[p], c, None)
-    return [rows[p] for p in prow], pivots
+    return [{j: frac(x) for j, x in rows[p].items()} for p in prow], pivots
+
+
+def _divide(x, pv):
+    """x / pv exactly: an int when both are ints and pv divides x."""
+    if type(x) is int and type(pv) is int:
+        q, r = divmod(x, pv)
+        return Fraction(x, pv) if r else q
+    return x / pv
 
 
 def _eliminate(row: dict, i: int, pivot_row: dict, c: int, incol) -> None:

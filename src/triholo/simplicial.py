@@ -232,9 +232,10 @@ def q_matrix(simplices, rows, coeff=None) -> list:
     """The equation matrix Q as sparse rows (see `ratmat`): one row
     {vertex: coeff(i, vertex)} per simplex index i in `rows`, every
     coefficient the int 1 when `coeff` is None (the canonical connection),
-    so `ratmat.gram` and `combine` multiply ints and `ratmat.rref` turns
-    them into Fractions.  Surfaces with weights pass their triangles and
-    `DiscreteConnection.b`."""
+    so `ratmat.gram` and `combine` multiply ints and `ratmat.rref`
+    eliminates ints, with Fractions only where a pivot other than 1 leaves
+    a remainder, and returns Fractions.  Surfaces with weights pass their
+    triangles and `DiscreteConnection.b`."""
     if coeff is None:
         return [dict.fromkeys(simplices[i], 1) for i in rows]
     return [{v: coeff(i, v) for v in simplices[i]} for i in rows]

@@ -1,3 +1,5 @@
+import contextlib
+import itertools
 import json
 import os
 import random
@@ -5,13 +7,14 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 from conftest import pinched_torus
 from triholo import connection as C
-from triholo import fixtures, io, opalgebra
+from triholo import cli, fixtures, io, mesh, opalgebra
 from triholo.lattice import Window, build_green
 
 
@@ -278,6 +281,49 @@ def test_cli_mesh_check_errors(fixture_dir):
     assert json.loads(out)["error"] == "NonManifoldEdge"
     rc, _, _ = run_cli(["mesh-check", "--mesh", "missing.tri"])
     assert rc == 1
+
+
+def brute_force_ring_pairs(surf, blacks) -> int:
+    """Pairs of distinct black triangles with two or more white neighbours in
+    common, by a walk over every pair and every white triangle; a neighbour
+    is a triangle on two of the same vertices."""
+    tris = [set(t) for t in surf.triangles]
+    whites = [w for w in range(surf.num_triangles) if w not in blacks]
+
+    def touch(w, t):
+        return len(tris[w] & tris[t]) == 2
+
+    return sum(sum(touch(w, a) and touch(w, b) for w in whites) >= 2
+               for a, b in itertools.combinations(sorted(blacks), 2))
+
+
+def test_cli_mesh_check_coincident_ring_pairs(tmp_path):
+    """`coincident_ring_pairs` against a brute-force pair walk: 6 on the
+    octahedron (every two of its 4 black triangles share 2 white
+    neighbours), 0 on the 47 fixture tori and hex patches, and null on the
+    icosahedron, which has no b/w colouring."""
+    surfaces = {"octa": fixtures.octahedron(), "ico": fixtures.icosahedron()}
+    surfaces.update({f"torus{n}s{s}": fixtures.torus_lattice(n, s).surface
+                     for n in range(3, 10) for s in range(n)})
+    surfaces.update({f"hex{r}": fixtures.hex_patch(r).surface for r in range(1, 6)})
+    assert len(surfaces) == 49
+    counts = {}
+    for tag, surf in surfaces.items():
+        path = tmp_path / f"{tag}.tri"
+        path.write_text(io.write_mesh(surf))
+        out = StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["mesh-check", "--mesh", str(path)]) == 0
+        body = json.loads(out.getvalue())
+        counts[tag] = body["coincident_ring_pairs"]
+        bw = mesh.bw_face_coloring(surf)
+        assert body["bw_colorable"] is (bw is not None)
+        if bw is None:
+            assert counts[tag] is None
+        else:
+            assert counts[tag] == brute_force_ring_pairs(surf, bw.black_triangles())
+    assert counts.pop("octa") == 6 and counts.pop("ico") is None
+    assert set(counts.values()) == {0}
 
 
 def test_cli_usage_error_exit_2():

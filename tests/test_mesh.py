@@ -247,8 +247,7 @@ def test_vertex_triangles_sorted_incidence(torus4):
 def test_no_two_black_triangles_share_two_vertices():
     """Two triangles on two common vertices share an edge, so a face
     2-colouring gives them different colours: no black triangle appears
-    twice in the vertex ring of another (mesh-check's `coincident_ring_pairs`
-    is 0 on every valid surface)."""
+    twice in the vertex ring of another."""
     surfaces = ([fixtures.torus_lattice(n, s).surface for n in range(3, 10) for s in range(n)]
                 + [fixtures.hex_patch(r).surface for r in range(1, 6)] + [fixtures.octahedron()])
     assert len(surfaces) == 48

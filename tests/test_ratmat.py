@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triholo import ratmat
+from triholo import fixtures, ratmat, simplicial
 
 
 def dense_rref(a):
@@ -195,36 +195,78 @@ def test_empty_matrix_keeps_its_column_count():
 
 ENTRIES = st.one_of(st.just(Fraction(0)),
                     st.fractions(min_value=-6, max_value=6, max_denominator=5))
+# Int entries with unit and non-unit pivots: -1 divides exactly, 2 and 3 do not.
+INT_ENTRIES = st.sampled_from((0, 0, 0, 1, 1, -1, 2, -2, 3))
+
+
+@st.composite
+def q_shaped(draw):
+    """Int rows shaped like the canonical Q: each the int 1 on at most three
+    columns, so that every pivot is 1 and nothing is ever divided."""
+    rows, cols = draw(st.integers(0, 9)), draw(st.integers(1, 7))
+    m = [[0] * cols for _ in range(rows)]
+    for row in m:
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=3)):
+            row[j] = 1
+    return m, cols
 
 
 @st.composite
 def matrices(draw):
-    """Small rational matrices, often sparse, with repeated rows and rows
-    of zeros mixed in so that rank deficiency is common, and their column
-    count (which a matrix with no rows cannot carry)."""
+    """Small matrices, often sparse, with repeated rows and rows of zeros
+    mixed in so that rank deficiency is common, and their column count
+    (which a matrix with no rows cannot carry).  Entries are Fractions, ints,
+    or a mix of both; or the matrix is 0/1 rows shaped like Q."""
+    kind = draw(st.sampled_from(("fraction", "fraction", "int", "mixed", "q")))
+    if kind == "q":
+        return draw(q_shaped())
+    entries = {"fraction": ENTRIES, "int": INT_ENTRIES,
+               "mixed": st.one_of(ENTRIES, INT_ENTRIES)}[kind]
     rows, cols = draw(st.integers(0, 9)), draw(st.integers(0, 7))
-    m = draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols),
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows))
     for _ in range(draw(st.integers(0, 3)) if m else 0):
         src, dst = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
-        c = draw(ENTRIES)
-        m[dst] = [c * x for x in m[src]] if draw(st.booleans()) else [Fraction(0)] * cols
+        c = draw(entries)
+        m[dst] = [c * x for x in m[src]] if draw(st.booleans()) else [0 * c] * cols
     return m, cols
 
 
+def fraction_rref(rows, cols):
+    """`ratmat.rref` after the coercion its elimination once began with,
+    every entry made a Fraction: the oracle for int and mixed entries."""
+    return ratmat.rref([{j: ratmat.frac(x) for j, x in row.items() if x} for row in rows],
+                       cols)
+
+
+def assert_same_fractions(got, want):
+    """Equal values in equal key order, every value a Fraction, in two lists
+    of sparse rows or of dense vectors."""
+    def items(rows):
+        return [list(r.items()) if isinstance(r, dict) else list(enumerate(r)) for r in rows]
+
+    assert items(got) == items(want)
+    assert all(type(x) is Fraction for row in items(got) for _, x in row)
+
+
 def rref_matches_dense_reference(a, cols):
-    """`ratmat.rref` of `a` (dense, `cols` columns) against `dense_rref`:
-    the same pivot rows, no padding rows, every entry a nonzero Fraction,
-    and the zero rows `dense_rref` pads with are all that is left out."""
+    """`ratmat.rref` of `a` (dense, `cols` columns, entries ints or
+    Fractions) against `dense_rref` of its Fraction copy: the same pivot
+    rows, no padding rows, every entry a nonzero Fraction, and the zero rows
+    `dense_rref` pads with are all that is left out.  Against the Fraction
+    oracle, the rows also come out with their keys in the same order."""
     red, pivots = ratmat.rref(sparse(a), cols)
     assert (red, pivots) == reference_rref(sparse(a), cols)
     assert all(type(x) is Fraction and x for row in red for x in row.values())
-    full, want_pivots = dense_rref(a)
+    full, want_pivots = dense_rref(dense(sparse(a), cols))
     assert dense(red, cols) + [[Fraction(0)] * cols] * (len(a) - len(red)) == full
+    assert pivots == want_pivots
+    want_red, want_pivots = fraction_rref(sparse(a), cols)
+    assert_same_fractions(red, want_red)
     assert pivots == want_pivots
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(matrices())
 def test_rref_matches_dense_reference(a_cols):
     rref_matches_dense_reference(*a_cols)
@@ -243,6 +285,28 @@ def test_rref_matches_dense_reference_seeded():
         i, j = rng.randrange(rows), rng.randrange(rows)
         a.append([x + Fraction(rng.randint(-3, 3), 2) * y for x, y in zip(a[i], a[j])])
         cases.append(a)
+    for kind in ("q", "int", "mixed") * 200:
+        rows, cols = rng.randint(1, 12), rng.randint(1, 7)
+        if kind == "q":
+            a = [[0] * cols for _ in range(rows)]
+            for row in a:
+                for j in rng.sample(range(cols), min(3, cols)):
+                    row[j] = 1
+        else:
+            a = [[rng.choice((0, 0, 1, -1, 2, -2, 3)) for _ in range(cols)]
+                 for _ in range(rows)]
+            if kind == "mixed":
+                for row in a:
+                    j = rng.randrange(cols)
+                    row[j] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        i, j = rng.randrange(rows), rng.randrange(rows)
+        a.append([x + rng.choice((1, -2, Fraction(1, 2))) * y for x, y in zip(a[i], a[j])])
+        cases.append(a)
+    for surf in (fixtures.octahedron(), fixtures.torus_lattice(3).surface,
+                 fixtures.torus_lattice(4, 1).surface, fixtures.hex_patch(1).surface):
+        q = simplicial.q_matrix(surf.triangles, range(surf.num_triangles))
+        cases.append(dense(q, surf.num_vertices))
+        cases.append([[int(x) for x in row] for row in cases[-1]])
     for a in cases:
         rref_matches_dense_reference(a, len(a[0]) if a else 0)
 
@@ -272,6 +336,55 @@ def test_solve_affine_matches_two_dense_eliminations():
         else:
             assert x == [next((red[i][cols] for i, p in enumerate(pivots) if p == c),
                               Fraction(0)) for c in range(cols)]
+
+
+def test_solve_affine_int_rows_match_the_fraction_oracle():
+    """Int rows with a Fraction right-hand side solve as their Fraction copy
+    does: the same particular solution and kernel, every value a Fraction."""
+    rng = random.Random(21)
+    consistent = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 6)
+        a = [{j: rng.choice((1, -1, 2, -2, 3)) for j in rng.sample(range(cols), rng.randint(0, cols))}
+             for _ in range(rows)]
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(rows)]
+        if rng.random() < 0.5:  # often consistent: b read off a chosen x
+            x_true = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)]
+            b = [sum((x * x_true[j] for j, x in row.items()), Fraction(0)) for row in a]
+        x, null = ratmat.solve_affine(a, b, cols)
+        want_x, want_null = ratmat.solve_affine(
+            [{j: ratmat.frac(v) for j, v in row.items()} for row in a], b, cols)
+        assert_same_fractions(null, want_null)
+        if want_x is None:
+            assert x is None
+        else:
+            consistent += 1
+            assert_same_fractions([x], [want_x])
+            assert all(sum((v * x[j] for j, v in row.items()), Fraction(0)) == bi
+                       for row, bi in zip(a, b))
+    assert consistent > 100
+
+
+def test_nullspace_form_of_int_class_vectors():
+    """Int vectors like `plain_kernel`'s (size_0 on class i, -size_i on
+    class 0) and int vectors with other non-unit entries reduce as their
+    Fraction copies do, to Fraction vectors."""
+    rng = random.Random(22)
+    for _ in range(300):
+        n, k = rng.randint(2, 12), rng.randint(2, 5)
+        cls = [rng.randrange(k) for _ in range(n)]
+        size = [cls.count(i) for i in range(k)]
+        if rng.random() < 0.5:
+            basis = [[size[0] if c == i else -size[i] if c == 0 else 0 for c in cls]
+                     for i in range(1, k) if size[i] and size[0]]
+        else:
+            basis = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+                     for _ in range(rng.randint(1, 4))]
+            if ratmat.rank(sparse(basis), n) < len(basis):
+                continue
+        got = ratmat.nullspace_form(basis)
+        assert_same_fractions(got, ratmat.nullspace_form([[Fraction(x) for x in v] for v in basis]))
+        assert ratmat.span_equal(sparse(got), sparse(basis), n)
 
 
 def test_sparse_gram_combine_dense():
