@@ -39,7 +39,7 @@ images = solver.hat_map(patch.domain(), psi, fc, vc)
 boundary = sorted({images[t] for t in patch.domain().lower_boundary() & set(images)})
 svg = scatter_hull_svg(list(images.values()), solver.convex_hull(boundary))
 out = "maxprinciple.svg"
-with open(out, "w") as fh:
+with open(out, "w", encoding="utf-8") as fh:
     fh.write(svg)
 print("wrote", out)
 

@@ -48,7 +48,7 @@ qg = L.apply_Qplus(g)
 print("Q+ G = delta:", all(qg[p] == (1 if p == (0, 0) else 0)
                            for p in qg.window.points()))
 out = "green.svg"
-with open(out, "w") as fh:
+with open(out, "w", encoding="utf-8") as fh:
     fh.write(lattice_heatmap_svg(g))
 print("wrote", out)
 

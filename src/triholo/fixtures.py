@@ -43,6 +43,30 @@ def icosahedron() -> TriangulatedSurface:
     return build_surface(faces)
 
 
+def barycentric(surface: TriangulatedSurface) -> TriangulatedSurface:
+    """The barycentric subdivision: a non-lattice surface of even valence.
+
+    Vertex v keeps its index, the midpoint of the i-th edge of
+    `surface.edge_triangles` is V + i and the centre of triangle t is
+    V + E + t.  Triangle (a, b, c) becomes the six flags
+    (a, m_ab, f), (m_ab, b, f), (b, m_bc, f), (m_bc, c, f), (c, m_ca, f),
+    (m_ca, a, f) around its centre f, in its orientation.  An original
+    vertex has twice its valence, a midpoint 4 (2 on the boundary) and a
+    centre 6.  Flags alternate colour by parity, and each vertex's kind
+    (original, midpoint, centre) is a vertex 3-colouring, so the canonical
+    holonomy is trivial.
+    """
+    nv, ne = surface.num_vertices, surface.num_edges
+    mid = {e: nv + i for i, e in enumerate(surface.edge_triangles)}
+    faces = []
+    for t, (a, b, c) in enumerate(surface.triangles):
+        f = nv + ne + t
+        for p, q in ((a, b), (b, c), (c, a)):
+            m = mid[(p, q) if p < q else (q, p)]
+            faces += [(p, m, f), (m, q, f)]
+    return build_surface(faces)
+
+
 @dataclass(frozen=True)
 class LatticeSurface:
     """A surface whose vertices are labelled by lattice points."""

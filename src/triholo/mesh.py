@@ -9,8 +9,12 @@ vertex, the cyclically ordered star
 
 which is the indexing contract the holonomy formulas rely on.  Interior
 vertices have a closed star cycle; boundary vertices an open path (with
-n + 1 rim vertices for n triangles).  Stars and domain boundaries read
-the one edge map, `edge_triangles`; the spoke v-r is the edge (v, r).
+n + 1 rim vertices for n triangles).  Each star is built in one pass over
+the vertex's triangles: their rim pairs are read once into a local fan,
+rim vertex -> the triangles on that spoke, and the walk reads only it.
+Domain boundaries read the one edge map, `edge_triangles`, and so does
+the dual graph, stored once at construction in stored edge order (ab, bc,
+ac): `dual_neighbours` hands out its read-only tuples.
 
 The dual-graph traversal lives here for surfaces and k-complexes alike:
 `tree_sweep` carries a state once down the BFS dual tree and across each
@@ -85,14 +89,21 @@ class TriangulatedSurface:
 
         self.edge_triangles: dict[Edge, tuple[int, ...]] = {}
         acc: dict[Edge, list[int]] = {}
+        tri_edges = []
         for idx, (a, b, c) in enumerate(self.triangles):
-            for e in (_edge(a, b), _edge(b, c), _edge(a, c)):
+            edges = (_edge(a, b), _edge(b, c), _edge(a, c))
+            tri_edges.append(edges)
+            for e in edges:
                 acc.setdefault(e, []).append(idx)
         for e, tris in acc.items():
             if len(tris) > 2:
                 raise NonManifoldEdge(f"edge {e} lies in {len(tris)} triangles")
             self.edge_triangles[e] = tuple(tris)
         self.boundary_edges = frozenset(e for e, ts in self.edge_triangles.items() if len(ts) == 1)
+        # the dual graph, built once: the triangles across each stored edge ab, bc, ac
+        self._dual: tuple[tuple[int, ...], ...] = tuple(
+            tuple([o for e in edges for o in acc[e] if o != idx])
+            for idx, edges in enumerate(tri_edges))
 
         incident: list[list[int]] = [[] for _ in range(self.num_vertices)]
         for idx, t in enumerate(self.triangles):
@@ -103,42 +114,46 @@ class TriangulatedSurface:
 
     # -- construction helpers ------------------------------------------
 
-    def _rim_pair(self, tri: int, center: int) -> tuple[int, int]:
-        """Rim vertices of `tri` seen from `center`, in stored orientation."""
-        t = self.triangles[tri]
-        i = t.index(center)
-        return t[(i + 1) % 3], t[(i + 2) % 3]
-
     def _build_star(self, v: int) -> Star:
+        """The star of `v` in one pass over its triangles: each triangle's
+        rim pair, in stored orientation, is read once into `rim_of`, and
+        `fan[r]` lists the triangles on the spoke v-r in triangle order
+        (the edge map's order), so the walk looks nothing up on the
+        surface."""
         incident = self.vertex_triangles[v]
         if not incident:
             raise BrokenStar(f"vertex {v} has no incident triangle")
-        spokes = self.edge_triangles     # the spoke v-r is the edge (v, r)
-        rims = {r for ti in incident for r in self._rim_pair(ti, v)}
+        triangles = self.triangles
+        rim_of: dict[int, tuple[int, int]] = {}
+        fan: dict[int, list[int]] = {}
+        for ti in incident:
+            a, b, c = triangles[ti]
+            pair = rim_of[ti] = (b, c) if v == a else (c, a) if v == b else (a, b)
+            for r in pair:
+                fan.setdefault(r, []).append(ti)
         # n triangles have 2n spoke ends, so every spoke has two iff there are n rims
-        closed = len(rims) == len(incident)
+        closed = len(fan) == len(incident)
         if closed:
             start = incident[0]
-            first_rim = self._rim_pair(start, v)[0]
+            first_rim = rim_of[start][0]
         else:
-            boundary_spokes = [r for r in rims if len(spokes[_edge(v, r)]) == 1]
-            if len(boundary_spokes) != 2:
+            ends = sorted(ts[0] for ts in fan.values() if len(ts) == 1)
+            if len(ends) != 2:
                 raise BrokenStar(f"star of vertex {v} is not a single fan")
-            ends = sorted(spokes[_edge(v, r)][0] for r in boundary_spokes)
             start = ends[0]
-            pair = self._rim_pair(start, v)
-            first_rim = pair[0] if len(spokes[_edge(v, pair[0])]) == 1 else pair[1]
+            pair = rim_of[start]
+            first_rim = pair[0] if len(fan[pair[0]]) == 1 else pair[1]
         order = [start]
         rim = [first_rim]
         cur, prev_rim = start, first_rim
         while True:
-            pair = self._rim_pair(cur, v)
-            nxt_rim = pair[1] if pair[0] == prev_rim else pair[0]
+            a, b = rim_of[cur]
+            nxt_rim = b if a == prev_rim else a
             rim.append(nxt_rim)
-            candidates = [t for t in spokes[_edge(v, nxt_rim)] if t != cur]
-            if not candidates:
+            ts = fan[nxt_rim]
+            if len(ts) == 1:
                 break
-            cur = candidates[0]
+            cur = ts[1] if ts[0] == cur else ts[0]
             if cur == start:
                 break
             order.append(cur)
@@ -184,12 +199,10 @@ class TriangulatedSurface:
             return None
         return ts[0] if ts[1] == tri else ts[1]
 
-    def dual_neighbours(self, t: int) -> list[int]:
+    def dual_neighbours(self, t: int) -> tuple[int, ...]:
         """Triangles sharing an edge with `t`, across its stored edges ab, bc,
-        ac in that order."""
-        a, b, c = self.triangles[t]
-        across = (self.other_triangle(e, t) for e in (_edge(a, b), _edge(b, c), _edge(a, c)))
-        return [o for o in across if o is not None]
+        ac in that order: the tuple stored at construction."""
+        return self._dual[t]
 
     def orientation_sign(self, t1: int, t2: int) -> int:
         """+1 if the stored orientations of two edge-adjacent triangles are

@@ -8,6 +8,10 @@ local holonomy the group embeds in S_{k+1}; its orbit count q on the
 slots gives covariant constants of dimension q - 1, which coincide with
 the zero modes of L = Q+ Q.
 
+A complex builds its dual adjacency (simplices sharing a (k-1)-facet)
+once, at construction; `adjacency()` hands out that one read-only mapping
+to every sweep, colouring and check.
+
 One sweep of slot labels over the dual tree (`mesh.label_sweep`) gives
 the holonomy generators, each vertex's orbit class and the zero modes
 (`plain_kernel`, with no elimination of Q); surfaces use it at k = 2, where it
@@ -60,6 +64,11 @@ class SimplicialComplexK:
         for i, s in enumerate(tops):
             for facet in combinations(s, self.k):
                 self.facet_simplices.setdefault(facet, []).append(i)
+        nbrs: list = [set() for _ in tops]
+        for members in self.facet_simplices.values():
+            for a in members:
+                nbrs[a].update(members)
+        self._adjacency = {i: tuple(sorted(ns - {i})) for i, ns in enumerate(nbrs)}
 
     @property
     def num_simplices(self) -> int:
@@ -80,15 +89,10 @@ class SimplicialComplexK:
         return all(len(v) == 2 for v in self.facet_simplices.values())
 
     def adjacency(self):
-        """Dual adjacency via shared (k-1)-facets: simplex -> sorted list of
-        the simplices sharing a facet with it."""
-        nbrs: dict = {i: set() for i in range(self.num_simplices)}
-        for members in self.facet_simplices.values():
-            for a in members:
-                for b in members:
-                    if a != b:
-                        nbrs[a].add(b)
-        return {i: sorted(ns) for i, ns in nbrs.items()}
+        """Dual adjacency via shared (k-1)-facets: simplex -> sorted tuple of
+        the simplices sharing a facet with it.  The mapping is built once, at
+        construction, and shared by every caller: read it, do not change it."""
+        return self._adjacency
 
 
 def canonical_local_holonomy_ok(x: SimplicialComplexK) -> bool:

@@ -4,9 +4,11 @@ principle checker.
 Q (one row per triangle, three nonzeros) and the operators built from it,
 L = Q+Q, the Laplacian and the valence potential, are sparse rational rows
 indexed by vertex (see `ratmat`); identities between them compare entry by
-entry.  The null space of Q comes from one sweep down the dual tree, with
-no elimination: two values on triangle 0 fix a solution, and each cotree
-edge adds a condition on them (`zero_modes`).  Boundary solves go through
+entry.  The L identities are integer statements and compare in ints: L,
+2 Qb+Qb and 2 Qw+Qw against the one matrix -2 Delta + 3 n_P.  The null
+space of Q comes from one sweep down the dual tree, with no elimination:
+two values on triangle 0 fix a solution, and each cotree edge adds a
+condition on them (`zero_modes`).  Boundary solves go through
 the sparse exact elimination `ratmat.rref`.  The maximum-principle check
 and the self-check of the covariant constants run on psi scaled by the lcm
 of its denominators: integers, and for the canonical connection integer
@@ -147,7 +149,11 @@ class LIdentityReport:
 
 def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
     """Verify L = -2 Delta + 3 n_P and, when a b/w coloring exists,
-    Qb+Qb = -Delta + (3/2) n_P = Qw+Qw plus the dual-graph block identity."""
+    Qb+Qb = -Delta + (3/2) n_P = Qw+Qw plus the dual-graph block identity.
+
+    Every side is an int matrix: the halves are compared doubled,
+    2 Qb+Qb = -2 Delta + 3 n_P = 2 Qw+Qw, against the one right-hand side
+    of the L identity."""
     if not surface.is_closed:
         raise ValueError("identity checks run on closed surfaces")
     for v in range(surface.num_vertices):
@@ -155,18 +161,17 @@ def check_L_identity(surface: TriangulatedSurface) -> LIdentityReport:
             raise OddValence(f"vertex {v} has odd valence")
     conn = canonical_connection(surface)
     nv = surface.num_vertices
-    delta = graph_laplacian(surface)
-    rhs = ratmat.combine((-2, delta), (1, valence_potential(surface)))
+    rhs = ratmat.combine((-2, graph_laplacian(surface)),
+                         (3, [{v: surface.valence(v)} for v in range(nv)]))
     l_ok = assemble_L(conn) == rhs
 
     coloring = bw_face_coloring(surface)
     if coloring is None:
         return LIdentityReport(l_ok, False, None, None, None)
-    half = ratmat.combine((-1, delta), (1, valence_potential(surface, Fraction(3, 2))))
     qb = q_matrix(surface.triangles, sorted(coloring.black_triangles()))
     qw = q_matrix(surface.triangles, sorted(coloring.white_triangles()))
-    qb_ok = ratmat.gram(qb, nv) == half
-    qw_ok = ratmat.gram(qw, nv) == half
+    qb_ok = ratmat.combine((2, ratmat.gram(qb, nv))) == rhs
+    qw_ok = ratmat.combine((2, ratmat.gram(qw, nv))) == rhs
     dual_ok = _dual_block_identity(surface, coloring)
     return LIdentityReport(l_ok, True, qb_ok, qw_ok, dual_ok)
 

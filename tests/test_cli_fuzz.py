@@ -103,8 +103,8 @@ def run(argv):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
-    (d / "octa.tri").write_text(tio.write_mesh(fixtures.octahedron()))
-    (d / "hex2.tri").write_text(tio.write_mesh(fixtures.hex_patch(2).surface))
+    (d / "octa.tri").write_text(tio.write_mesh(fixtures.octahedron()), encoding="utf-8")
+    (d / "hex2.tri").write_text(tio.write_mesh(fixtures.hex_patch(2).surface), encoding="utf-8")
     return d
 
 
@@ -114,13 +114,13 @@ def test_mutated_files_exit_0_or_1_with_a_json_error(files, suffix):
     target = files / f"fuzz.{suffix}"
     argv = [str(target) if a == "FILE" else str(files / a) if a.endswith(".tri") else a
             for a in argv]
-    target.write_text(text)
+    target.write_text(text, encoding="utf-8")
     assert run(argv)[0] == 0
     rng = random.Random(f"fuzz-{suffix}")
     bad = 0
     for _ in range(RUNS):
         mutated, bad_line = mutate(rng, text, numeric_from)
-        target.write_text(mutated)
+        target.write_text(mutated, encoding="utf-8")
         rc, out = run(argv)
         assert rc in (0, 1), mutated
         if rc == 1:

@@ -78,16 +78,18 @@ def _surface_inputs(d: Path) -> None:
     """Mesh, connection, complex and boundary-value files for the surface
     cases, written into `d`."""
     for k, (tag, surf) in enumerate(_surfaces().items()):
-        (d / f"{tag}.tri").write_text(tio.write_mesh(surf))
-        (d / f"{tag}.conn").write_text(_gauged_connection(surf, k))
+        (d / f"{tag}.tri").write_text(tio.write_mesh(surf), encoding="utf-8")
+        (d / f"{tag}.conn").write_text(_gauged_connection(surf, k), encoding="utf-8")
         (d / f"{tag}.cplx").write_text("".join(f"s {a} {b} {c}\n"
-                                               for a, b, c in surf.triangles))
-    (d / "c6.cplx").write_text("".join(f"s {a} {b}\n" for a, b in cycle_graph(6).simplices))
+                                               for a, b, c in surf.triangles), encoding="utf-8")
+    (d / "c6.cplx").write_text("".join(f"s {a} {b}\n" for a, b in cycle_graph(6).simplices),
+                               encoding="utf-8")
     rng = random.Random(3)
     for tag in ("octa", "hex3"):
         verts = sorted(rng.sample(range(6 if tag == "octa" else 37), 4))
         (d / f"{tag}.psi").write_text("".join(
-            f"psi {v} {Fraction(rng.randint(-9, 9), rng.randint(1, 4))}\n" for v in verts))
+            f"psi {v} {Fraction(rng.randint(-9, 9), rng.randint(1, 4))}\n" for v in verts),
+            encoding="utf-8")
 
 
 def surface_cases() -> dict:
@@ -178,10 +180,10 @@ def compute() -> dict:
     result = {}
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
-        (d / "dom.ld").write_text(DOMAIN)
-        (d / "block.ld").write_text(BLOCK)
+        (d / "dom.ld").write_text(DOMAIN, encoding="utf-8")
+        (d / "block.ld").write_text(BLOCK, encoding="utf-8")
         op_text = _operator_file()
-        (d / "random.op").write_text(op_text)
+        (d / "random.op").write_text(op_text, encoding="utf-8")
         _surface_inputs(d)
         result["input-random.op"] = {"exit": 0, "stdout": _sha(op_text.encode()),
                                      "file": None}
@@ -199,7 +201,7 @@ def compute() -> dict:
 
 
 def test_cli_golden_bytes():
-    want = json.loads(GOLDEN.read_text())
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = compute()
     assert sorted(got) == sorted(want)
     assert [k for k in want if got[k] != want[k]] == []
@@ -209,10 +211,10 @@ def _main(argv) -> int:
     got = compute()
     if "--write" in argv:
         GOLDEN.parent.mkdir(exist_ok=True)
-        GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {len(got)} entries to {GOLDEN}")
         return 0
-    want = json.loads(GOLDEN.read_text())
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     bad = sorted(k for k in set(want) | set(got) if want.get(k) != got.get(k))
     print(f"{len(want) - len(bad)}/{len(want)} golden entries match"
           + (": differ " + ", ".join(bad) if bad else ""))

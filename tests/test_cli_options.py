@@ -137,19 +137,19 @@ def test_parser_keeps_no_state_between_calls(monkeypatch, tmp_path):
     `build_parser()` tree gives, and leave the --window defaults as they
     were."""
     octa = tmp_path / "octa.tri"
-    octa.write_text(tio.write_mesh(fixtures.octahedron()))
+    octa.write_text(tio.write_mesh(fixtures.octahedron()), encoding="utf-8")
     hex3 = tmp_path / "hex3.tri"
-    hex3.write_text(tio.write_mesh(fixtures.hex_patch(3).surface))
+    hex3.write_text(tio.write_mesh(fixtures.hex_patch(3).surface), encoding="utf-8")
     cycle = tmp_path / "c6.cplx"
-    cycle.write_text("".join(f"s {i} {(i + 1) % 6}\n" for i in range(6)))
+    cycle.write_text("".join(f"s {i} {(i + 1) % 6}\n" for i in range(6)), encoding="utf-8")
     lop = opalgebra.random_factorizable(random.Random(3), "black")
     op = tmp_path / "l.op"
     op.write_text("".join(
         f"op {a[0]} {a[1]}\n" + "".join(f"c {x} {y} {getattr(lop, k)((x, y))}\n"
                                         for x, y in Window(0, 5, 0, 5).points())
-        for k, a in opalgebra.SCHRODINGER_SHIFTS.items()))
+        for k, a in opalgebra.SCHRODINGER_SHIFTS.items()), encoding="utf-8")
     bad = tmp_path / "bad.conn"
-    bad.write_text("b 99 0 2\n")
+    bad.write_text("b 99 0 2\n", encoding="utf-8")
     calls = [
         (["mesh-check", "--mesh", str(octa)], None),
         (["green", "--window", "3"], None),

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = json.loads((ROOT / "tests" / "data" / "demo_golden.json").read_text())
+GOLDEN = json.loads((ROOT / "tests" / "data" / "demo_golden.json").read_text(encoding="utf-8"))
 
 
 SVGS = {"02_maximum_principle.py": "maxprinciple.svg",

@@ -218,18 +218,20 @@ def run_cli(args, env=None):
     if env:
         e.update(env)
     r = subprocess.run([sys.executable, "-m", "triholo.cli"] + args,
-                       capture_output=True, text=True, env=e)
+                       capture_output=True, encoding="utf-8", env=e)
     return r.returncode, r.stdout, r.stderr
 
 
 @pytest.fixture(scope="module")
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
-    (d / "octahedron.tri").write_text(io.write_mesh(fixtures.octahedron()))
-    (d / "bad.tri").write_text("tri-surface v1\nv 5\nt 0 1 2\nt 0 1 3\nt 0 1 4\n")
+    (d / "octahedron.tri").write_text(io.write_mesh(fixtures.octahedron()), encoding="utf-8")
+    (d / "bad.tri").write_text("tri-surface v1\nv 5\nt 0 1 2\nt 0 1 3\nt 0 1 4\n",
+                               encoding="utf-8")
     patch = fixtures.hex_patch(3)
-    (d / "hex3.tri").write_text(io.write_mesh(patch.surface))
-    (d / "c6.cplx").write_text("\n".join(f"s {i} {(i + 1) % 6}" for i in range(6)))
+    (d / "hex3.tri").write_text(io.write_mesh(patch.surface), encoding="utf-8")
+    (d / "c6.cplx").write_text("\n".join(f"s {i} {(i + 1) % 6}" for i in range(6)),
+                               encoding="utf-8")
     rng = random.Random(1)
     lop = opalgebra.random_factorizable(rng, "black")
     lines = []
@@ -239,7 +241,7 @@ def fixture_dir(tmp_path_factory):
         fn = getattr(lop, name)
         for p in w.points():
             lines.append(f"c {p[0]} {p[1]} {fn(p)}")
-    (d / "random.op").write_text("\n".join(lines))
+    (d / "random.op").write_text("\n".join(lines), encoding="utf-8")
     return d
 
 
@@ -254,10 +256,10 @@ def test_cli_green_values(fixture_dir):
 def test_cli_green_csv_and_svg(fixture_dir, tmp_path):
     csv_path = str(tmp_path / "g.csv")
     rc, _, _ = run_cli(["green", "--window", "-3", "8", "--out", csv_path])
-    assert rc == 0 and ",2," in Path(csv_path).read_text()
+    assert rc == 0 and ",2," in Path(csv_path).read_text(encoding="utf-8")
     svg_path = str(tmp_path / "g.svg")
     rc, _, _ = run_cli(["green", "--window", "-3", "8", "--out", svg_path])
-    assert rc == 0 and Path(svg_path).read_text().startswith("<svg")
+    assert rc == 0 and Path(svg_path).read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_cli_holonomy(fixture_dir):
@@ -310,7 +312,7 @@ def test_cli_mesh_check_coincident_ring_pairs(tmp_path):
     counts = {}
     for tag, surf in surfaces.items():
         path = tmp_path / f"{tag}.tri"
-        path.write_text(io.write_mesh(surf))
+        path.write_text(io.write_mesh(surf), encoding="utf-8")
         out = StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["mesh-check", "--mesh", str(path)]) == 0
@@ -350,7 +352,7 @@ def test_cli_maxprinciple(fixture_dir, tmp_path):
     svg = str(tmp_path / "mp.svg")
     rc, _, _ = run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
                         "--seed", "7", "--out", svg])
-    assert rc == 0 and Path(svg).read_text().startswith("<svg")
+    assert rc == 0 and Path(svg).read_text(encoding="utf-8").startswith("<svg")
 
 
 def test_cli_taylor_cauchy(fixture_dir):
@@ -371,7 +373,7 @@ def test_cli_factorize(fixture_dir, tmp_path):
                         "--window", "0", "11", "0", "11", "--mode", "float",
                         "--tol", "1e-12", "--out", csv])
     assert rc == 0
-    assert Path(csv).read_text().startswith("n1,n2,color")
+    assert Path(csv).read_text(encoding="utf-8").startswith("n1,n2,color")
 
 
 def test_cli_qcd(fixture_dir):
@@ -413,7 +415,8 @@ def test_cli_ksimplicial(fixture_dir):
 
 def test_cli_ksimplicial_rejects_a_pinched_vertex(tmp_path):
     path = tmp_path / "pinched.cplx"
-    path.write_text("".join(f"s {a} {b} {c}\n" for a, b, c in pinched_torus(4).simplices))
+    path.write_text("".join(f"s {a} {b} {c}\n" for a, b, c in pinched_torus(4).simplices),
+                    encoding="utf-8")
     rc, out, err = run_cli(["ksimplicial", "--complex", str(path)])
     assert rc == 1 and "Traceback" not in err
     assert json.loads(out) == {"error": "NotAManifold",
@@ -450,7 +453,7 @@ def test_cli_cauchy_domain_file(tmp_path):
         for y in range(4, 8):
             lines.append(f"d b {x} {y}")
             lines.append(f"d w {x} {y}")
-    dom_file.write_text("\n".join(lines))
+    dom_file.write_text("\n".join(lines), encoding="utf-8")
     rc, out, _ = run_cli(["cauchy", "--seed", "3", "--window", "0", "12", "0", "12",
                           "--domain", str(dom_file)])
     assert rc == 0 and json.loads(out)["exact"]
@@ -461,7 +464,7 @@ def test_cli_cauchy_names_the_least_vertex_outside_the_window(tmp_path):
     # leaves out every vertex with a coordinate -1, the least being (-1, 0)
     dom_file = tmp_path / "dom.ld"
     dom_file.write_text("".join(f"d {k} {x} {y}\n" for x in range(0, 8)
-                                for y in range(0, 8) for k in "bw"))
+                                for y in range(0, 8) for k in "bw"), encoding="utf-8")
     for seed in ("0", "1", "987654"):
         rc, out, err = run_cli(["cauchy", "--seed", "3", "--window", "0", "12", "0", "12",
                                 "--domain", str(dom_file)], env={"PYTHONHASHSEED": seed})
@@ -479,7 +482,7 @@ def test_cli_holonomy_noncanonical_connection(fixture_dir, tmp_path):
             if v == 0:
                 lines.append(f"b {t} {local} 3")
     conn_file = tmp_path / "gauged.conn"
-    conn_file.write_text("\n".join(lines) + "\n")
+    conn_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc, out, _ = run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                           "--conn", str(conn_file)])
     assert rc == 0
@@ -498,7 +501,7 @@ def test_cli_maxprinciple_with_psi_file(fixture_dir, tmp_path):
     vc = fixtures.lattice_vertex_coloring(patch)
     cvals = ("2", "-5", "3")
     psi_file = tmp_path / "flat.bv"
-    psi_file.write_text("\n".join(f"psi {v} {cvals[vc[v]]}" for v in free))
+    psi_file.write_text("\n".join(f"psi {v} {cvals[vc[v]]}" for v in free), encoding="utf-8")
     rc, out, _ = run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
                           "--psi", str(psi_file)])
     assert rc == 0
@@ -514,7 +517,7 @@ def test_cli_covariants_with_connection(fixture_dir, tmp_path):
             if v in (0, 3):
                 lines.append(f"b {t} {local} {5 if v == 0 else '1/2'}")
     conn_file = tmp_path / "gauged2.conn"
-    conn_file.write_text("\n".join(lines) + "\n")
+    conn_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
     rc, out, _ = run_cli(["covariants", "--mesh", str(fixture_dir / "octahedron.tri"),
                           "--conn", str(conn_file)])
     assert rc == 0
@@ -524,7 +527,7 @@ def test_cli_covariants_with_connection(fixture_dir, tmp_path):
 @pytest.mark.parametrize("line", ["b 99 0 2", "b -1 0 2"])
 def test_cli_holonomy_rejects_bad_triangle_index(fixture_dir, tmp_path, line):
     conn_file = tmp_path / "bad.conn"
-    conn_file.write_text(line + "\n")
+    conn_file.write_text(line + "\n", encoding="utf-8")
     rc, out, err = run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                             "--conn", str(conn_file)])
     assert rc == 1
@@ -551,20 +554,20 @@ def assert_typed_error(rc, out, err):
                                   "psi 3 1/0\n"])
 def test_cli_maxprinciple_rejects_bad_boundary_values(fixture_dir, tmp_path, text):
     psi_file = tmp_path / "bad.bv"
-    psi_file.write_text(text)
+    psi_file.write_text(text, encoding="utf-8")
     assert_typed_error(*run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
                                  "--psi", str(psi_file)]))
 
 
 def test_cli_mesh_vertex_line_without_count(tmp_path):
     mesh_file = tmp_path / "no-count.tri"
-    mesh_file.write_text("tri-surface v1\nv\nt 0 1 2\n")
+    mesh_file.write_text("tri-surface v1\nv\nt 0 1 2\n", encoding="utf-8")
     assert_typed_error(*run_cli(["mesh-check", "--mesh", str(mesh_file)]))
 
 
 def test_cli_connection_zero_denominator(fixture_dir, tmp_path):
     conn_file = tmp_path / "zero-den.conn"
-    conn_file.write_text("b 0 0 1/0\n")
+    conn_file.write_text("b 0 0 1/0\n", encoding="utf-8")
     assert_typed_error(*run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                                  "--conn", str(conn_file)]))
 
@@ -583,7 +586,7 @@ QCD_FLOAT = ["qcd-identity", "--mode", "float", "--tol", "1e-12", "--c", "1.0", 
         ("--l", "0.25,0.1,0_4,0.25"), ("--c", "abc")]),
 ])
 def test_cli_numeric_field_errors_name_the_line(tmp_path, args, line):
-    (tmp_path / "x.tri").write_text("tri-surface v1\nt 0 1 x\n")
+    (tmp_path / "x.tri").write_text("tri-surface v1\nt 0 1 x\n", encoding="utf-8")
     rc, out, err = run_cli([str(tmp_path / a) if a == "x.tri" else a for a in args])
     assert_typed_error(rc, out, err)
     assert repr(line) in json.loads(out)["message"]
@@ -609,9 +612,9 @@ def test_cli_float_flags_keep_the_plain_forms():
 @pytest.mark.parametrize("cmd", ["holonomy", "covariants"])
 def test_cli_zero_connection_coefficient(fixture_dir, tmp_path, cmd):
     conn_file = tmp_path / "zero.conn"
-    conn_file.write_text("b 0 0 0\n")
+    conn_file.write_text("b 0 0 0\n", encoding="utf-8")
     with pytest.raises(C.ZeroDivisor, match=r"b\[0,0\] must be nonzero"):
-        io.parse_connection(conn_file.read_text(), fixtures.octahedron())
+        io.parse_connection(conn_file.read_text(encoding="utf-8"), fixtures.octahedron())
     rc, out, err = run_cli([cmd, "--mesh", str(fixture_dir / "octahedron.tri"),
                             "--conn", str(conn_file)])
     assert rc == 1 and "Traceback" not in err
@@ -629,7 +632,7 @@ def test_cli_factorize_window_past_the_grid_names_the_point(fixture_dir):
 @pytest.mark.parametrize("text", ["op 0\n", "op 0 0\nc 0 0\n"])
 def test_cli_factorize_rejects_bad_operator_arity(tmp_path, text):
     op_file = tmp_path / "bad.op"
-    op_file.write_text(text)
+    op_file.write_text(text, encoding="utf-8")
     assert_typed_error(*run_cli(["factorize", "--op", str(op_file)]))
 
 
@@ -647,8 +650,8 @@ def test_cli_maxprinciple_rejects_boundary_value_outside_domain(fixture_dir, tmp
     assert len(star) == 6
     inside = {v for t in star for v in patch.surface.triangles[t]}
     outside = min(set(range(patch.surface.num_vertices)) - inside)
-    (tmp_path / "star.dom").write_text("".join(f"d {t}\n" for t in star))
-    (tmp_path / "outside.bv").write_text(f"psi {outside} 5\n")
+    (tmp_path / "star.dom").write_text("".join(f"d {t}\n" for t in star), encoding="utf-8")
+    (tmp_path / "outside.bv").write_text(f"psi {outside} 5\n", encoding="utf-8")
     rc, out, err = run_cli(["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
                             "--domain", str(tmp_path / "star.dom"),
                             "--psi", str(tmp_path / "outside.bv")])
@@ -658,7 +661,7 @@ def test_cli_maxprinciple_rejects_boundary_value_outside_domain(fixture_dir, tmp
 
 def test_cli_holonomy_rejects_duplicate_connection_line(fixture_dir, tmp_path):
     conn_file = tmp_path / "dup.conn"
-    conn_file.write_text("b 0 0 2\nb 0 0 5\n")
+    conn_file.write_text("b 0 0 2\nb 0 0 5\n", encoding="utf-8")
     rc, out, err = run_cli(["holonomy", "--mesh", str(fixture_dir / "octahedron.tri"),
                             "--conn", str(conn_file)])
     assert_typed_error(rc, out, err)
@@ -669,8 +672,8 @@ def test_cli_edge_disconnected_domains(fixture_dir, tmp_path):
     # triangles 0 and 1 of hex_patch(3) share only a vertex
     surf = fixtures.hex_patch(3).surface
     assert len(set(surf.triangles[0]) & set(surf.triangles[1])) == 1
-    (tmp_path / "pinch.dom").write_text("d 0\nd 1\n")
-    (tmp_path / "two.tri").write_text("tri-surface v1\nt 0 1 2\nt 3 4 5\n")
+    (tmp_path / "pinch.dom").write_text("d 0\nd 1\n", encoding="utf-8")
+    (tmp_path / "two.tri").write_text("tri-surface v1\nt 0 1 2\nt 3 4 5\n", encoding="utf-8")
     for argv in (["maxprinciple", "--mesh", str(fixture_dir / "hex3.tri"),
                   "--domain", str(tmp_path / "pinch.dom")],
                  ["mesh-check", "--mesh", str(tmp_path / "two.tri")]):
@@ -707,7 +710,7 @@ def test_duplicate_records_name_the_line(parse, text, match):
 
 def test_cli_cauchy_rejects_duplicate_domain_line(tmp_path):
     dom_file = tmp_path / "dup.ld"
-    dom_file.write_text("d b 0 0\nd w -1 -1\nd b 0 0\n")
+    dom_file.write_text("d b 0 0\nd w -1 -1\nd b 0 0\n", encoding="utf-8")
     rc, out, err = run_cli(["cauchy", "--domain", str(dom_file)])
     assert_typed_error(rc, out, err)
     assert "'d b 0 0'" in json.loads(out)["message"]
@@ -715,13 +718,13 @@ def test_cli_cauchy_rejects_duplicate_domain_line(tmp_path):
 
 @pytest.mark.parametrize("record", ["header", "coefficient"])
 def test_cli_factorize_rejects_duplicate_operator_records(fixture_dir, tmp_path, record):
-    text = fixture_dir.joinpath("random.op").read_text()
+    text = fixture_dir.joinpath("random.op").read_text(encoding="utf-8")
     lines = text.splitlines()
     # the file's first term header again, or its last coefficient line again
     line = lines[0] if record == "header" else lines[-1]
     assert line.split()[0] == ("op" if record == "header" else "c")
     op_file = tmp_path / "dup.op"
-    op_file.write_text(text + "\n" + line + "\n")
+    op_file.write_text(text + "\n" + line + "\n", encoding="utf-8")
     rc, out, err = run_cli(["factorize", "--op", str(op_file)])
     assert_typed_error(rc, out, err)
     assert repr(line) in json.loads(out)["message"]
@@ -733,7 +736,7 @@ def test_cli_factorize_rejects_duplicate_operator_records(fixture_dir, tmp_path,
     ("ksimplicial", "--complex", "dup.cplx", "s 0 1\ns 1 2\ns 2 0\ns 0 2\n", "s 0 2"),
 ], ids=["mesh-check", "ksimplicial"])
 def test_cli_rejects_duplicate_mesh_and_complex_records(tmp_path, cmd, flag, name, text, line):
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_text(text, encoding="utf-8")
     rc, out, err = run_cli([cmd, flag, str(tmp_path / name)])
     assert_typed_error(rc, out, err)
     assert repr(line) in json.loads(out)["message"]

@@ -257,7 +257,8 @@ def test_ksimplicial_reads_the_orbits_once(monkeypatch, tmp_path):
 
     def ksimplicial(x):
         path = tmp_path / "x.cplx"
-        path.write_text("".join("s " + " ".join(map(str, s)) + "\n" for s in x.simplices))
+        path.write_text("".join("s " + " ".join(map(str, s)) + "\n" for s in x.simplices),
+                        encoding="utf-8")
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main(["ksimplicial", "--complex", str(path)])
