@@ -458,10 +458,6 @@ class BigBlackTriangle:
         if self.k < 0:
             raise ValueError("order k must be >= 0")
 
-    @property
-    def side(self) -> int:
-        return 2 * self.k + 2
-
     def contains(self, p: Point) -> bool:
         i, j = self.apex[0] - p[0], self.apex[1] - p[1]
         return i >= 0 and j >= 0 and i + j <= 2 * self.k + 1
@@ -774,7 +770,9 @@ def build_green(window: Window) -> LatticeFunction:
 @dataclass(frozen=True)
 class LatticeDomain:
     """Finite simplicial subcomplex of the lattice triangulation, stored
-    as a set of ('b'|'w', apex) triangles; its vertex set is computed once."""
+    as a set of ('b'|'w', apex) triangles.  Its vertex set is computed once
+    and filled in sorted order, so its iteration order does not depend on
+    the string-hash seed that orders the triangles."""
 
     tris: frozenset
     _vertices: frozenset = field(init=False, compare=False, repr=False)
@@ -786,18 +784,11 @@ class LatticeDomain:
         for t in self.tris:
             if t[0] not in ("b", "w"):
                 raise ValueError(f"bad triangle kind {t[0]!r}")
-            verts |= set(triangle_vertices(t))  # 3-set unions fix the iteration order
-        object.__setattr__(self, "_vertices", frozenset(verts))
+            verts |= set(triangle_vertices(t))
+        object.__setattr__(self, "_vertices", frozenset(sorted(verts)))
 
     def vertices(self) -> frozenset:
         return self._vertices
-
-    def boundary_plus_black(self) -> list:
-        """Apexes of black triangles not in D that touch D: the black
-        triangle at apex a has vertices a, a - e1, a - e2."""
-        black = {apex for kind, apex in self.tris if kind == "b"}
-        return sorted({a for x, y in self._vertices for a in ((x, y), (x + 1, y), (x, y + 1))}
-                      - black)
 
 
 def triangle_vertices(t) -> tuple:

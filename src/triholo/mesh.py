@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 from .errors import BrokenStar, DegenerateTriangle, NonManifoldEdge, NotALoop
 
 BLACK, WHITE = 0, 1
-COLOR_A, COLOR_B, COLOR_C = 0, 1, 2
 
 Edge = tuple[int, int]
 Triple = tuple[int, int, int]
@@ -192,12 +191,6 @@ class TriangulatedSurface:
             return None
         e = _edge(*common)
         return e if t2 in self.edge_triangles[e] else None
-
-    def other_triangle(self, edge: Edge, tri: int) -> int | None:
-        ts = self.edge_triangles[edge]
-        if len(ts) == 1:
-            return None
-        return ts[0] if ts[1] == tri else ts[1]
 
     def dual_neighbours(self, t: int) -> tuple[int, ...]:
         """Triangles sharing an edge with `t`, across its stored edges ab, bc,
@@ -361,14 +354,6 @@ class SubComplexDomain:
         """Triangles of M' touching the boundary of M'."""
         bv = self.boundary_vertices()
         return frozenset(t for t in self.tris if bv & set(self.surface.triangles[t]))
-
-    def upper_boundary(self) -> frozenset[int]:
-        """Triangles outside M' touching M'."""
-        verts = self.vertices
-        return frozenset(
-            t for t in range(self.surface.num_triangles)
-            if t not in self.tris and verts & set(self.surface.triangles[t])
-        )
 
 
 def whole_domain(surface: TriangulatedSurface) -> SubComplexDomain:

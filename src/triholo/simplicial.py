@@ -34,7 +34,7 @@ from itertools import combinations
 
 from . import ratmat
 from .errors import LocalHolonomyNontrivial, NotAManifold
-from .mesh import _carry_labels, dedup, label_sweep, two_coloring
+from .mesh import _carry_labels, label_sweep, two_coloring
 
 
 class SimplicialComplexK:
@@ -346,14 +346,6 @@ def _bw_report(x: SimplicialComplexK, read_out: tuple | None) -> KFactorizationR
         if ratmat.combine((2, half)) != lmat:
             holds = False
     return KFactorizationReport(True, len(kernel), matches, holds)
-
-
-def rho_signs_k(x: SimplicialComplexK, path) -> tuple[int, int]:
-    """(rho1, rho3) along a closed k-thick path: permutation parity of the
-    label transport and the simplex-count parity."""
-    sigma = slot_permutation(x.simplices, dedup(list(path) + [path[0]]))
-    rho3 = -1 if len(path) % 2 else 1
-    return perm_sign(sigma), rho3
 
 
 def boundary_of_4_simplex() -> SimplicialComplexK:

@@ -127,11 +127,6 @@ def graph_laplacian(surface: TriangulatedSurface) -> list:
     return out
 
 
-def valence_potential(surface: TriangulatedSurface, scale=3) -> list:
-    """The diagonal scale * n_P as sparse rows."""
-    return [{v: frac(scale) * surface.valence(v)} for v in range(surface.num_vertices)]
-
-
 @dataclass
 class LIdentityReport:
     """Outcome of the entrywise operator-identity checks.

@@ -387,11 +387,7 @@ def test_holonomy_invariant_under_elementary_homotopies(torus4):
             j = (i + 1) % len(cur.triangles)
             if rng.random() < 0.5:
                 t = cur.triangles[i]
-                nbrs = [surf.other_triangle(e, t)
-                        for e in surf.edge_triangles
-                        if t in surf.edge_triangles[e]]
-                nbrs = [x for x in nbrs if x is not None]
-                cur = mesh.backtrack_move(cur, i, rng.choice(nbrs))
+                cur = mesh.backtrack_move(cur, i, rng.choice(surf.dual_neighbours(t)))
             else:
                 e = surf.shared_edge(cur.triangles[i], cur.triangles[j])
                 cur = mesh.star_rotation_move(cur, i, rng.choice(e))

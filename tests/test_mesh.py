@@ -180,10 +180,6 @@ def test_domain_boundaries():
     assert dom.boundary_edges()
     lower = dom.lower_boundary()
     assert lower < dom.tris
-    # sub-domain upper boundary: triangles outside touching it
-    inner = mesh.SubComplexDomain(patch.surface, frozenset(sorted(dom.tris)[:4]))
-    up = inner.upper_boundary()
-    assert up and all(t not in inner.tris for t in up)
 
 
 def test_orientation_sign_invariance(octa):

@@ -708,6 +708,22 @@ def test_factorize_matches_closure_path(mode):
                                   tol=None if mode == "rational" else 1e-12)
 
 
+def test_factorization_read_past_its_window():
+    # past the window it was factored on, the tables hand out no rows and
+    # the comparison reads L's closures there
+    win, bigger = Window(0, 5, 0, 5), Window(-3, 8, -2, 9)
+    for seed in range(3):
+        for color in ("black", "white"):
+            lop = OA.random_factorizable(random.Random(seed), color)
+            fac = OA.factorize(lop, color, win)
+            tables = [*fac.coeffs.values(), fac.potential]
+            assert all(c._rows_on(win.shrink(1, 1, 1, 1)) is not None
+                       and c._rows_on(bigger) is None for c in tables)
+            got = OA.equal_on_window(fac.recompose(), lop.to_operator(), bigger)
+            assert got is True
+            assert got == closure_equal_on_window(fac.recompose(), lop.to_operator(), bigger)
+
+
 def test_factorize_reads_tables_for_built_operators():
     for lop in (OA.random_factorizable(random.Random(2), "white"),
                 OA.exponential_both_colors(), OA.SchrodingerOperator(3, 1, 1, 1, 1, 1, 1)):

@@ -173,6 +173,19 @@ def test_octahedron_factorization_doubled(octa):
     assert rep.factorization_holds
 
 
+@pytest.mark.parametrize("triangles", [
+    fixtures.hex_patch(1).surface.triangles,
+    fixtures.hex_patch(2).surface.triangles,
+    [(0, 1, 2), (1, 2, 3)],
+], ids=["hex1", "hex2", "two-triangles"])
+def test_factorization_fails_on_a_coloured_disc(triangles):
+    # a boundary vertex lies in more triangles of one colour than of the
+    # other, so the two halves differ on the diagonal
+    rep = SK.bw_factorization_check(SK.SimplicialComplexK(triangles))
+    assert rep.bw_exists is True
+    assert rep.factorization_holds is False
+
+
 def test_k1_factorization_note():
     rep = SK.bw_factorization_check(SK.cycle_graph(6))
     assert rep.bw_exists
@@ -221,12 +234,19 @@ def test_pinch_within_one_orbit_changes_no_number():
     assert (rep.kernel_dimension, rep.kernel_matches_covariants) == (2, True)
 
 
+def rho_signs_k(x, path) -> tuple[int, int]:
+    """(rho1, rho3) along a closed k-thick path: permutation parity of the
+    label transport and the simplex-count parity."""
+    sigma = SK.slot_permutation(x.simplices, mesh.dedup(list(path) + [path[0]]))
+    return SK.perm_sign(sigma), -1 if len(path) % 2 else 1
+
+
 def test_rho_identities_on_k_thick_loops(octa, torus4):
     for surf in (octa, torus4.surface):
         x = SK.SimplicialComplexK(surf.triangles)
         conn = C.canonical_connection(surf)
         for lp in C.generator_loops(surf)[:6]:
-            rho1k, rho3k = SK.rho_signs_k(x, list(lp.triangles))
+            rho1k, rho3k = rho_signs_k(x, list(lp.triangles))
             rho2, rho3 = mesh.homomorphism_signs(surf, lp)
             assert rho3k == rho3
             assert rho1k * rho2 == rho3

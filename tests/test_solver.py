@@ -103,7 +103,6 @@ def test_L_assembly_and_identities(octa, torus4, torus6):
     lmat = solver.assemble_L(conn)
     # diagonal n_P; the 3 n_P potential contributes 12, -2*Delta corrects by -8
     assert all(lmat[v][v] == 4 for v in range(6))
-    assert all(solver.valence_potential(octa)[v][v] == 12 for v in range(6))
     for surf in (octa, torus4.surface, torus6.surface):
         rep = solver.check_L_identity(surf)
         assert rep.l_identity
@@ -708,6 +707,23 @@ def test_max_principle_equals_fraction_hull(radius):
                                  for v, c in vc.vertex_colors.items()}, fc, vc)
         same_max_principle(dom, {v: Fraction(v, 7) for v in dom.vertices}, fc, vc)
     assert (False, True) in outcomes
+
+
+def test_max_principle_off_the_lattice_checks_no_internal_triangle():
+    # every black triangle of a subdivision has a midpoint vertex of valence
+    # 4, so one black mate there: the local check, which needs two mates at
+    # each vertex, skips all 42 internal black triangles
+    surf = fixtures.barycentric(fixtures.hex_patch(2).surface)
+    dom = mesh.whole_domain(surf)
+    fc, vc = mesh.bw_face_coloring(dom), mesh.three_vertex_coloring(dom)
+    lower = dom.lower_boundary()
+    assert sum(fc.face_colors[t] == mesh.BLACK and t not in lower for t in dom.tris) == 42
+    rng = random.Random(26)
+    for _ in range(3):
+        psi = random_bw_solution(dom, fc, rng, lambda: rng.randint(1, 4))
+        rep = same_max_principle(dom, psi, fc, vc)  # equal to the oracle's report
+        assert rep.ok and not rep.containment_violations
+        assert rep.checked_internal == 0
 
 
 def test_max_principle_closed_surfaces_equal_fraction_hull(octa):

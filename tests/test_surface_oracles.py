@@ -1,16 +1,20 @@
 """The slow paths behind the surface fast paths, kept as test oracles.
 
 Each `oracle_` function is the code a fast path replaced, verbatim except
-for its name and for taking its inputs as arguments:
+for its name, for taking its inputs as arguments, and for carrying its own
+copy of a helper the library no longer has (the other triangle across an
+edge, the scale * n_P diagonal):
 - `oracle_stars`: the star walk that looked up a triangle's rim pair and
   the edge map at every step (`TriangulatedSurface` now reads each rim pair
   once into a local fan);
 - `oracle_dual_neighbours`: the walk across the stored edges ab, bc, ac
-  through `other_triangle` (the dual graph is now stored at construction);
+  that takes the other triangle of each interior edge from the edge map
+  (the dual graph is now stored at construction);
 - `oracle_adjacency`: the facet-pair dual adjacency of a k-complex, built
   on every `adjacency()` call (now built once);
 - `oracle_L_identity`: the `Fraction` check of the L identities with the
-  half -Delta + (3/2) n_P (now compared doubled, in ints).
+  half -Delta + (3/2) n_P (now compared doubled, in ints), on the 3 n_P
+  and (3/2) n_P diagonals of `oracle_valence_diagonal`.
 
 The fast paths must agree exactly, order included, on lattice tori, hex
 patches, the Platonic fixtures, barycentric subdivisions and seeded random
@@ -103,8 +107,12 @@ def _oracle_star(triangles, spokes, incident, v) -> Star:
 
 def oracle_dual_neighbours(surf, t: int) -> list:
     a, b, c = surf.triangles[t]
-    across = (surf.other_triangle(e, t) for e in (_edge(a, b), _edge(b, c), _edge(a, c)))
-    return [o for o in across if o is not None]
+    out = []
+    for e in (_edge(a, b), _edge(b, c), _edge(a, c)):
+        ts = surf.edge_triangles[e]
+        if len(ts) == 2:
+            out.append(ts[0] if ts[1] == t else ts[1])
+    return out
 
 
 def oracle_adjacency(x) -> dict:
@@ -117,6 +125,11 @@ def oracle_adjacency(x) -> dict:
     return {i: sorted(ns) for i, ns in nbrs.items()}
 
 
+def oracle_valence_diagonal(surface, scale) -> list:
+    """The diagonal scale * n_P as sparse rows."""
+    return [{v: ratmat.frac(scale) * surface.valence(v)} for v in range(surface.num_vertices)]
+
+
 def oracle_L_identity(surface) -> solver.LIdentityReport:
     if not surface.is_closed:
         raise ValueError("identity checks run on closed surfaces")
@@ -126,13 +139,13 @@ def oracle_L_identity(surface) -> solver.LIdentityReport:
     conn = C.canonical_connection(surface)
     nv = surface.num_vertices
     delta = solver.graph_laplacian(surface)
-    rhs = ratmat.combine((-2, delta), (1, solver.valence_potential(surface)))
+    rhs = ratmat.combine((-2, delta), (1, oracle_valence_diagonal(surface, 3)))
     l_ok = solver.assemble_L(conn) == rhs
 
     coloring = mesh.bw_face_coloring(surface)
     if coloring is None:
         return solver.LIdentityReport(l_ok, False, None, None, None)
-    half = ratmat.combine((-1, delta), (1, solver.valence_potential(surface, Fraction(3, 2))))
+    half = ratmat.combine((-1, delta), (1, oracle_valence_diagonal(surface, Fraction(3, 2))))
     qb = SK.q_matrix(surface.triangles, sorted(coloring.black_triangles()))
     qw = SK.q_matrix(surface.triangles, sorted(coloring.white_triangles()))
     qb_ok = ratmat.gram(qb, nv) == half
