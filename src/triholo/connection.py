@@ -378,7 +378,7 @@ def _complete_edge_matrices(surface, edge_matrices) -> dict:
         out[(u, v)] = m
     for (u, v), m in list(out.items()):
         if (v, u) in out:
-            if not ratmat.mat_eq(ratmat.mat_mul(out[(v, u)], m), ratmat.identity(2)):
+            if ratmat.mat_mul(out[(v, u)], m) != ratmat.identity(2):
                 raise FlatnessViolation(f"R[{v},{u}] is not the inverse of R[{u},{v}]")
         else:
             out[(v, u)] = ratmat.inv2(m)
@@ -393,7 +393,7 @@ def _check_cocycle(surface, rmat):
         for p, q, r in ((t[0], t[1], t[2]), (t[1], t[2], t[0]), (t[2], t[0], t[1])):
             lhs = rmat[(p, r)]
             rhs = ratmat.mat_mul(rmat[(p, q)], rmat[(q, r)])
-            if not ratmat.mat_eq(lhs, rhs):
+            if lhs != rhs:
                 raise FlatnessViolation(f"cocycle fails on triangle {t}")
 
 

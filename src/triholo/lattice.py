@@ -458,10 +458,6 @@ class BigBlackTriangle:
         if self.k < 0:
             raise ValueError("order k must be >= 0")
 
-    def contains(self, p: Point) -> bool:
-        i, j = self.apex[0] - p[0], self.apex[1] - p[1]
-        return i >= 0 and j >= 0 and i + j <= 2 * self.k + 1
-
     def points(self):
         n1, n2 = self.apex
         m = 2 * self.k + 1
@@ -628,9 +624,6 @@ class AdmissibleSequence:
             if t not in EXTENSION_SHIFTS:
                 raise ValueError(f"unknown extension type {t!r}")
 
-    def __len__(self) -> int:
-        return len(self.types)
-
     def triangle(self, k: int) -> BigBlackTriangle:
         if k > len(self.types):
             raise SequenceTooShort(f"sequence holds {len(self.types)} extensions, asked {k}")
@@ -711,13 +704,12 @@ def taylor_coefficients(psi: LatticeFunction, seq: AdmissibleSequence, order: in
 
 
 def taylor_partial_sum(seq: AdmissibleSequence, coeffs: list, window: Window,
-                       basis: list | None = None) -> LatticeFunction:
+                       basis: list) -> LatticeFunction:
     """Sum alpha^1_k psi^1_k + alpha^2_k psi^2_k through the given coeffs.
 
-    Pass a precomputed `poly_space_basis` result to reuse it across calls.
+    `basis` is a `poly_space_basis` result for `seq` on `window`, through
+    at least the order of the last coefficient.
     """
-    if basis is None:
-        basis = poly_space_basis(seq, len(coeffs) - 1, window)
     terms = []
     for k, (a1, a2) in enumerate(coeffs):
         for a, f in ((a1, basis[2 * k]), (a2, basis[2 * k + 1])):

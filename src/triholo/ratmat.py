@@ -100,10 +100,6 @@ def vec_mat(v: Vec, a: Mat) -> Vec:
     return [sum((v[i] * a[i][j] for i in range(n)), Fraction(0)) for j in range(m)]
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
-
-
 def mat_pow(a: Mat, k: int) -> Mat:
     out = identity(len(a))
     for _ in range(k):

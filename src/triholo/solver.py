@@ -39,7 +39,6 @@ from .mesh import (
     BLACK,
     Coloring,
     TriangulatedSurface,
-    as_domain,
     bw_face_coloring,
     three_vertex_coloring,
 )
@@ -233,14 +232,13 @@ def solve_bw(domain, coloring: Coloring, boundary_values: dict) -> BWSolveResult
     NonTrivialHolonomy; a value prescribed on a vertex outside the domain
     is a ValueError.
     """
-    dom = as_domain(domain)
-    if three_vertex_coloring(dom) is None:
+    if three_vertex_coloring(domain) is None:
         raise NonTrivialHolonomy("domain has no global tri-coloring")
-    outside = sorted(set(boundary_values) - dom.vertices)
+    outside = sorted(set(boundary_values) - domain.vertices)
     if outside:
         raise ValueError(f"boundary values on vertices outside the domain: {outside}")
     fixed = {v: frac(x) for v, x in boundary_values.items()}
-    unknowns, rows, rhs = _black_system(dom, coloring, fixed)
+    unknowns, rows, rhs = _black_system(domain, coloring, fixed)
     particular, null = ratmat.solve_affine(rows, rhs, len(unknowns))
     if particular is None:
         raise InconsistentBoundary("boundary values admit no black-triangle solution")
@@ -256,7 +254,7 @@ def determining_vertex_set(domain, coloring: Coloring) -> tuple:
 
     Prescribing values there makes the solution unique.
     """
-    verts, rows, _ = _black_system(as_domain(domain), coloring, {})
+    verts, rows, _ = _black_system(domain, coloring, {})
     pivots = set(ratmat.rref(rows, len(verts))[1])
     return tuple(v for i, v in enumerate(verts) if i not in pivots)
 
@@ -294,11 +292,10 @@ class MaxPrincipleReport:
 
 def hat_map(domain, psi: dict, face_coloring: Coloring, vertex_coloring: Coloring) -> dict:
     """psi-hat: black triangle -> (psi_a, psi_b) in the covariant plane."""
-    dom = as_domain(domain)
-    surf = dom.surface
+    surf = domain.surface
     vc = vertex_coloring.vertex_colors
     out = {}
-    for t in sorted(dom.tris):
+    for t in sorted(domain.tris):
         if face_coloring.face_colors[t] != BLACK:
             continue
         by_color = {vc[v]: psi[v] for v in surf.triangles[t]}
@@ -306,31 +303,24 @@ def hat_map(domain, psi: dict, face_coloring: Coloring, vertex_coloring: Colorin
     return out
 
 
-def max_principle_check(domain, psi: dict,
-                        face_coloring: Coloring | None = None,
-                        vertex_coloring: Coloring | None = None) -> MaxPrincipleReport:
+def max_principle_check(domain, psi: dict, face_coloring: Coloring,
+                        vertex_coloring: Coloring) -> MaxPrincipleReport:
     """Check that psi-hat lands in the convex hull of the boundary images.
 
-    psi must solve every black triangle equation of the domain
+    `domain` is a SubComplexDomain, `face_coloring` marks its black
+    triangles and `vertex_coloring` is a proper 3-colouring of its
+    vertices.  psi must solve every black triangle equation of the domain
     (NotASolution otherwise).  Reports hull corners not realized by
     boundary triangles, containment failures, and internal triangles whose
     image is not between a neighbor pair on one of the three coordinate
-    lines.
+    lines.  The mates at a vertex already lie on its line, so that test
+    compares only the coordinate that moves along it (`_between`).
 
     Every test runs on psi times the lcm of its denominators, in ints: a
     positive scale keeps the sort order and the sign of every cross
     product.  The corners are scaled back to Fraction pairs.
     """
-    dom = as_domain(domain)
-    surf = dom.surface
-    if face_coloring is None:
-        face_coloring = bw_face_coloring(dom)
-        if face_coloring is None:
-            raise NonTrivialHolonomy("domain admits no b/w coloring")
-    if vertex_coloring is None:
-        vertex_coloring = three_vertex_coloring(dom)
-        if vertex_coloring is None:
-            raise NonTrivialHolonomy("domain admits no tri-coloring")
+    surf = domain.surface
     psi = {v: frac(x) for v, x in psi.items()}
     den = lcm(*{x.denominator for x in psi.values()})
     psi = {v: x.numerator * (den // x.denominator) for v, x in psi.items()}
@@ -338,19 +328,19 @@ def max_principle_check(domain, psi: dict,
     def unscaled(pts):
         return [(Fraction(a, den), Fraction(b, den)) for a, b in pts]
 
-    blacks = sorted(t for t in dom.tris if face_coloring.face_colors[t] == BLACK)
+    blacks = sorted(t for t in domain.tris if face_coloring.face_colors[t] == BLACK)
     for t in blacks:
         if sum(psi[v] for v in surf.triangles[t]) != 0:
             raise NotASolution(f"black triangle {t} sum is nonzero")
 
-    images = hat_map(dom, psi, face_coloring, vertex_coloring)
+    images = hat_map(domain, psi, face_coloring, vertex_coloring)
     pts = list(images.values())
     point_hull = len(set(pts)) == 1
 
-    lower = dom.lower_boundary()
+    lower = domain.lower_boundary()
     boundary_pts = {images[t] for t in blacks if t in lower}
     corners = convex_hull(pts)
-    if dom.tris == frozenset(range(surf.num_triangles)) and surf.is_closed:
+    if domain.tris == frozenset(range(surf.num_triangles)) and surf.is_closed:
         # closed surface: no boundary; only covariant constants may pass
         corner_violations = [] if point_hull else corners
         return MaxPrincipleReport(point_hull, unscaled(corners),
@@ -366,41 +356,27 @@ def max_principle_check(domain, psi: dict,
     for t in blacks:
         if t in lower:
             continue
-        pairs = []
-        degenerate = False
-        for v in surf.triangles[t]:
-            mates = [o for o in surf.vertex_triangles[v]
-                     if o != t and o in dom.tris and face_coloring.face_colors[o] == BLACK]
-            if len(mates) != 2:
-                degenerate = True
-                break
-            pairs.append((vc[v], mates))
-        if degenerate:
+        # the other black triangles at each vertex (the keys of images)
+        lines = [(vc[v], [o for o in surf.vertex_triangles[v] if o != t and o in images])
+                 for v in surf.triangles[t]]
+        if any(len(mates) != 2 for _, mates in lines):
             continue
         checked += 1
-        if not any(_between_on_line(images, t, mates, color)
-                   for color, mates in pairs):
+        if not any(_between(images, t, mates, color) for color, mates in lines):
             betweenness_failures.append(t)
     return MaxPrincipleReport(point_hull, unscaled(corners), corner_violations,
                               containment_violations, betweenness_failures, checked)
 
 
-def _between_on_line(images, t, mates, color) -> bool:
-    """Image of t between the two mate images along the psi_color = const line."""
-    p = images[t]
-    q1, q2 = images[mates[0]], images[mates[1]]
-
-    def coord(pt, c):
-        if c == 0:
-            return pt[0]
-        if c == 1:
-            return pt[1]
-        return -pt[0] - pt[1]
-
-    if coord(q1, color) != coord(p, color) or coord(q2, color) != coord(p, color):
-        return False
+def _between(images, t, mates, color) -> bool:
+    """Image of t between its two mates' images on the line psi_color = psi_v
+    through all three.  Only the free coordinate is compared, the second one
+    for colour 0 and the first one otherwise: the images already share the
+    fixed one, psi_v itself for colours 0 and 1 because the vertex colouring
+    is proper, and -a-b = psi_v for colour 2 because every black triangle
+    passed the NotASolution check."""
     free = 1 if color == 0 else 0
-    a, b, x = coord(q1, free), coord(q2, free), coord(p, free)
+    x, a, b = (images[s][free] for s in (t, *mates))
     return min(a, b) <= x <= max(a, b)
 
 

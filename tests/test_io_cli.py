@@ -643,6 +643,40 @@ def test_cli_qcd_zero_denominator(flag):
     assert "zero denominator" in json.loads(out)["message"]
 
 
+def assert_error_body(rc, out, err, error, message):
+    """Exit 1 with one JSON body, {error, message}, on stdout and on stderr."""
+    body = {"error": error, "message": message}
+    assert rc == 1
+    assert json.loads(out) == body and json.loads(err) == body
+
+
+@pytest.mark.parametrize("extra, error, message", [
+    ([], "ValueError", "float mode needs --l l11,l12,l21,l22"),
+    (["--l", "nan,0,0,0"], "ValueError", "bad float 'nan': '--l nan,0,0,0'"),
+    (["--l", "0.25,0.1,0.4,0.25", "--c", "1_0"], "ValueError", "bad float '1_0': '--c 1_0'"),
+])
+def test_cli_qcd_float_mode_errors(extra, error, message):
+    rc, out, err = run_cli(["qcd-identity", "--mode", "float", "--tol", "1e-12", *extra])
+    assert_error_body(rc, out, err, error, message)
+
+
+@pytest.mark.parametrize("flag", ["--q", "--s"])
+def test_cli_qcd_zero_q_or_s(flag):
+    assert_error_body(*run_cli(["qcd-identity", flag, "0"]),
+                      "ConditionViolated", "q and s must be nonzero")
+
+
+def test_cli_factorize_with_no_rational_root_in_either_colour(tmp_path):
+    # a = 9 and every other shift 2: l1 l2 / d = 2 has no rational square root
+    op_file = tmp_path / "const.op"
+    op_file.write_text("".join(
+        f"op {x} {y}\n" + "".join(f"c {i} {j} {9 if name == 'a' else 2}\n"
+                                  for i in range(12) for j in range(12))
+        for name, (x, y) in opalgebra.SCHRODINGER_SHIFTS.items()), encoding="utf-8")
+    assert_error_body(*run_cli(["factorize", "--op", str(op_file)]),
+                      "TriholoError", "neither color factorizes in this mode")
+
+
 def test_cli_maxprinciple_rejects_boundary_value_outside_domain(fixture_dir, tmp_path):
     patch = fixtures.hex_patch(3)
     centre = patch.vertex_of[(0, 0)]

@@ -237,7 +237,7 @@ def test_taylor_on_constants_and_basis():
     seq = L.default_admissible((0, 0), 4)
     p0 = L.covariant_constant((2, -3, 1), w)
     co = L.taylor_coefficients(p0, seq, 3)
-    ps = L.taylor_partial_sum(seq, co[:1], w)
+    ps = L.taylor_partial_sum(seq, co[:1], w, L.poly_space_basis(seq, 0, w))
     assert all(ps[p] == p0[p] for p in w.points())
     assert co[1] == (0, 0) and co[2] == (0, 0) and co[3] == (0, 0)
     basis = L.poly_space_basis(seq, 4, w)
@@ -250,7 +250,8 @@ def test_taylor_on_constants_and_basis():
 def test_taylor_partial_sum_of_zero_coefficients():
     w = L.Window(-8, 6, -8, 6)
     seq = L.default_admissible((0, 0), 2)
-    ps = L.taylor_partial_sum(seq, [(0, 0), (Fraction(0), 0), (0, 0)], w)
+    ps = L.taylor_partial_sum(seq, [(0, 0), (Fraction(0), 0), (0, 0)], w,
+                              L.poly_space_basis(seq, 2, w))
     assert ps.window == w and ps.support() == set()
 
 

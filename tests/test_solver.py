@@ -23,6 +23,7 @@ from triholo.errors import (
     NonTrivialHolonomy,
     NotASolution,
     OddValence,
+    TriholoError,
 )
 
 
@@ -496,7 +497,9 @@ def test_max_principle_closed_surface(octa):
     conn = C.canonical_connection(octa)
     cov = solver.covariant_constants(conn)
     psi = {v: cov.basis[0][v] + 2 * cov.basis[1][v] for v in range(6)}
-    rep = solver.max_principle_check(mesh.whole_domain(octa), psi)
+    dom = mesh.whole_domain(octa)
+    rep = solver.max_principle_check(dom, psi, mesh.bw_face_coloring(dom),
+                                     mesh.three_vertex_coloring(dom))
     assert rep.point_hull and rep.ok
 
 
@@ -701,7 +704,7 @@ def test_max_principle_equals_fraction_hull(radius):
             mixed = {v: str(x) if v % 2 else x for v, x in psi.items()}
             mixed.update({v: Fraction(1, 2 ** 61 - 1) for v in range(surf.num_vertices)
                           if v not in psi})
-            assert same_max_principle(dom, mixed) == rep
+            assert same_max_principle(dom, mixed, fc, vc) == rep
         # a covariant constant, and a function that is not a solution
         same_max_principle(dom, {v: (5, Fraction(-7, 3), Fraction(-8, 3))[c]
                                  for v, c in vc.vertex_colors.items()}, fc, vc)
@@ -732,7 +735,9 @@ def test_max_principle_closed_surfaces_equal_fraction_hull(octa):
     cov = solver.covariant_constants(conn).basis
     psi = {v: Fraction(2, 3) * cov[0][v] - Fraction(1, 2 ** 61 - 1) * cov[1][v]
            for v in range(6)}
-    assert same_max_principle(mesh.whole_domain(octa), psi).point_hull
+    dom = mesh.whole_domain(octa)
+    fc, vc = mesh.bw_face_coloring(dom), mesh.three_vertex_coloring(dom)
+    assert same_max_principle(dom, psi, fc, vc).point_hull
     # a closed torus with a third of its black triangles marked black: no
     # boundary, so every corner of a hull wider than a point is reported
     surf = fixtures.torus_lattice(6).surface
@@ -745,6 +750,26 @@ def test_max_principle_closed_surfaces_equal_fraction_hull(octa):
     psi = {v: sum(c * n[v] for c, n in zip(coeffs, null)) for v in range(surf.num_vertices)}
     rep = same_max_principle(dom, psi, fc, vc)
     assert not rep.point_hull and rep.corner_violations == rep.hull_corners
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_max_principle_betweenness_failures_equal_fraction_hull(radius):
+    # random black markings of a hex patch, which are not the lattice's: its
+    # reports carry betweenness failures (and containment violations)
+    surf = fixtures.hex_patch(radius).surface
+    dom = mesh.whole_domain(surf)
+    vc = mesh.three_vertex_coloring(dom)
+    failing = 0
+    for seed in range(100):
+        rng = random.Random(seed)
+        fc = mesh.Coloring(face_colors={t: rng.choice((mesh.BLACK, mesh.WHITE))
+                                        for t in range(surf.num_triangles)})
+        try:
+            psi = random_bw_solution(dom, fc, rng, lambda: rng.randint(1, 4))
+        except TriholoError:
+            continue
+        failing += bool(same_max_principle(dom, psi, fc, vc).betweenness_failures)
+    assert failing > 0
 
 
 def test_convex_hull_exact():
