@@ -30,6 +30,13 @@ returns floats at some points and exact values at others): it returns None,
 and the callers read the closures point by point instead.  `_pairs` is the
 one reader of coefficient pairs, off the tables or off the closures.
 
+An L built from a factorization (`random_factorizable`,
+`exponential_both_colors`) remembers it: while its seven fields are the
+closures it was built with, `to_operator` is the factorization recomposed,
+so L's table comes from the tables of Q's three coefficients and the
+potential rather than from seven composite closures, each of which reads
+Q's coefficients at several points.
+
 Both colours of the factorization L = Q+ Q + U are one construction,
 read from the table `COLORS`: Q = q0 + q1 t1^s + q2 t2^s with s = -1
 (black) or s = +1 (white).
@@ -412,13 +419,30 @@ class SchrodingerOperator:
             if not callable(v):
                 setattr(self, name, const(v))
 
+    # (factorization, then the seven closures it put on the fields a..g) for
+    # an L built by `_from_factorization`; None otherwise
+    _built = None
+
     @classmethod
     def from_operator(cls, op: DifferenceOperator) -> "SchrodingerOperator":
-        """The coefficients of `op` at the seven Schrodinger shifts."""
+        """The coefficients of `op` at the seven Schrodinger shifts;
+        NotSelfAdjoint when `op` has a term at any other shift."""
+        for alpha in op.shifts:
+            if alpha not in _SHIFT_NAMES:
+                raise NotSelfAdjoint(f"shift {alpha} is not one of the seven Schrodinger shifts")
         return cls(**{name: op.coefficient(alpha)
                       for name, alpha in SCHRODINGER_SHIFTS.items()})
 
     def to_operator(self) -> DifferenceOperator:
+        """L as an operator whose terms are the seven fields.  An L built
+        from a factorization whose fields are still the closures it was built
+        with is that factorization recomposed instead: the same coefficients,
+        whose table is built from the tables of Q's three coefficients and
+        the potential, each evaluated once per point."""
+        built = self._built
+        if built is not None and all(getattr(self, name) is fn
+                                     for name, fn in zip(SCHRODINGER_SHIFTS, built[1:])):
+            return built[0].recompose()
         return DifferenceOperator(
             {alpha: getattr(self, name) for name, alpha in SCHRODINGER_SHIFTS.items()})
 
@@ -438,14 +462,20 @@ class SchrodingerOperator:
 
 def _lop_table(lop: SchrodingerOperator, window: Window) -> tuple | None:
     """L's seven coefficients on `window` as (table, den), every part exact
-    over the one denominator den, or None when L cannot be tabulated there
-    or a coefficient is not rational."""
+    over den, the least common denominator of their values, or None when L
+    cannot be tabulated there or a coefficient is not rational."""
     tabs = _tabulate([(lop.to_operator(), window)])
     if tabs is None or any(d is None for _, d in tabs[0].parts.values()):
         return None
     tab = tabs[0]
     den = math.lcm(*(d for _, d in tab.parts.values()))
-    tab.parts = {alpha: (_scaled(rows, den // d), den) for alpha, (rows, d) in tab.parts.items()}
+    parts = {alpha: _scaled(rows, den // d) for alpha, (rows, d) in tab.parts.items()}
+    # a leaf evaluated point by point is over the least denominator already;
+    # a composite's part is over the product of its operands' denominators
+    g = math.gcd(den, *(v for rows in parts.values() for r in rows for v in r))
+    den //= g
+    tab.parts = {alpha: (rows if g == 1 else [[v // g for v in r] for r in rows], den)
+                 for alpha, rows in parts.items()}
     return tab, den
 
 
@@ -659,8 +689,7 @@ def random_factorizable(rng: random.Random, color: str = "black") -> Schrodinger
 
     pot = rng.randint(1, 5)
     names = _color(color)[0]
-    fac = Factorization(color, {k: rpos() for k in names}, pot)
-    return SchrodingerOperator.from_operator(fac.recompose())
+    return _from_factorization(Factorization(color, {k: rpos() for k in names}, pot))
 
 
 def exponential_both_colors() -> SchrodingerOperator:
@@ -671,8 +700,15 @@ def exponential_both_colors() -> SchrodingerOperator:
     def u(n):
         return Fraction(2) ** (n[0] + n[1])
 
-    fac = Factorization("black", {"u": u, "v": const(1), "w": const(1)}, 3)
-    return SchrodingerOperator.from_operator(fac.recompose())
+    return _from_factorization(Factorization("black", {"u": u, "v": const(1), "w": const(1)}, 3))
+
+
+def _from_factorization(fac: Factorization) -> SchrodingerOperator:
+    """L = Q+ Q + potential as a SchrodingerOperator that remembers `fac`,
+    so that `to_operator` tabulates through it."""
+    lop = SchrodingerOperator.from_operator(fac.recompose())
+    lop._built = fac, *(getattr(lop, name) for name in SCHRODINGER_SHIFTS)
+    return lop
 
 
 # --- exponential coefficients: Q(c, d) ---------------------------------------

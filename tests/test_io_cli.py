@@ -677,6 +677,16 @@ def test_cli_factorize_with_no_rational_root_in_either_colour(tmp_path):
                       "TriholoError", "neither color factorizes in this mode")
 
 
+def test_cli_factorize_rejects_a_shift_outside_the_seven(fixture_dir, tmp_path):
+    # a valid 7-point operator plus a t1^2 term: not a Schrodinger operator
+    op_file = tmp_path / "eight.op"
+    op_file.write_text((fixture_dir / "random.op").read_text(encoding="utf-8") + "\nop 2 0\n"
+                       + "".join(f"c {x} {y} 7\n" for y in range(12) for x in range(12)),
+                       encoding="utf-8")
+    assert_error_body(*run_cli(["factorize", "--op", str(op_file)]),
+                      "NotSelfAdjoint", "shift (2, 0) is not one of the seven Schrodinger shifts")
+
+
 def test_cli_maxprinciple_rejects_boundary_value_outside_domain(fixture_dir, tmp_path):
     patch = fixtures.hex_patch(3)
     centre = patch.vertex_of[(0, 0)]

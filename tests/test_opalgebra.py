@@ -452,6 +452,9 @@ def test_from_operator_roundtrip():
     lop = OA.random_factorizable(random.Random(3), "white")
     back = OA.SchrodingerOperator.from_operator(lop.to_operator())
     same_coefficients(back, lop, Window(0, 4, 0, 4))
+    for alpha in ((2, 0), (1, 1), (-1, -1)):
+        with pytest.raises(NotSelfAdjoint, match=rf"shift \({alpha[0]}, {alpha[1]}\) is not"):
+            OA.SchrodingerOperator.from_operator(lop.to_operator() + OA.shift_op(alpha))
 
 
 # --- closure-path oracles: the pointwise bodies the coefficient tables replaced,
@@ -728,6 +731,83 @@ def test_factorize_reads_tables_for_built_operators():
     for lop in (OA.random_factorizable(random.Random(2), "white"),
                 OA.exponential_both_colors(), OA.SchrodingerOperator(3, 1, 1, 1, 1, 1, 1)):
         assert OA._lop_table(lop, Window(0, 6, 0, 6)) is not None
+
+
+def closure_copy(lop):
+    """lop with the same seven closures and no memory of how it was built."""
+    return OA.SchrodingerOperator(**{n: getattr(lop, n) for n in "abcdefg"})
+
+
+def same_as_closure_copy(lop, win):
+    """Everything lop answers on `win` equals its closure copy's: L's table
+    (rows and denominator), both colours' factorizations in both modes
+    (values read two points past the window, errors by type and message),
+    and the recomposition and perturbation comparisons."""
+    copy = closure_copy(lop)
+    got, want = OA._lop_table(lop, win), OA._lop_table(copy, win)
+    assert got[1] == want[1] and got[0].parts == want[0].parts
+    outcomes = set()
+    for color in ("black", "white"):
+        for mode in ("rational", "float"):
+            g = outcome(OA.factorize, lop, color, win, mode=mode)
+            w = outcome(OA.factorize, copy, color, win, mode=mode)
+            assert g[0] == w[0]
+            outcomes.add(w[0])
+            if w[0] != "ok":
+                assert g[1] == w[1]
+                continue
+            same_factors(g[1], w[1], win)
+            tol = None if mode == "rational" else 1e-12
+            rec = g[1].recompose()
+            assert (OA.equal_on_window(rec, lop.to_operator(), win, tol=tol)
+                    is OA.equal_on_window(rec, copy.to_operator(), win, tol=tol))
+    inner = win.shrink(1, 1, 1, 1)
+    at = (inner.x0 + inner.x1) // 2, inner.y1
+    for name in "adg":
+        other = perturbed(lop, name, at, Fraction(1, 5)).to_operator()
+        assert (OA.equal_on_window(lop.to_operator(), other, win)
+                is OA.equal_on_window(copy.to_operator(), other, win) is False)
+    assert OA.equal_on_window(lop.to_operator(), copy.to_operator(), win) is True
+    return outcomes
+
+
+def test_built_operator_tabulates_through_its_factorization():
+    rng = random.Random(83)
+    lops = [OA.random_factorizable(random.Random(seed), color)
+            for seed in range(4) for color in ("black", "white")]
+    # every coefficient an integer (a = 1/4 + 4 + 4 + 39/4), though the
+    # composite's parts are over 2 and 4: L's table is over 1, as the copy's is
+    integral = OA._from_factorization(OA.Factorization(
+        "black", {"u": OA.const(Fraction(1, 2)), "v": OA.const(2), "w": OA.const(2)},
+        Fraction(39, 4)))
+    assert OA._lop_table(integral, W)[1] == 1
+    outcomes = set()
+    for lop in lops + [OA.exponential_both_colors(), integral]:
+        # the built L recomposes its factorization; the copy's terms are leaves
+        assert lop.to_operator()._node is not None
+        assert closure_copy(lop).to_operator()._node is None
+        outcomes |= same_as_closure_copy(lop, random_window(rng, 3, 7))
+    assert outcomes == {"ok", NotFactorizable}
+
+
+def test_reassigned_field_reads_the_closures():
+    """Once a field is reassigned the factorization no longer describes L,
+    and L is read through its fields, as its closure copy is."""
+    rng = random.Random(89)
+    outcomes = set()
+    for build in (lambda: OA.random_factorizable(random.Random(0), "black"),
+                  lambda: OA.random_factorizable(random.Random(1), "white"),
+                  OA.exponential_both_colors):
+        for name, value in (("a", OA.const(5)), ("b", OA.const(Fraction(1, 3))),
+                            ("g", OA.const(-1))):
+            lop = build()
+            win = random_window(rng, 3, 7)
+            built = lop.to_operator()
+            setattr(lop, name, value)
+            assert lop.to_operator()._node is None
+            assert OA.equal_on_window(built, lop.to_operator(), win) is False
+            outcomes |= same_as_closure_copy(lop, win)
+    assert outcomes == {"ok", NotFactorizable, NotSelfAdjoint}
 
 
 def test_f_criterion_matches_closure_path():
